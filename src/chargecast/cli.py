@@ -121,8 +121,8 @@ def cmd_ingest(config: PipelineConfig) -> dict:
     return {"dataset_dir": out, "manifest": manifest}
 
 
-def cmd_forecast(config: PipelineConfig) -> dict:
-    dataset_dir = config.dataset_dir or (config.out_dir / "ingest")
+def cmd_forecast(config: PipelineConfig, dataset_dir: Path | None = None) -> dict:
+    dataset_dir = dataset_dir or config.dataset_dir or (config.out_dir / "ingest")
     dataset = load_dataset(dataset_dir)
     models = ModelSet.from_dataset(dataset)
 
@@ -173,9 +173,11 @@ def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> dict:
 
 
 def cmd_pipeline(config: PipelineConfig) -> dict:
+    """Each stage consumes the artifact the previous one just wrote, never
+    the standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``."""
     artifacts = cmd_ingest(config)
-    artifacts.update(cmd_forecast(config))
-    artifacts.update(cmd_schedule(config))
+    artifacts.update(cmd_forecast(config, dataset_dir=artifacts["dataset_dir"]))
+    artifacts.update(cmd_schedule(config, load_csv=artifacts["load_curve"]))
     return artifacts
 
 

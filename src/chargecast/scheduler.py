@@ -1,15 +1,21 @@
 """Day-ahead storage scheduling against a time-of-use tariff.
 
 The station's bill is sum over slots of (EV load + ESS power) * price * dt.
-Scheduling the ESS is a linear program: one signed power variable per slot
-(positive while charging), box power limits, the stored-energy recursion
-keeping the ESS state of charge in [0, 1], an optional terminal condition
-(end at least as full as it started) and an optional non-export constraint
-(the station never feeds energy back to the grid, enabled by default).
+Scheduling the ESS is a linear program over 2n variables: a signed power
+p_i per slot (positive while charging) with box limits, and the stored
+energy e_i after slot i with 0 <= e_i <= C. One bidiagonal equality row per
+slot, e_i - e_{i-1} - dt * p_i = 0 with e_{-1} = soc_init * C, links them,
+so the constraint matrix stays sparse (at most 3 nonzeros a row). The
+optional terminal condition (end at least as full as it started) is the
+lower bound e_{n-1} >= soc_init * C; the optional non-export constraint
+(the station never feeds energy back to the grid, enabled by default)
+tightens the lower power bound to -EV load.
 
 ``solve_schedule`` uses scipy's HiGHS backend; ``brute_force_schedule`` is
 the independent enumeration oracle used to cross-check it on small
-instances.
+instances. When the days of a horizon tile the same prices, the LP has
+many optimal schedules: only the total cost is pinned, and the per-day
+split of it is whichever optimum HiGHS returns.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import ConfigurationError, DataError, SolverError
@@ -146,13 +153,6 @@ class SchedulePlan:
     def n_slots(self) -> int:
         return len(self.p_ess_kw)
 
-    def ess_energy_by_price(self) -> dict[float, float]:
-        """Net ESS energy (kWh, signed) bought per distinct price level."""
-        out: dict[float, float] = {}
-        for price, p in zip(self.price, self.p_ess_kw):
-            out[float(price)] = out.get(float(price), 0.0) + float(p) * self.dt_hours
-        return out
-
 
 def _make_plan(
     p_ev: np.ndarray,
@@ -264,28 +264,30 @@ def solve_schedule_slots(
         lb = np.maximum(lb, -p_ev)
     ub = np.full(n, ess.p_charge_max_kw)
 
-    # Stored energy after slot i: c*soc_init + dt * cumsum(p_ess)[i] in [0, c].
-    lower_tri = np.tril(np.ones((n, n)))
-    a_rows = [dt_hours * lower_tri, -dt_hours * lower_tri]
-    b_rows = [
-        np.full(n, (1.0 - ess.soc_init) * ess.c_ess_kwh),
-        np.full(n, ess.soc_init * ess.c_ess_kwh),
-    ]
+    # Variables [p_0..p_{n-1}, e_0..e_{n-1}]; row i: e_i - e_{i-1} - dt*p_i = 0
+    # with the initial store e_{-1} = soc_init*C moved to the right-hand side.
+    e_init = ess.soc_init * ess.c_ess_kwh
+    eye = sp.eye(n, format="csr")
+    a_eq = sp.hstack([-dt_hours * eye, eye - sp.eye(n, k=-1, format="csr")], format="csr")
+    b_eq = np.zeros(n)
+    b_eq[0] = e_init
+    bounds = np.empty((2 * n, 2))
+    bounds[:n, 0], bounds[:n, 1] = lb, ub
+    bounds[n:, 0], bounds[n:, 1] = 0.0, ess.c_ess_kwh
     if ess.require_terminal_soc:
-        a_rows.append(-dt_hours * np.ones((1, n)))
-        b_rows.append(np.zeros(1))
+        bounds[-1, 0] = e_init
 
     res = linprog(
-        c=prices * dt_hours,
-        A_ub=np.vstack(a_rows),
-        b_ub=np.concatenate(b_rows),
-        bounds=list(zip(lb, ub)),
+        c=np.concatenate([prices * dt_hours, np.zeros(n)]),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
         method="highs",
     )
     if res.status != 0:
         raise SolverError(f"LP solve failed with status {res.status}: {res.message}")
 
-    p_ess = np.clip(res.x, lb, ub)
+    p_ess = np.clip(res.x[:n], lb, ub)
     plan = _make_plan(p_ev, prices, p_ess, dt_hours, ess, slot_start_min)
     verify_plan(plan, ess)
     return plan

@@ -1,6 +1,7 @@
 """End-to-end CLI: artifacts, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from chargecast.forecast import station_composite
 from conftest import FIXTURE_CHAIN_COUNTS
 
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, fixture_csv_path, **overrides):
@@ -217,3 +219,47 @@ class TestPipelineCommand:
         assert curve.read_bytes() != base
         summary = json.loads((tmp_path / "out/forecast/summary.json").read_text())
         assert summary["seed"] == 999
+
+    def test_pipeline_ignores_standalone_stage_inputs(self, tmp_path, fixture_csv_path):
+        # Decoys: a valid dataset with no H-W-H chains and an all-zero load curve.
+        plain = write_config(tmp_path, fixture_csv_path)
+        assert main(["pipeline", "--config", str(plain)]) == 0
+        decoy = tmp_path / "decoy"
+        config = write_config(
+            tmp_path, fixture_csv_path,
+            destination_map={"1": "H", "3": "SE", "11": "SE", "15": "SR", "97": "O", "8": "O"},
+        )
+        assert main(["ingest", "--config", str(config), "--out", str(decoy)]) == 0
+        curve = (tmp_path / "out/forecast/load_curve.csv").read_text().splitlines()
+        zero_rows = [row.split(",")[0] + ",0.0" * 6 for row in curve[1:]]
+        (decoy / "load_curve.csv").write_text("\n".join([curve[0], *zero_rows]) + "\n")
+
+        config = write_config(tmp_path, fixture_csv_path, paths={
+            "dataset_dir": str(decoy / "ingest"),
+            "load_curve": str(decoy / "load_curve.csv"),
+            "out_dir": str(tmp_path / "chained"),
+        })
+        assert main(["pipeline", "--config", str(config)]) == 0
+        for artifact in ["forecast/load_curve.csv", "forecast/models.json", "schedule/schedule.csv"]:
+            assert (tmp_path / "chained" / artifact).read_bytes() == (
+                tmp_path / "out" / artifact
+            ).read_bytes(), artifact
+
+
+class TestGoldenCaseStudy:
+    def test_pipeline_reproduces_committed_artifacts(self, tmp_path, monkeypatch):
+        """Every file under out/case_study, byte for byte, up to the out_dir echo."""
+        golden = REPO_ROOT / "out" / "case_study"
+        out = tmp_path / "case_study"
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["pipeline", "--config", "configs/case_study.json", "--out", str(out)]) == 0
+
+        def tree(root):
+            return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+        assert tree(out) == tree(golden)
+        echo = b'"out_dir": ' + json.dumps(str(out)).encode()
+        committed_echo = b'"out_dir": ' + json.dumps("out/case_study").encode()
+        for rel in tree(golden):
+            got = (out / rel).read_bytes().replace(echo, committed_echo)
+            assert got == (golden / rel).read_bytes(), rel

@@ -1,7 +1,11 @@
 """Storage scheduling: tariff handling, LP vs enumeration, feasibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargecast.errors import ConfigurationError, DataError, SolverError
 from chargecast.forecast import LoadProfile
@@ -158,6 +162,35 @@ class TestSolveSchedule:
             plan = solve_schedule(p_ev, tariff, ess)
             assert plan.cost_with_ess <= plan.cost_baseline + 1e-9
 
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        c_ess=st.one_of(st.just(0.0), st.floats(10.0, 500.0)),
+        p_charge=st.floats(0.0, 150.0),
+        p_discharge=st.floats(0.0, 150.0),
+        soc_init=st.floats(0.0, 1.0),
+        require_terminal_soc=st.booleans(),
+        allow_export=st.booleans(),
+    )
+    def test_lp_never_worse_than_oracle_property(
+        self, data, n, c_ess, p_charge, p_discharge, soc_init, require_terminal_soc,
+        allow_export,
+    ):
+        load = data.draw(st.lists(st.floats(0.0, 150.0), min_size=n, max_size=n))
+        prices = data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+        ess = EssParams(
+            c_ess_kwh=c_ess, p_charge_max_kw=p_charge, p_discharge_max_kw=p_discharge,
+            soc_init=soc_init, require_terminal_soc=require_terminal_soc,
+            allow_export=allow_export,
+        )
+        levels = [-p_discharge, -p_discharge / 2, 0.0, p_charge / 2, p_charge]
+        p_ev, tariff = profile(load), hourly_tariff(prices)
+        lp = solve_schedule(p_ev, tariff, ess)
+        bf = brute_force_schedule(p_ev, tariff, ess, levels)
+        assert lp.cost_with_ess <= bf.cost_with_ess + 1e-6
+        verify_plan(lp, ess, tol=1e-9)
+
     def test_price_scaling_equivariance(self):
         rng = np.random.default_rng(8)
         p_ev = profile(rng.uniform(0, 120, 5))
@@ -240,9 +273,9 @@ class TestCaseStudyShape:
 
         result = run_forecast(FleetConfig(n_ev=2500, seed=2), fixture_models)
         plan = multi_day_schedule([result.bundle.station] * 3, DEFAULT_TARIFF, EssParams())
-        by_price = plan.ess_energy_by_price()
-        assert by_price[VALLEY] > 0
-        assert by_price[PEAK] < 0
+        energy = plan.p_ess_kw * plan.dt_hours
+        assert energy[plan.price == VALLEY].sum() > 0
+        assert energy[plan.price == PEAK].sum() < 0
 
 
 class TestMultiDay:
@@ -276,6 +309,21 @@ class TestMultiDay:
         plan = multi_day_schedule([day] * 3, DEFAULT_TARIFF, EssParams())
         assert sum(plan.day_costs_with_ess) == pytest.approx(plan.cost_with_ess, rel=1e-12)
         assert sum(plan.day_costs_baseline) == pytest.approx(plan.cost_baseline, rel=1e-12)
+
+    def test_sixty_days_stay_sparse(self):
+        # A dense n x n block over 5,760 slots would alone take over 500 MB.
+        rng = np.random.default_rng(60)
+        days = [profile(rng.uniform(0, 900, 96), 15) for _ in range(60)]
+        ess = EssParams()
+        tracemalloc.start()
+        try:
+            plan = multi_day_schedule(days, DEFAULT_TARIFF, ess)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        verify_plan(plan, ess)
+        assert plan.n_slots == 60 * 96
+        assert peak < 50e6
 
     def test_mixed_grids_rejected(self):
         a = profile(np.zeros(96), 15)
