@@ -2,20 +2,16 @@
 
 from .errors import ChargecastError, ConfigurationError, DataError, SolverError
 from .forecast import (
-    ChargeEvent,
     FleetConfig,
     ForecastResult,
     LoadProfile,
     ModelSet,
     SiteLoadBundle,
-    accumulate_loads,
     charge_duration_hours,
     needs_charge,
     run_forecast,
-    simulate_vehicle,
     soc_after_trip,
     station_composite,
-    vehicle_rng,
 )
 from .kde import KdeModel, fit_kde, silverman_bandwidth
 from .scheduler import (

@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="simulation worker threads")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; ignored")
         if name == "schedule":
             p.add_argument("--load", default=None, help="load-curve CSV (defaults to the forecast artifact)")
     return parser

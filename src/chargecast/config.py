@@ -9,7 +9,7 @@ All validation happens at load time, before any stage writes a file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -45,8 +45,7 @@ class PipelineConfig:
     tariff: TariffSchedule
     horizon_days: int = 3
     currency: str = "¥"
-    threads: int = 1
-    raw: dict = field(default_factory=dict)
+    threads: int = 1  # accepted for compatibility; the forecast ignores it
 
     @property
     def seed(self) -> int:
@@ -191,7 +190,6 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         horizon_days=horizon_days,
         currency=str(data.get("currency", "¥")),
         threads=threads,
-        raw=data,
     )
 
 

@@ -8,16 +8,18 @@ along the chain. Whenever the state of charge would drop below the reserve
 after the next trip, the vehicle quick-charges at the current site:
 duration is capped by the stay and by the time to reach full charge.
 
-Reproducibility contract: vehicle ``i`` always consumes the RNG substream
-derived from (master seed, i), and partial results are reduced in a fixed
-block order, so results are bit-identical for any worker count.
+Vehicles are simulated as arrays, in fixed blocks of 256. Reproducibility
+contract: block ``k`` draws everything from the one RNG stream derived from
+(master seed, k), in the order documented on ``_simulate_block``, and block
+results are reduced in block order. Results are therefore bit-identical for
+any ``threads`` value, and the first k full blocks of a run do not depend on
+the fleet size.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -42,9 +44,8 @@ from .survey import (
 
 DAY_MINUTES = 1440.0
 HORIZON_MINUTES = 2880.0  # two simulated days
-_VEHICLE_BLOCK = 256      # fixed reduction granularity, independent of workers
-_MIN_VELOCITY_KMH = 1.0
-_VELOCITY_REDRAW_CAP = 100
+_VEHICLE_BLOCK = 256      # fixed RNG-stream and reduction granularity
+_MIN_VELOCITY_KMH = 1.0   # lower sampling bound of every velocity draw
 
 
 @dataclass
@@ -88,12 +89,6 @@ class FleetConfig:
     @property
     def dt_hours(self) -> float:
         return self.slot_minutes / 60.0
-
-
-class ChargeEvent(NamedTuple):
-    site_index: int     # index into SITE_CLASSES
-    start_min: float    # absolute minute on the simulation axis
-    duration_min: float
 
 
 @dataclass
@@ -140,36 +135,24 @@ def station_composite(q_pro: Sequence[float], site_power: np.ndarray) -> np.ndar
 # Battery-state primitives
 # ---------------------------------------------------------------------------
 
-def soc_after_trip(
-    soc: float, length_km: float, u_kwh_per_km: float, c_ev_kwh: float
-) -> tuple[float, bool]:
+def soc_after_trip(soc, length_km, u_kwh_per_km: float, c_ev_kwh: float):
     """State of charge after driving ``length_km``; clamps at 0.
 
     Returns (new_soc, infeasible) where infeasible flags a trip whose
-    energy need exceeded the remaining charge.
+    energy need exceeded the remaining charge. Elementwise on arrays.
     """
     new_soc = soc - u_kwh_per_km * length_km / c_ev_kwh
-    if new_soc < 0.0:
-        return 0.0, True
-    return new_soc, False
+    return np.maximum(new_soc, 0.0), new_soc < 0.0
 
 
-def needs_charge(
-    soc: float,
-    next_length_km: float,
-    u_kwh_per_km: float,
-    c_ev_kwh: float,
-    reserve: float,
-) -> bool:
+def needs_charge(soc, next_length_km, u_kwh_per_km: float, c_ev_kwh: float, reserve: float):
     """True when the next trip would leave less than the reserve fraction."""
     return soc - u_kwh_per_km * next_length_km / c_ev_kwh <= reserve
 
 
-def charge_duration_hours(
-    soc: float, t_stay_hours: float, c_ev_kwh: float, p_charging_kw: float
-) -> float:
+def charge_duration_hours(soc, t_stay_hours, c_ev_kwh: float, p_charging_kw: float):
     """Charging time: the stay, capped by the time to reach full charge."""
-    return min(t_stay_hours, (1.0 - soc) * c_ev_kwh / p_charging_kw)
+    return np.minimum(t_stay_hours, (1.0 - soc) * c_ev_kwh / p_charging_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +195,10 @@ class ModelSet:
         return cls(proportions, models)
 
     def validate(self) -> None:
-        """Every chain type with positive probability must be fully modelled."""
+        """Some chain type has positive probability, and each such type is
+        fully modelled."""
+        if not np.any(self.proportions > 0):
+            raise ConfigurationError("chain-type proportions have no positive mass")
         for i, p in enumerate(self.proportions):
             if p <= 0:
                 continue
@@ -265,177 +251,187 @@ def _required_keys(ctype: ChainType) -> list[tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Per-vehicle simulation
+# Block simulation
 # ---------------------------------------------------------------------------
 
-def vehicle_rng(seed: int, vehicle_index: int) -> np.random.Generator:
-    """Independent, reproducible substream for one vehicle."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(vehicle_index,))
-    )
+_N_TRIPS = np.array([ct.n_trips for ct in CHAIN_TYPES])
+# Site index of each chain type's midway stops; -1 pads 2-trip types.
+_MIDWAY_SITE = np.array(
+    [[s.index for s in ct.midway] + [-1] * (2 - len(ct.midway)) for ct in CHAIN_TYPES]
+)
 
 
-class _SimChain(NamedTuple):
-    chain_type: ChainType
-    end1_min: float
-    lengths_km: tuple[float, ...]
-    durations_min: tuple[float, ...]
-    dwells_min: tuple[float, ...]
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """Independent, reproducible stream of one vehicle block."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _draw_chain(
-    rng: np.random.Generator,
-    cum_proportions: np.ndarray,
-    last_positive: int,
-    models: ModelSet,
-) -> _SimChain:
-    """Sample one day's chain: type, trip-1 end, lengths/velocities, dwells."""
-    idx = int(np.searchsorted(cum_proportions, rng.random(), side="right"))
-    # Cumulative rounding can leave the total a hair under 1; a tail draw
-    # must still land on a type that actually has models.
-    ctype = CHAIN_TYPES[min(idx, last_positive)]
-
-    end1 = models.get(ctype, FEATURE_END_TIME, 1).sample(rng)
-    lengths = []
-    durations = []
-    for t in range(1, ctype.n_trips + 1):
-        length = models.get(ctype, FEATURE_LENGTH, t).sample(rng)
-        velocity_model = models.get(ctype, FEATURE_VELOCITY, t)
-        velocity = velocity_model.sample(rng)
-        redraws = 0
-        while velocity <= _MIN_VELOCITY_KMH and redraws < _VELOCITY_REDRAW_CAP:
-            velocity = velocity_model.sample(rng)
-            redraws += 1
-        if velocity <= _MIN_VELOCITY_KMH:
-            velocity = _MIN_VELOCITY_KMH
-        lengths.append(length)
-        durations.append(60.0 * length / velocity)
-    dwells = tuple(
-        models.get(ctype, FEATURE_DWELL, m).sample(rng) for m in range(1, ctype.n_trips)
-    )
-    return _SimChain(ctype, end1, tuple(lengths), tuple(durations), dwells)
+def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]:
+    """Fitted models of each chain type with positive probability, keyed by
+    chain-type index, so that the block loop hashes no ``ChainType``."""
+    return {
+        k: {key: models.get(ctype, *key) for key in _required_keys(ctype)}
+        for k, ctype in enumerate(CHAIN_TYPES)
+        if models.proportions[k] > 0
+    }
 
 
-class VehicleSim(NamedTuple):
-    events: list[ChargeEvent]
+class _BlockSim(NamedTuple):
+    """One block's charge events (one array entry per event) and counters."""
+
+    vehicle: np.ndarray       # index within the block
+    site: np.ndarray          # index into SITE_CLASSES
+    start_min: np.ndarray     # absolute minute on the simulation axis
+    duration_min: np.ndarray
+    infeasible: int
     soc_min: float
     soc_max: float
-    infeasible_trips: int
 
 
-def simulate_vehicle(
+def _simulate_block(
     config: FleetConfig,
     proportions: np.ndarray,
-    models: ModelSet,
-    rng: np.random.Generator,
-) -> VehicleSim:
-    """Simulate one vehicle's two days and return its station charge events.
+    type_models: dict[int, dict[tuple[str, int], KdeModel]],
+    block: int,
+) -> _BlockSim:
+    """Simulate vehicles ``256 * block`` up to ``min(256 * (block + 1), n_ev)``.
 
-    Draw order (fixed for reproducibility): post ownership, initial SOC
-    (consumed even for post owners so that changing ``p_own`` does not shift
-    later draws), then one chain per day plus a lookahead chain whose first
-    trip settles the last evening's home-charging decision.
+    Each vehicle drives two days and then a lookahead chain, whose first
+    trip settles the last evening's home-charging decision. The block's
+    ``b`` vehicles draw from ``_block_rng(seed, block)`` in this order:
+
+    1. ``b`` ownership uniforms (below ``p_own``: a private post);
+    2. ``b`` initial-SOC uniforms ``s``, soc0 = 0.5 + 0.5 s for non-owners
+       (drawn for owners too, so that ``p_own`` does not shift later draws);
+    3. ``3 b`` chain-type uniforms: day 0 of every vehicle, then day 1,
+       then the lookahead;
+    4. per chain type present, in enumeration order, over its chains in the
+       order of step 3: trip-1 end times, then each trip's lengths and
+       velocities (sampled above 1 km/h), then each midway dwell.
     """
+    first = block * _VEHICLE_BLOCK
+    b = min(first + _VEHICLE_BLOCK, config.n_ev) - first
     u = config.u_kwh_per_km
     c_ev = config.c_ev_kwh
     p_chg = config.p_charging_kw
     reserve = config.soc_reserve
+    rng = _block_rng(config.seed, block)
 
-    owner = rng.random() < config.p_own
-    soc_draw = rng.random()
-    soc = 1.0 if owner else 0.5 + 0.5 * soc_draw
+    owner = rng.random(b) < config.p_own
+    soc = np.where(owner, 1.0, 0.5 + 0.5 * rng.random(b))
+    # Cumulative rounding can leave the total a hair under 1; a tail draw
+    # must still land on a type that actually has models.
+    ctype = np.minimum(
+        np.searchsorted(np.cumsum(proportions), rng.random(3 * b), side="right"),
+        max(type_models),
+    )
 
-    positive = np.flatnonzero(np.asarray(proportions) > 0)
-    if positive.size == 0:
-        raise ConfigurationError("chain-type proportions have no positive mass")
-    cum = np.cumsum(proportions)
-    chains = [_draw_chain(rng, cum, int(positive[-1]), models) for _ in range(3)]
+    # Trip and dwell arrays are zero past a chain's last trip, so those
+    # steps below move neither the clock nor the charge.
+    end1 = np.empty(3 * b)
+    lengths = np.zeros((3, 3 * b))
+    drive_min = np.zeros((3, 3 * b))
+    dwells = np.zeros((2, 3 * b))
+    for k in np.unique(ctype):
+        chains = np.flatnonzero(ctype == k)
+        m = chains.size
+        fitted = type_models[k]
+        end1[chains] = fitted[FEATURE_END_TIME, 1].sample_many(rng, m)
+        for t in range(_N_TRIPS[k]):
+            length = fitted[FEATURE_LENGTH, t + 1].sample_many(rng, m)
+            velocity = fitted[FEATURE_VELOCITY, t + 1].sample_many(
+                rng, m, lower=_MIN_VELOCITY_KMH
+            )
+            lengths[t, chains] = length
+            drive_min[t, chains] = 60.0 * length / velocity
+        for j in range(_N_TRIPS[k] - 1):
+            dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, m)
 
-    events: list[ChargeEvent] = []
+    n_trips = _N_TRIPS[ctype]
+    midway = _MIDWAY_SITE[ctype]
+    vehicle = np.arange(b)
+    home = np.full(b, SiteClass.H.index)
     soc_min = soc
     soc_max = soc
     infeasible = 0
+    events = []
+
+    def charge(trigger, site, start, stay_min):
+        nonlocal soc, soc_max
+        dur_h = charge_duration_hours(soc, stay_min / 60.0, c_ev, p_chg)
+        fire = trigger & (dur_h > 0)
+        events.append((vehicle[fire], site[fire], start[fire], dur_h[fire] * 60.0))
+        soc = np.where(fire, np.minimum(1.0, soc + dur_h * p_chg / c_ev), soc)
+        soc_max = np.maximum(soc_max, soc)
 
     for day in (0, 1):
-        chain = chains[day]
-        n = chain.chain_type.n_trips
-        midway = chain.chain_type.midway
-        end_t = DAY_MINUTES * day + chain.end1_min
-        for t in range(n):
+        cur = slice(day * b, (day + 1) * b)
+        nxt = slice((day + 1) * b, (day + 2) * b)
+        end_t = DAY_MINUTES * day + end1[cur]
+        for t in range(3):
             if t > 0:
-                end_t = end_t + chain.dwells_min[t - 1] + chain.durations_min[t]
-            soc, flag = soc_after_trip(soc, chain.lengths_km[t], u, c_ev)
-            infeasible += flag
-            soc_min = min(soc_min, soc)
-            if t < n - 1:
-                # Midway site: arrival at end_t, stay dwells_min[t].
-                if needs_charge(soc, chain.lengths_km[t + 1], u, c_ev, reserve):
-                    dur_h = charge_duration_hours(soc, chain.dwells_min[t] / 60.0, c_ev, p_chg)
-                    if dur_h > 0:
-                        events.append(ChargeEvent(midway[t].index, end_t, dur_h * 60.0))
-                        soc = min(1.0, soc + dur_h * p_chg / c_ev)
-                        soc_max = max(soc_max, soc)
+                end_t = end_t + dwells[t - 1, cur] + drive_min[t, cur]
+            soc, flag = soc_after_trip(soc, lengths[t, cur], u, c_ev)
+            infeasible += int(np.count_nonzero(flag))
+            soc_min = np.minimum(soc_min, soc)
+            if t < 2:
+                # Midway site t: arrival at end_t, stay dwells[t].
+                trigger = (t < n_trips[cur] - 1) & needs_charge(
+                    soc, lengths[t + 1, cur], u, c_ev, reserve
+                )
+                charge(trigger, midway[cur, t], end_t, dwells[t, cur])
 
-        # Home arrival.
-        if owner:
-            soc = 1.0  # private post, recharged overnight off-station
-            soc_max = 1.0
-        else:
-            nxt = chains[day + 1]
-            next_start = DAY_MINUTES * (day + 1) + nxt.end1_min - nxt.durations_min[0]
-            stay_min = max(0.0, next_start - end_t)
-            if needs_charge(soc, nxt.lengths_km[0], u, c_ev, reserve):
-                dur_h = charge_duration_hours(soc, stay_min / 60.0, c_ev, p_chg)
-                if dur_h > 0:
-                    events.append(ChargeEvent(SiteClass.H.index, end_t, dur_h * 60.0))
-                    soc = min(1.0, soc + dur_h * p_chg / c_ev)
-                    soc_max = max(soc_max, soc)
+        # Home arrival; owners recharge overnight off-station, at their post.
+        next_start = DAY_MINUTES * (day + 1) + end1[nxt] - drive_min[0, nxt]
+        trigger = ~owner & needs_charge(soc, lengths[0, nxt], u, c_ev, reserve)
+        charge(trigger, home, end_t, np.maximum(0.0, next_start - end_t))
+        soc = np.where(owner, 1.0, soc)
+        soc_max = np.where(owner, 1.0, soc_max)
 
-    return VehicleSim(events, soc_min, soc_max, infeasible)
+    return _BlockSim(
+        *(np.concatenate(parts) for parts in zip(*events)),
+        infeasible, float(soc_min.min()), float(soc_max.max()),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Load accumulation
 # ---------------------------------------------------------------------------
 
-def accumulate_loads(
-    events: Sequence[ChargeEvent],
-    config: FleetConfig,
-    horizon_minutes: float = HORIZON_MINUTES,
-    report_last_minutes: float | None = None,
-) -> SiteLoadBundle:
-    """Turn charge events into per-site and composite load curves.
-
-    Events are truncated at the horizon and prorated within partially
-    covered slots. When ``report_last_minutes`` is set, only the trailing
-    window is returned, with slot labels counted from the window start.
-    """
-    site_power = _accumulate_site_power(events, config, horizon_minutes)
-    return _bundle_from_site_power(site_power, config, horizon_minutes, report_last_minutes)
-
-
 def _accumulate_site_power(
-    events: Sequence[ChargeEvent], config: FleetConfig, horizon_minutes: float
+    site: np.ndarray,
+    start_min: np.ndarray,
+    duration_min: np.ndarray,
+    config: FleetConfig,
+    horizon_minutes: float,
 ) -> np.ndarray:
+    """Per-site average power per slot of the charge events given as arrays.
+
+    Events are truncated at the axis ends and prorated within partially
+    covered slots. Each (site, slot) cell sums its contributions in event
+    order.
+    """
     slot = float(config.slot_minutes)
     n_slots = int(round(horizon_minutes / slot))
     if abs(n_slots * slot - horizon_minutes) > 1e-9:
         raise ConfigurationError("horizon must be a whole number of slots")
-    power = np.zeros((len(SITE_CLASSES), n_slots))
-    p_chg = config.p_charging_kw
-
-    for site_index, start, duration in events:
-        a = max(0.0, start)
-        b = min(start + duration, horizon_minutes)
-        if b <= a:
-            continue
-        i0 = int(a // slot)
-        i1 = min(int(math.ceil(b / slot)), n_slots)
-        for i in range(i0, i1):
-            overlap = min(b, (i + 1) * slot) - max(a, i * slot)
-            if overlap > 0:
-                power[site_index, i] += p_chg * (overlap / slot)
-    return power
+    a = np.maximum(0.0, start_min)
+    b = np.minimum(start_min + duration_min, horizon_minutes)
+    keep = b > a
+    site, a, b = site[keep], a[keep], b[keep]
+    i0 = (a // slot).astype(np.intp)
+    count = np.minimum(np.ceil(b / slot).astype(np.intp), n_slots) - i0
+    # One row per (event, covered slot), event-major.
+    event = np.repeat(np.arange(a.size), count)
+    i = i0[event] + np.arange(event.size) - np.repeat(np.cumsum(count) - count, count)
+    overlap = np.minimum(b[event], (i + 1) * slot) - np.maximum(a[event], i * slot)
+    hit = overlap > 0
+    power = np.bincount(
+        site[event[hit]] * n_slots + i[hit],
+        weights=config.p_charging_kw * (overlap[hit] / slot),
+        minlength=len(SITE_CLASSES) * n_slots,
+    )
+    return power.reshape(len(SITE_CLASSES), n_slots)
 
 
 def _bundle_from_site_power(
@@ -444,6 +440,11 @@ def _bundle_from_site_power(
     horizon_minutes: float,
     report_last_minutes: float | None,
 ) -> SiteLoadBundle:
+    """Per-site and composite load curves from a site x slot power matrix.
+
+    When ``report_last_minutes`` is set, only the trailing window is
+    returned, with slot labels counted from the window start.
+    """
     slot = config.slot_minutes
     if report_last_minutes is not None:
         n_report = int(round(report_last_minutes / slot))
@@ -495,44 +496,6 @@ class ForecastResult:
         }
 
 
-class _BlockResult(NamedTuple):
-    site_power: np.ndarray
-    n_events: int
-    infeasible: int
-    soc_min: float
-    soc_max: float
-    event_energy_kwh: float
-
-
-def _simulate_block(
-    config: FleetConfig,
-    models: ModelSet,
-    first_vehicle: int,
-    last_vehicle: int,
-) -> _BlockResult:
-    proportions = models.proportions
-    events: list[ChargeEvent] = []
-    infeasible = 0
-    soc_min = math.inf
-    soc_max = -math.inf
-    for v in range(first_vehicle, last_vehicle):
-        sim = simulate_vehicle(config, proportions, models, vehicle_rng(config.seed, v))
-        events.extend(sim.events)
-        infeasible += sim.infeasible_trips
-        soc_min = min(soc_min, sim.soc_min)
-        soc_max = max(soc_max, sim.soc_max)
-
-    site_power = _accumulate_site_power(events, config, HORIZON_MINUTES)
-    energy = sum(
-        config.p_charging_kw
-        * (min(e.start_min + e.duration_min, HORIZON_MINUTES) - max(0.0, e.start_min))
-        / 60.0
-        for e in events
-        if e.start_min < HORIZON_MINUTES and e.start_min + e.duration_min > 0
-    )
-    return _BlockResult(site_power, len(events), infeasible, soc_min, soc_max, energy)
-
-
 def run_forecast(
     config: FleetConfig,
     models: ModelSet | ChainFeatureDataset,
@@ -541,27 +504,17 @@ def run_forecast(
     """Simulate the fleet over 48 h and report the final 24 h load bundle.
 
     ``models`` may be a fitted :class:`ModelSet` or a raw feature dataset
-    (fitted on the fly). The result is independent of ``threads``.
+    (fitted on the fly). ``threads`` is accepted for compatibility and
+    ignored: the vectorized blocks run in the calling thread, because a
+    thread pool over them measured no gain.
     """
     config.validate()
     if isinstance(models, ChainFeatureDataset):
         models = ModelSet.from_dataset(models)
     models.validate()
+    type_models = _type_models(models)
 
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK
-    blocks = [
-        (i * _VEHICLE_BLOCK, min((i + 1) * _VEHICLE_BLOCK, config.n_ev))
-        for i in range(n_blocks)
-    ]
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda b: _simulate_block(config, models, b[0], b[1]), blocks)
-            )
-    else:
-        results = [_simulate_block(config, models, lo, hi) for lo, hi in blocks]
-
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
     total_power = np.zeros((len(SITE_CLASSES), n_slots))
     n_events = 0
@@ -569,13 +522,18 @@ def run_forecast(
     soc_min = math.inf
     soc_max = -math.inf
     event_energy = 0.0
-    for block in results:  # fixed block order: reduction is worker-independent
-        total_power += block.site_power
-        n_events += block.n_events
-        infeasible += block.infeasible
-        soc_min = min(soc_min, block.soc_min)
-        soc_max = max(soc_max, block.soc_max)
-        event_energy += block.event_energy_kwh
+    for block in range(n_blocks):
+        sim = _simulate_block(config, models.proportions, type_models, block)
+        total_power += _accumulate_site_power(
+            sim.site, sim.start_min, sim.duration_min, config, HORIZON_MINUTES
+        )
+        end = np.minimum(sim.start_min + sim.duration_min, HORIZON_MINUTES)
+        inside = end - np.maximum(0.0, sim.start_min)
+        event_energy += config.p_charging_kw * float(inside[inside > 0].sum()) / 60.0
+        n_events += sim.site.size
+        infeasible += sim.infeasible
+        soc_min = min(soc_min, sim.soc_min)
+        soc_max = max(soc_max, sim.soc_max)
 
     dt_h = config.slot_minutes / 60.0
     site_energy_full = tuple(float(total_power[i].sum() * dt_h) for i in range(len(SITE_CLASSES)))

@@ -2,25 +2,24 @@
 
 A fitted model is a mixture of Gaussian kernels centred on the data points.
 Supports may be half-open or closed intervals; the density is renormalized
-by the kernel mass falling inside the support and sampling rejects draws
-that land outside. All randomness comes from caller-provided numpy
-Generators, so sampling is reproducible and safely parallel.
+by the kernel mass falling inside the support. Sampling is exact and
+vectorized: each draw picks a kernel with probability proportional to its
+mass inside the bounds and inverts that kernel's truncated normal CDF, so
+no draw is rejected, redrawn or clamped. All randomness comes from
+caller-provided numpy Generators, so sampling is reproducible.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import DataError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_MAX_REJECTION_ATTEMPTS = 1000
 
 UNBOUNDED = (-math.inf, math.inf)
 
@@ -69,12 +68,22 @@ class KdeModel:
         self._mass = self._support_mass()
 
     def _support_mass(self) -> float:
-        lo, hi = self.support
-        if math.isinf(lo) and math.isinf(hi):
-            return 1.0
-        upper = ndtr((hi - self.samples) / self.bandwidth) if math.isfinite(hi) else 1.0
-        lower = ndtr((lo - self.samples) / self.bandwidth) if math.isfinite(lo) else 0.0
-        return float(np.mean(upper - lower))
+        _, p_lo, p_hi = self._kernel_bounds(*self.support)
+        return float(np.mean(np.abs(p_hi - p_lo)))
+
+    def _kernel_bounds(self, lo: float, hi: float):
+        """Per-kernel normal probabilities at the bounds ``lo`` < ``hi``.
+
+        Returns ``(tail, p_lo, p_hi)``. For a kernel whose centre lies below
+        ``lo`` (``tail``), the probabilities are upper-tail ones, Q(z) =
+        ndtr(-z), which keep full precision far from the centre; otherwise
+        they are ndtr values. Either way ``|p_hi - p_lo|`` is the kernel's
+        mass inside [lo, hi].
+        """
+        alpha = (lo - self.samples) / self.bandwidth
+        beta = (hi - self.samples) / self.bandwidth
+        tail = alpha > 0
+        return tail, ndtr(np.where(tail, -alpha, alpha)), ndtr(np.where(tail, -beta, beta))
 
     def pdf(self, x):
         """Density at ``x`` (scalar or array); 0 outside the support."""
@@ -99,26 +108,35 @@ class KdeModel:
         out = np.clip((upper - lower) / self._mass, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """One draw: a uniformly chosen data point plus kernel noise.
+    def sample_many(
+        self, rng: np.random.Generator, count: int, lower: float = -math.inf
+    ) -> np.ndarray:
+        """``count`` independent draws from the density, optionally also
+        truncated below at ``lower``.
 
-        Out-of-support draws are rejected and redrawn; after 1000 failed
-        attempts the last draw is clamped to the nearest support bound.
+        Exact inversion: one uniform per draw picks a kernel with probability
+        proportional to its mass inside [max(lo, lower), hi], a second one
+        is mapped through that kernel's truncated normal quantile function.
+        The stream consumes ``count`` uniforms for the kernels, then
+        ``count`` for the inversion.
         """
-        samples = self.samples
-        n = samples.size
-        h = self.bandwidth
-        lo, hi = self.support
-        value = 0.0
-        for _ in range(_MAX_REJECTION_ATTEMPTS):
-            value = samples[rng.integers(0, n)] + h * rng.standard_normal()
-            if lo <= value <= hi:
-                return float(value)
-        return float(min(max(value, lo), hi))
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` sequential draws from the same stream."""
-        return np.array([self.sample(rng) for _ in range(count)])
+        lo = max(self.support[0], lower)
+        hi = self.support[1]
+        if not lo < hi:
+            raise DataError(f"empty sampling interval [{lo}, {hi}]")
+        tail, p_lo, p_hi = self._kernel_bounds(lo, hi)
+        cum = np.cumsum(np.abs(p_hi - p_lo))
+        if not cum[-1] > 0:
+            raise DataError(f"density has no mass inside [{lo}, {hi}]")
+        # cum / cum[-1] ends at exactly 1.0 and uniforms are < 1, so every
+        # pick is a kernel with positive mass.
+        k = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
+        p = p_lo[k] + rng.random(count) * (p_hi[k] - p_lo[k])
+        z = ndtri(p)
+        x = self.samples[k] + self.bandwidth * np.where(tail[k], -z, z)
+        # The quantile is lo or hi at p = p_lo or p_hi exactly; the clip keeps
+        # the last-ulp rounding of centre + h * z on the right side of them.
+        return np.clip(x, lo, hi)
 
     # -- serialization ------------------------------------------------------
 
@@ -144,15 +162,6 @@ class KdeModel:
                 math.inf if hi is None else float(hi),
             ),
         )
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KdeModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:

@@ -249,6 +249,8 @@ def solve_schedule_slots(
     p_ev = np.asarray(p_ev_kw, dtype=float)
     prices = np.asarray(prices, dtype=float)
     n = len(p_ev)
+    if n == 0:
+        raise DataError("load profile has no slots")
     if len(prices) != n:
         raise DataError("price vector and load profile lengths differ")
     if np.any(p_ev < 0):

@@ -2,27 +2,49 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargecast.errors import ConfigurationError
 from chargecast.forecast import (
     DAY_MINUTES,
     HORIZON_MINUTES,
-    ChargeEvent,
     FleetConfig,
     ModelSet,
-    accumulate_loads,
+    _accumulate_site_power,
+    _block_rng,
+    _bundle_from_site_power,
+    _simulate_block,
+    _type_models,
     charge_duration_hours,
     needs_charge,
     run_forecast,
-    simulate_vehicle,
     soc_after_trip,
     station_composite,
-    vehicle_rng,
 )
 from chargecast.survey import CHAIN_TYPES, SiteClass, chain_type_from_label
 from conftest import point_model_set
 
 Q_DEFAULT = (0.04, 0.1, 0.2, 0.1, 0.1)
+
+
+def simulate(config, models, block=0):
+    """One block of the fleet simulation, as ``run_forecast`` runs it."""
+    return _simulate_block(config, models.proportions, _type_models(models), block)
+
+
+def vehicle_events(sim, vehicle):
+    """(site, start, duration) of one vehicle's charge events, in time order."""
+    mine = np.flatnonzero(sim.vehicle == vehicle)
+    mine = mine[np.argsort(sim.start_min[mine], kind="stable")]
+    return list(zip(sim.site[mine], sim.start_min[mine], sim.duration_min[mine]))
+
+
+def accumulate(events, config, horizon_minutes=HORIZON_MINUTES, report_last_minutes=None):
+    """Load bundle of (site, start, duration) events via the array accumulator."""
+    site, start, duration = (np.array(column) for column in zip(*events))
+    power = _accumulate_site_power(site, start, duration, config, horizon_minutes)
+    return _bundle_from_site_power(power, config, horizon_minutes, report_last_minutes)
 
 
 class TestSocPrimitives:
@@ -72,7 +94,7 @@ class TestSimulateVehicle:
     """
 
     CONFIG = FleetConfig(
-        p_own=0.0, n_ev=1, p_charging_kw=60.0, c_ev_kwh=40.0,
+        p_own=0.0, n_ev=12, p_charging_kw=60.0, c_ev_kwh=40.0,
         u_kwh_per_km=0.2, q_pro=Q_DEFAULT, seed=909,
     )
     MODELS = None
@@ -106,22 +128,21 @@ class TestSimulateVehicle:
 
     @pytest.mark.parametrize("vehicle", range(12))
     def test_against_hand_simulation(self, vehicle):
-        models = self.models()
-        rng = vehicle_rng(self.CONFIG.seed, vehicle)
-        sim = simulate_vehicle(self.CONFIG, models.proportions, models, rng)
+        sim = simulate(self.CONFIG, self.models())
 
-        # Replay the documented draw order to recover the initial SOC.
-        replay = vehicle_rng(self.CONFIG.seed, vehicle)
-        replay.random()  # ownership uniform (p_own = 0: always a non-owner)
-        soc0 = 0.5 + 0.5 * replay.random()
+        # Replay the documented block draw order to recover the initial SOC.
+        replay = _block_rng(self.CONFIG.seed, 0)
+        replay.random(12)  # ownership uniforms (p_own = 0: all non-owners)
+        soc0 = 0.5 + 0.5 * replay.random(12)[vehicle]
 
         expected = self.expected_events(soc0)
-        assert len(sim.events) == len(expected)
-        for event, (site, start, dur_h) in zip(sim.events, expected):
-            assert event.site_index == site
-            assert event.start_min == pytest.approx(start, abs=1e-3)
-            assert event.duration_min == pytest.approx(dur_h * 60.0, rel=1e-5)
-        assert sim.infeasible_trips == 0
+        events = vehicle_events(sim, vehicle)
+        assert len(events) == len(expected)
+        for (site_index, start_min, duration_min), (site, start, dur_h) in zip(events, expected):
+            assert site_index == site
+            assert start_min == pytest.approx(start, abs=1e-3)
+            assert duration_min == pytest.approx(dur_h * 60.0, rel=1e-5)
+        assert sim.infeasible == 0
         assert 0.0 <= sim.soc_min <= sim.soc_max <= 1.0
 
     def test_home_stay_clamped_when_next_day_starts_earlier(self):
@@ -137,10 +158,10 @@ class TestSimulateVehicle:
             p_own=0.0, n_ev=1, p_charging_kw=60.0, c_ev_kwh=40.0,
             u_kwh_per_km=0.2, q_pro=Q_DEFAULT, seed=7,
         )
-        sim = simulate_vehicle(config, models.proportions, models, vehicle_rng(7, 0))
+        events = vehicle_events(simulate(config, models), 0)
         # Both days trigger at the work site; home dwell is clamped to zero.
-        assert [e.site_index for e in sim.events] == [SiteClass.W.index] * 2
-        assert all(e.duration_min > 0 for e in sim.events)
+        assert [site for site, _, _ in events] == [SiteClass.W.index] * 2
+        assert all(duration > 0 for _, _, duration in events)
 
     def test_owner_with_zero_legs_never_charges(self):
         models = point_model_set(
@@ -149,8 +170,8 @@ class TestSimulateVehicle:
             dwells=(120.0,),
         )
         config = FleetConfig(p_own=1.0, n_ev=1, q_pro=Q_DEFAULT, seed=1)
-        sim = simulate_vehicle(config, models.proportions, models, vehicle_rng(1, 0))
-        assert sim.events == []
+        sim = simulate(config, models)
+        assert sim.site.size == 0
         # "Zero" legs carry the point-model's ~1e-9 kernel jitter.
         assert sim.soc_min == pytest.approx(1.0, abs=1e-9)
 
@@ -161,14 +182,16 @@ class TestSimulateVehicle:
         with pytest.raises(ConfigurationError, match="missing fitted model"):
             broken.validate()
         with pytest.raises(ConfigurationError, match="missing fitted model"):
-            simulate_vehicle(self.CONFIG, proportions, broken, vehicle_rng(1, 0))
+            _type_models(broken)
+        with pytest.raises(ConfigurationError, match="missing fitted model"):
+            run_forecast(self.CONFIG, broken)
 
 
 class TestAccumulateLoads:
     def test_single_event_proration(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        events = [ChargeEvent(SiteClass.W.index, 480.0, 30.0)]  # 08:00-08:30
-        bundle = accumulate_loads(events, config, horizon_minutes=1440.0)
+        events = [(SiteClass.W.index, 480.0, 30.0)]  # 08:00-08:30
+        bundle = accumulate(events, config, horizon_minutes=1440.0)
         w = bundle.profile(SiteClass.W).power_kw
         assert w[32] == 60.0 and w[33] == 60.0
         assert w.sum() == 120.0
@@ -179,15 +202,15 @@ class TestAccumulateLoads:
 
     def test_partial_slot_proration(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        events = [ChargeEvent(SiteClass.SE.index, 487.5, 15.0)]  # straddles two slots
-        bundle = accumulate_loads(events, config, horizon_minutes=1440.0)
+        events = [(SiteClass.SE.index, 487.5, 15.0)]  # straddles two slots
+        bundle = accumulate(events, config, horizon_minutes=1440.0)
         se = bundle.profile(SiteClass.SE).power_kw
         assert se[32] == pytest.approx(30.0) and se[33] == pytest.approx(30.0)
 
     def test_zero_weights_zero_station(self):
         config = FleetConfig(n_ev=0, q_pro=(0.0,) * 5)
-        events = [ChargeEvent(i, 600.0, 45.0) for i in range(5)]
-        bundle = accumulate_loads(events, config, horizon_minutes=1440.0)
+        events = [(i, 600.0, 45.0) for i in range(5)]
+        bundle = accumulate(events, config, horizon_minutes=1440.0)
         assert not bundle.station.power_kw.any()
 
     def test_unit_loads_dot_product(self):
@@ -197,21 +220,49 @@ class TestAccumulateLoads:
 
     def test_truncation_at_horizon(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        events = [ChargeEvent(SiteClass.H.index, HORIZON_MINUTES - 10.0, 60.0)]
-        bundle = accumulate_loads(events, config)
+        events = [(SiteClass.H.index, HORIZON_MINUTES - 10.0, 60.0)]
+        bundle = accumulate(events, config)
         # 10 of 60 minutes fall inside the axis.
         total_kwh = bundle.profile(SiteClass.H).energy_kwh()
         assert total_kwh == pytest.approx(60.0 * 10.0 / 60.0)
 
     def test_event_past_horizon_ignored(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        bundle = accumulate_loads([ChargeEvent(0, HORIZON_MINUTES + 5.0, 30.0)], config)
+        bundle = accumulate([(0, HORIZON_MINUTES + 5.0, 30.0)], config)
         assert not bundle.profile(SiteClass.H).power_kw.any()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(0, 4), st.floats(-200.0, 3000.0), st.floats(0.0, 600.0)),
+            min_size=1, max_size=30,
+        ),
+        slot_minutes=st.sampled_from([5, 15, 30, 60]),
+    )
+    def test_matches_per_event_loop(self, events, slot_minutes):
+        """The array accumulator adds the same terms in the same order as
+        the per-event loop it replaced, so the sums are equal bit for bit."""
+        config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT, slot_minutes=slot_minutes)
+        slot = float(slot_minutes)
+        n_slots = int(HORIZON_MINUTES / slot)
+        reference = np.zeros((5, n_slots))
+        for site, start, duration in events:
+            a = max(0.0, start)
+            b = min(start + duration, HORIZON_MINUTES)
+            if b <= a:
+                continue
+            for i in range(int(a // slot), min(int(np.ceil(b / slot)), n_slots)):
+                overlap = min(b, (i + 1) * slot) - max(a, i * slot)
+                if overlap > 0:
+                    reference[site, i] += config.p_charging_kw * (overlap / slot)
+        site, start, duration = (np.array(column) for column in zip(*events))
+        power = _accumulate_site_power(site, start, duration, config, HORIZON_MINUTES)
+        assert np.array_equal(power, reference)
 
     def test_reported_window_slicing(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        events = [ChargeEvent(SiteClass.W.index, 1440.0 + 480.0, 30.0)]  # day-2 morning
-        bundle = accumulate_loads(events, config, report_last_minutes=DAY_MINUTES)
+        events = [(SiteClass.W.index, 1440.0 + 480.0, 30.0)]  # day-2 morning
+        bundle = accumulate(events, config, report_last_minutes=DAY_MINUTES)
         w = bundle.profile(SiteClass.W)
         assert len(w.power_kw) == 96
         assert w.slot_start_min[0] == 0
@@ -258,10 +309,10 @@ class TestRunForecast:
             return run_forecast(config, fixture_models).event_energy_kwh
         assert total_energy(1.0) <= total_energy(0.0)
 
-    def test_vehicle_streams_are_stable(self):
-        a = vehicle_rng(99, 7).random(4)
-        b = vehicle_rng(99, 7).random(4)
-        c = vehicle_rng(99, 8).random(4)
+    def test_block_streams_are_stable(self):
+        a = _block_rng(99, 7).random(4)
+        b = _block_rng(99, 7).random(4)
+        c = _block_rng(99, 8).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -270,3 +321,40 @@ class TestRunForecast:
             run_forecast(FleetConfig(n_ev=-1), fixture_models)
         with pytest.raises(ConfigurationError):
             run_forecast(FleetConfig(slot_minutes=7), fixture_models)
+
+
+class TestFleetProperties:
+    """Invariants over generated fleets (deterministic examples, no database)."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n_ev=st.integers(1, 600),
+        p_own=st.floats(0.0, 1.0),
+        c_ev_kwh=st.floats(10.0, 100.0),
+        u_kwh_per_km=st.floats(0.05, 0.5),
+        p_charging_kw=st.floats(3.0, 150.0),
+        soc_reserve=st.floats(0.0, 0.9),
+        slot_minutes=st.sampled_from([5, 15, 30, 60]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_soc_bounds_and_energy_conservation(self, fixture_models, **fleet):
+        result = run_forecast(FleetConfig(q_pro=Q_DEFAULT, **fleet), fixture_models)
+        assert 0.0 <= result.soc_min <= result.soc_max <= 1.0
+        residual = abs(sum(result.site_energy_full_kwh) - result.event_energy_kwh)
+        assert residual <= 1e-9 * result.event_energy_kwh
+
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(n_ev=st.integers(257, 1100), seed=st.integers(0, 2**32 - 1))
+    def test_block_prefix_matches_smaller_fleet(self, fixture_models, n_ev, seed):
+        """The first k blocks of an n-vehicle run equal a k*256-vehicle run."""
+        k = n_ev // 256
+        config = FleetConfig(n_ev=n_ev, q_pro=Q_DEFAULT, seed=seed)
+        power = 0.0
+        for block in range(k):
+            sim = simulate(config, fixture_models, block)
+            power = power + _accumulate_site_power(
+                sim.site, sim.start_min, sim.duration_min, config, HORIZON_MINUTES
+            )
+        prefix = run_forecast(FleetConfig(n_ev=k * 256, q_pro=Q_DEFAULT, seed=seed), fixture_models)
+        site = np.stack([p.power_kw for p in prefix.bundle.site_profiles])
+        assert np.array_equal(site, power[:, -site.shape[1]:])

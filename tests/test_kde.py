@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from chargecast.errors import DataError
@@ -119,8 +121,8 @@ class TestSampling:
         assert abs(draws.mean() - x.mean()) < 4 * math.sqrt(sigma2 / n)
 
     def test_heavy_truncation_keeps_sampler_exact(self):
-        # Support admits ~4% of the kernel mass: the rejection loop works
-        # hard, and the draws must still match the renormalized density.
+        # Support admits ~4% of the kernel mass: the draws must still match
+        # the renormalized density.
         model = KdeModel(np.array([0.0]), bandwidth=5.0, support=(0.0, 0.5))
         draws = model.sample_many(np.random.default_rng(6), 5000)
         assert draws.min() >= 0.0 and draws.max() <= 0.5
@@ -136,6 +138,40 @@ class TestSampling:
         draws = model.sample_many(np.random.default_rng(2), 100_000)
         assert kstest(draws, model.cdf).statistic < 0.01
 
+    def test_no_mass_above_lower_bound_is_data_error(self):
+        model = KdeModel(np.array([0.0]), bandwidth=1e-3, support=(0.0, 5.0))
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="no mass"):
+            model.sample_many(rng, 10, lower=1.0)  # 1000 bandwidths above the centre
+        with pytest.raises(DataError, match="empty sampling interval"):
+            model.sample_many(rng, 10, lower=5.0)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_draws_property(self, data):
+        """Random truncated mixtures, with the lower sampling bound often
+        above some kernel centres: draws stay inside the bounds and follow
+        the renormalized cdf (KS bound 0.04 for 4000 draws: p < 1e-5)."""
+        n = data.draw(st.integers(1, 12), label="kernels")
+        centres = np.array(data.draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n)))
+        bandwidth = data.draw(st.floats(0.05, 30.0), label="bandwidth")
+        support = (
+            data.draw(st.sampled_from([-math.inf, 0.0]), label="lo"),
+            data.draw(st.sampled_from([math.inf, 100.0, 150.0]), label="hi"),
+        )
+        # At or below the highest centre, so the bounded mass is not tiny
+        # and the reference cdf below keeps its precision.
+        lower = data.draw(st.floats(-20.0, float(centres.max())), label="lower")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        model = KdeModel(centres, bandwidth, support)
+
+        draws = model.sample_many(np.random.default_rng(seed), 4000, lower=lower)
+        lo = max(support[0], lower)
+        assert lo <= draws.min() and draws.max() <= support[1]
+        below = model.cdf(lo)
+        statistic = kstest(draws, lambda x: (model.cdf(x) - below) / (1.0 - below)).statistic
+        assert statistic < 0.04
+
 
 class TestValidationAndSerialization:
     def test_empty_samples_error(self):
@@ -150,12 +186,10 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError):
             KdeModel(np.array([1.0]), bandwidth=0.0)
 
-    def test_json_round_trip_pdf_exact(self, tmp_path):
+    def test_json_round_trip_pdf_exact(self):
         rng = np.random.default_rng(8)
         model = fit_kde(rng.normal(30, 7, size=64), support=(0.0, math.inf))
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = KdeModel.load(path)
+        loaded = KdeModel.from_dict(json.loads(json.dumps(model.to_dict())))
         grid = np.linspace(0.0, 60.0, 257)
         orig = model.pdf(grid)
         back = loaded.pdf(grid)

@@ -17,6 +17,7 @@ from chargecast.scheduler import (
     brute_force_schedule,
     multi_day_schedule,
     solve_schedule,
+    solve_schedule_slots,
     verify_plan,
 )
 
@@ -144,6 +145,13 @@ class TestSolveSchedule:
     def test_negative_load_rejected(self):
         with pytest.raises(DataError):
             solve_schedule(profile([-1.0, 5.0, 5.0]), hourly_tariff([0.5, 0.5, 0.5]), EssParams())
+
+    @pytest.mark.parametrize("ess", [EssParams(), EssParams(c_ess_kwh=0.0, soc_init=0.0)])
+    def test_empty_load_is_data_error(self, ess):
+        # Exit code 3 (bad input), raised before any LP is built.
+        with pytest.raises(DataError, match="no slots") as info:
+            solve_schedule_slots([], [], 0.25, ess)
+        assert info.value.exit_code == 3
 
     def test_lp_never_worse_than_oracle(self):
         rng = np.random.default_rng(2024)
