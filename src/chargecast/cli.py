@@ -210,6 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "ingest": cmd_ingest,
     "forecast": cmd_forecast,
+    "schedule": cmd_schedule,
     "pipeline": cmd_pipeline,
 }
 
@@ -223,10 +224,9 @@ def main(argv=None) -> int:
             out_override=args.out,
             threads_override=args.threads,
         )
-        if args.command == "schedule":
-            cmd_schedule(config, load_csv=Path(args.load) if args.load else None)
-        else:
-            _COMMANDS[args.command](config)
+        if getattr(args, "load", None):
+            config.load_curve = Path(args.load)
+        _COMMANDS[args.command](config)
     except ChargecastError as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code},

@@ -3,13 +3,16 @@
 The bundled defaults reproduce the case-study setup (10000-vehicle fleet,
 60 kW quick charging, 5445 kWh storage, Guangzhou-style peak-valley
 tariff), so a config file only needs the paths section to run end to end.
-All validation happens at load time, before any stage writes a file.
+The ``fleet`` and ``ess`` sections are the fields of :class:`FleetConfig`
+and :class:`EssParams`, read, converted and echoed from the dataclasses
+themselves. All validation happens at load time, before any stage writes a
+file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -22,13 +25,9 @@ _TOP_LEVEL_KEYS = {
     "horizon_days", "seed", "currency", "threads",
 }
 _PATH_KEYS = {"input_csv", "out_dir", "dataset_dir", "load_curve"}
-_FLEET_KEYS = {
-    "p_own", "n_ev", "p_charging_kw", "c_ev_kwh", "u_kwh_per_km", "q_pro",
-    "soc_reserve", "slot_minutes",
-}
-_ESS_KEYS = {
-    "c_ess_kwh", "p_charge_max_kw", "p_discharge_max_kw", "soc_init",
-    "require_terminal_soc", "allow_export",
+_KIND = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string",
+    tuple: "a list",
 }
 
 
@@ -62,24 +61,8 @@ class PipelineConfig:
             },
             "column_map": dict(self.column_map),
             "destination_map": {str(k): v.value for k, v in self.destination_map.items()},
-            "fleet": {
-                "p_own": self.fleet.p_own,
-                "n_ev": self.fleet.n_ev,
-                "p_charging_kw": self.fleet.p_charging_kw,
-                "c_ev_kwh": self.fleet.c_ev_kwh,
-                "u_kwh_per_km": self.fleet.u_kwh_per_km,
-                "q_pro": list(self.fleet.q_pro),
-                "soc_reserve": self.fleet.soc_reserve,
-                "slot_minutes": self.fleet.slot_minutes,
-            },
-            "ess": {
-                "c_ess_kwh": self.ess.c_ess_kwh,
-                "p_charge_max_kw": self.ess.p_charge_max_kw,
-                "p_discharge_max_kw": self.ess.p_discharge_max_kw,
-                "soc_init": self.ess.soc_init,
-                "require_terminal_soc": self.ess.require_terminal_soc,
-                "allow_export": self.ess.allow_export,
-            },
+            "fleet": _section_echo(self.fleet),
+            "ess": _section_echo(self.ess),
             "tariff": self.tariff.to_list(),
             "horizon_days": self.horizon_days,
             "seed": self.seed,
@@ -100,6 +83,46 @@ def _require_mapping(value, name: str, known_keys: set[str] | None = None) -> di
     return value
 
 
+def _coerce(value, default, name: str):
+    """``value`` as the type of ``default``, with no lossy conversion: a bool
+    takes only true/false, an int an integral number, a float any number,
+    a tuple a list of its first element's type."""
+    kind = type(default)
+    if kind is tuple:
+        if isinstance(value, list | tuple):
+            return tuple(_coerce(v, default[0], f"{name}[{i}]") for i, v in enumerate(value))
+    elif kind is bool or isinstance(value, bool):
+        # bool subclasses int: true/false is never a number, nor 1 a bool.
+        if type(value) is kind:
+            return value
+    elif kind is int and isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif isinstance(value, (int, float) if kind is float else kind):
+        return kind(value)
+    raise ConfigurationError(f"{name} must be {_KIND[kind]}, got {value!r}")
+
+
+def _section(data: dict, name: str, cls):
+    """A validated ``cls`` from section ``name`` of ``data``, one key per
+    dataclass field. A field that is also a top-level key (the fleet's
+    ``seed``) is read from the top level instead."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    section = _require_mapping(data.get(name, {}), name, defaults.keys() - _TOP_LEVEL_KEYS)
+    values = {}
+    for key, default in defaults.items():
+        source, label = (data, key) if key in _TOP_LEVEL_KEYS else (section, f"{name}.{key}")
+        if key in source:
+            values[key] = _coerce(source[key], default, label)
+    obj = cls(**values)
+    obj.validate()
+    return obj
+
+
+def _section_echo(obj) -> dict:
+    return {k: v for k, v in asdict(obj).items() if k not in _TOP_LEVEL_KEYS}
+
+
 def parse_config_dict(data: dict) -> PipelineConfig:
     """Build and fully validate a PipelineConfig from a plain dict."""
     unknown = set(data) - _TOP_LEVEL_KEYS
@@ -107,6 +130,9 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
     paths = _require_mapping(data.get("paths", {}), "paths", _PATH_KEYS)
+    for key, value in paths.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigurationError(f"paths.{key} must be a string or null, got {value!r}")
 
     dest_map = dict(DEFAULT_DESTINATION_MAP)
     if "destination_map" in data:
@@ -120,42 +146,8 @@ def parse_config_dict(data: dict) -> PipelineConfig:
                     f"site class pair"
                 ) from None
 
-    fleet_data = _require_mapping(data.get("fleet", {}), "fleet", _FLEET_KEYS)
-    fleet_defaults = FleetConfig()
-    try:
-        fleet = FleetConfig(
-            p_own=float(fleet_data.get("p_own", fleet_defaults.p_own)),
-            n_ev=int(fleet_data.get("n_ev", fleet_defaults.n_ev)),
-            p_charging_kw=float(fleet_data.get("p_charging_kw", fleet_defaults.p_charging_kw)),
-            c_ev_kwh=float(fleet_data.get("c_ev_kwh", fleet_defaults.c_ev_kwh)),
-            u_kwh_per_km=float(fleet_data.get("u_kwh_per_km", fleet_defaults.u_kwh_per_km)),
-            q_pro=tuple(float(q) for q in fleet_data.get("q_pro", fleet_defaults.q_pro)),
-            soc_reserve=float(fleet_data.get("soc_reserve", fleet_defaults.soc_reserve)),
-            slot_minutes=int(fleet_data.get("slot_minutes", fleet_defaults.slot_minutes)),
-            seed=int(data.get("seed", fleet_defaults.seed)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid fleet settings: {exc}") from None
-    fleet.validate()
-
-    ess_data = _require_mapping(data.get("ess", {}), "ess", _ESS_KEYS)
-    ess_defaults = EssParams()
-    try:
-        ess = EssParams(
-            c_ess_kwh=float(ess_data.get("c_ess_kwh", ess_defaults.c_ess_kwh)),
-            p_charge_max_kw=float(ess_data.get("p_charge_max_kw", ess_defaults.p_charge_max_kw)),
-            p_discharge_max_kw=float(
-                ess_data.get("p_discharge_max_kw", ess_defaults.p_discharge_max_kw)
-            ),
-            soc_init=float(ess_data.get("soc_init", ess_defaults.soc_init)),
-            require_terminal_soc=bool(
-                ess_data.get("require_terminal_soc", ess_defaults.require_terminal_soc)
-            ),
-            allow_export=bool(ess_data.get("allow_export", ess_defaults.allow_export)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid ess settings: {exc}") from None
-    ess.validate()
+    fleet = _section(data, "fleet", FleetConfig)
+    ess = _section(data, "ess", EssParams)
 
     tariff = DEFAULT_TARIFF
     if "tariff" in data:
@@ -164,10 +156,10 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid tariff: {exc}") from None
 
-    horizon_days = int(data.get("horizon_days", 3))
+    horizon_days = _coerce(data.get("horizon_days", 3), 3, "horizon_days")
     if horizon_days < 1:
         raise ConfigurationError("horizon_days must be >= 1")
-    threads = int(data.get("threads", 1))
+    threads = _coerce(data.get("threads", 1), 1, "threads")
     if threads < 1:
         raise ConfigurationError("threads must be >= 1")
 
@@ -179,7 +171,7 @@ def parse_config_dict(data: dict) -> PipelineConfig:
 
     return PipelineConfig(
         input_csv=Path(paths["input_csv"]) if paths.get("input_csv") else None,
-        out_dir=Path(paths.get("out_dir", "out")),
+        out_dir=Path("out" if paths.get("out_dir") is None else paths["out_dir"]),
         dataset_dir=Path(paths["dataset_dir"]) if paths.get("dataset_dir") else None,
         load_curve=Path(paths["load_curve"]) if paths.get("load_curve") else None,
         column_map=dict(column_map),
@@ -212,12 +204,10 @@ def load_config(
         raise ConfigurationError("config root must be a JSON object")
 
     if seed_override is not None:
-        data = {**data, "seed": int(seed_override)}
-    config = parse_config_dict(data)
-    if out_override is not None:
-        config.out_dir = Path(out_override)
+        data["seed"] = seed_override
     if threads_override is not None:
-        if threads_override < 1:
-            raise ConfigurationError("threads must be >= 1")
-        config.threads = threads_override
-    return config
+        data["threads"] = threads_override
+    if out_override is not None:
+        paths = _require_mapping(data.get("paths", {}), "paths")
+        data["paths"] = {**paths, "out_dir": out_override}
+    return parse_config_dict(data)

@@ -38,7 +38,6 @@ from .survey import (
     ChainFeatureDataset,
     ChainType,
     SiteClass,
-    chain_type_from_label,
     chain_type_proportions,
 )
 
@@ -54,6 +53,7 @@ class FleetConfig:
 
     ``q_pro`` weights the five site-class load curves into the station
     composite (share of each site function in the station's service area).
+    The fields, less ``seed``, are the config file's ``fleet`` keys.
     """
 
     p_own: float = 0.5
@@ -194,21 +194,6 @@ class ModelSet:
                 models[(ctype, feature, index)] = fit_kde(samples, support)
         return cls(proportions, models)
 
-    def validate(self) -> None:
-        """Some chain type has positive probability, and each such type is
-        fully modelled."""
-        if not np.any(self.proportions > 0):
-            raise ConfigurationError("chain-type proportions have no positive mass")
-        for i, p in enumerate(self.proportions):
-            if p <= 0:
-                continue
-            ctype = CHAIN_TYPES[i]
-            for key in _required_keys(ctype):
-                if (ctype, *key) not in self.models:
-                    raise ConfigurationError(
-                        f"missing fitted model for {ctype.label} {key[0]} #{key[1]}"
-                    )
-
     def get(self, ctype: ChainType, feature: str, index: int) -> KdeModel:
         try:
             return self.models[(ctype, feature, index)]
@@ -226,18 +211,9 @@ class ModelSet:
                 for (ctype, feature, index), model in self.models.items()
             },
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ModelSet":
-        with open(path) as fh:
-            doc = json.load(fh)
-        models = {}
-        for key, data in doc["models"].items():
-            label, feature, index = key.split("__")
-            models[(chain_type_from_label(label), feature, int(index))] = KdeModel.from_dict(data)
-        return cls(np.asarray(doc["proportions"], dtype=float), models)
+        # json.dumps runs the C encoder; json.dump streams through the
+        # pure-Python one.
+        Path(path).write_text(json.dumps(doc))
 
 
 def _required_keys(ctype: ChainType) -> list[tuple[str, int]]:
@@ -268,7 +244,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]:
     """Fitted models of each chain type with positive probability, keyed by
-    chain-type index, so that the block loop hashes no ``ChainType``."""
+    chain-type index, so that the block loop hashes no ``ChainType``.
+
+    Raises ``ConfigurationError`` when no chain type has positive
+    probability or such a type lacks a fitted model.
+    """
+    if not np.any(models.proportions > 0):
+        raise ConfigurationError("chain-type proportions have no positive mass")
     return {
         k: {key: models.get(ctype, *key) for key in _required_keys(ctype)}
         for k, ctype in enumerate(CHAIN_TYPES)
@@ -498,20 +480,16 @@ class ForecastResult:
 
 def run_forecast(
     config: FleetConfig,
-    models: ModelSet | ChainFeatureDataset,
+    models: ModelSet,
     threads: int = 1,
 ) -> ForecastResult:
     """Simulate the fleet over 48 h and report the final 24 h load bundle.
 
-    ``models`` may be a fitted :class:`ModelSet` or a raw feature dataset
-    (fitted on the fly). ``threads`` is accepted for compatibility and
-    ignored: the vectorized blocks run in the calling thread, because a
-    thread pool over them measured no gain.
+    ``threads`` is accepted for compatibility and ignored: the vectorized
+    blocks run in the calling thread, because a thread pool over them
+    measured no gain.
     """
     config.validate()
-    if isinstance(models, ChainFeatureDataset):
-        models = ModelSet.from_dataset(models)
-    models.validate()
     type_models = _type_models(models)
 
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK

@@ -151,18 +151,6 @@ class KdeModel:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KdeModel":
-        lo, hi = data["support"]
-        return cls(
-            samples=np.asarray(data["samples"], dtype=float),
-            bandwidth=float(data["bandwidth"]),
-            support=(
-                -math.inf if lo is None else float(lo),
-                math.inf if hi is None else float(hi),
-            ),
-        )
-
 
 def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:
     """Fit a Gaussian KDE with Silverman bandwidth to ``samples``.

@@ -61,13 +61,6 @@ class TariffSchedule:
             raise ConfigurationError("tariff prices must be positive")
         object.__setattr__(self, "windows", tuple(ordered))
 
-    def price_at(self, minute_of_day: float) -> float:
-        m = minute_of_day % MINUTES_PER_DAY
-        for start, end, price in self.windows:
-            if start <= m < end:
-                return price
-        raise DataError(f"minute {minute_of_day} not covered by tariff")  # unreachable
-
     def slot_prices(self, slot_minutes: float, n_slots: int) -> np.ndarray:
         """Per-slot prices for a horizon of ``n_slots`` starting at minute 0.
 
@@ -108,7 +101,8 @@ DEFAULT_TARIFF = TariffSchedule((
 
 @dataclass
 class EssParams:
-    """Station storage parameters."""
+    """Station storage parameters; the fields are the config file's ``ess``
+    keys."""
 
     c_ess_kwh: float = 5445.0
     p_charge_max_kw: float = 545.0

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chargecast.cli import main, read_load_curve
 from chargecast.forecast import station_composite
@@ -132,6 +133,16 @@ class TestScheduleCommand:
         assert lines[0] == "slot_start_min,price,p_ev_kw,p_ess_kw,p_ch_kw,soc_ess"
         assert len(lines) == 1 + 3 * 96
 
+    def test_load_flag_is_read_and_echoed(self, tmp_path, fixture_csv_path):
+        config = write_config(tmp_path, fixture_csv_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["forecast", "--config", str(config)]) == 0
+        moved = tmp_path / "moved.csv"
+        (tmp_path / "out/forecast/load_curve.csv").rename(moved)
+        assert main(["schedule", "--config", str(config), "--load", str(moved)]) == 0
+        summary = json.loads((tmp_path / "out/schedule/summary.json").read_text())
+        assert summary["config"]["paths"]["load_curve"] == str(moved)
+
 
 class TestPipelineCommand:
     def test_all_artifacts_present(self, tmp_path, fixture_csv_path):
@@ -170,6 +181,19 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(config)]) == 2
         assert "p_charging" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"horizon_days": "three"},
+        {"threads": "two"},
+        {"paths": {"input_csv": 5}},
+        {"ess": {"require_terminal_soc": "false"}},
+        {"fleet": {"n_ev": 2.7}},
+    ], ids=["horizon_days", "threads", "input_csv", "require_terminal_soc", "n_ev"])
+    def test_malformed_value_exits_2(self, tmp_path, fixture_csv_path, capsys, override):
+        config = write_config(tmp_path, fixture_csv_path, **override)
+        assert main(["ingest", "--config", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_malformed_json_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

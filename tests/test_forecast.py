@@ -180,11 +180,11 @@ class TestSimulateVehicle:
         proportions[0] = 1.0
         broken = ModelSet(proportions, {})
         with pytest.raises(ConfigurationError, match="missing fitted model"):
-            broken.validate()
-        with pytest.raises(ConfigurationError, match="missing fitted model"):
             _type_models(broken)
         with pytest.raises(ConfigurationError, match="missing fitted model"):
             run_forecast(self.CONFIG, broken)
+        with pytest.raises(ConfigurationError, match="no positive mass"):
+            _type_models(ModelSet(np.zeros(len(CHAIN_TYPES)), {}))
 
 
 class TestAccumulateLoads:

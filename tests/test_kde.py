@@ -186,18 +186,37 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError):
             KdeModel(np.array([1.0]), bandwidth=0.0)
 
+    @staticmethod
+    def _rebuild(doc: dict) -> KdeModel:
+        """A model read back from a ``to_dict`` document, as a reader of models.json would."""
+        lo, hi = doc["support"]
+        return KdeModel(
+            samples=np.asarray(doc["samples"], dtype=float),
+            bandwidth=float(doc["bandwidth"]),
+            support=(-math.inf if lo is None else lo, math.inf if hi is None else hi),
+        )
+
     def test_json_round_trip_pdf_exact(self):
         rng = np.random.default_rng(8)
         model = fit_kde(rng.normal(30, 7, size=64), support=(0.0, math.inf))
-        loaded = KdeModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        loaded = self._rebuild(json.loads(json.dumps(model.to_dict())))
         grid = np.linspace(0.0, 60.0, 257)
         orig = model.pdf(grid)
         back = loaded.pdf(grid)
         nonzero = orig > 0
         assert np.all(np.abs(back[nonzero] / orig[nonzero] - 1.0) <= 1e-12)
 
-    def test_round_trip_preserves_unbounded_support(self, tmp_path):
+    def test_round_trip_preserves_unbounded_support(self):
         model = fit_kde([1.0, 2.0])
-        blob = json.dumps(model.to_dict())
-        loaded = KdeModel.from_dict(json.loads(blob))
+        loaded = self._rebuild(json.loads(json.dumps(model.to_dict())))
         assert loaded.support == model.support == (-math.inf, math.inf)
+
+    def test_to_dict_survives_json(self):
+        rng = np.random.default_rng(8)
+        model = fit_kde(rng.normal(30, 7, size=64), support=(0.0, math.inf))
+        doc = model.to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["samples"] == model.samples.tolist()
+        assert doc["bandwidth"] == model.bandwidth
+        assert doc["support"] == [0.0, None]
+        assert fit_kde([1.0, 2.0]).to_dict()["support"] == [None, None]

@@ -56,11 +56,12 @@ def random_instance(rng):
 
 class TestTariff:
     def test_default_covers_day(self):
-        assert DEFAULT_TARIFF.price_at(0) == VALLEY
-        assert DEFAULT_TARIFF.price_at(450) == VALLEY
-        assert DEFAULT_TARIFF.price_at(900) == PEAK
-        assert DEFAULT_TARIFF.price_at(1439) == SHOULDER
-        assert DEFAULT_TARIFF.price_at(1441) == VALLEY  # repeats daily
+        minute = DEFAULT_TARIFF.slot_prices(1, 1442)
+        assert minute[0] == VALLEY
+        assert minute[450] == VALLEY
+        assert minute[900] == PEAK
+        assert minute[1439] == SHOULDER
+        assert minute[1441] == VALLEY  # repeats daily
 
     def test_slot_prices_15min(self):
         prices = DEFAULT_TARIFF.slot_prices(15, 96)
