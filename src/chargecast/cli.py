@@ -54,7 +54,9 @@ def write_load_curve_csv(path: Path, bundle) -> None:
 
 
 def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Read a load-curve CSV: (slot starts, 5xN site matrix, station, slot minutes)."""
+    """Read a one-day load-curve CSV: (slot starts, 5xN site matrix, station,
+    slot minutes). The slot length is the day over the row count, and row i
+    must start at minute i * slot."""
     if not path.is_file():
         raise DataError(f"load curve not found: {path}")
     lines = path.read_text().strip().splitlines()
@@ -63,14 +65,17 @@ def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
     rows = [line.split(",") for line in lines[1:]]
     if not rows:
         raise DataError(f"load curve {path} has no data rows")
-    starts = np.array([int(r[0]) for r in rows])
-    site = np.array([[float(r[1 + s]) for r in rows] for s in range(len(SITE_CLASSES))])
-    station = np.array([float(r[6]) for r in rows])
-    diffs = np.diff(starts)
-    if len(starts) > 1 and (np.any(diffs != diffs[0]) or diffs[0] <= 0):
-        raise DataError("load-curve slot grid is not uniform")
-    slot_minutes = int(diffs[0]) if len(starts) > 1 else 15
-    return starts, site, station, slot_minutes
+    if any(len(r) != len(_LOAD_CURVE_COLUMNS) for r in rows):
+        raise DataError(f"load curve {path} has a row without {len(_LOAD_CURVE_COLUMNS)} cells")
+    try:
+        table = np.array([[float(cell) for cell in r] for r in rows])
+    except ValueError:
+        raise DataError(f"load curve {path} has a non-numeric cell") from None
+    slot_minutes = int(DAY_MINUTES) // len(rows)
+    starts = np.arange(len(rows)) * slot_minutes
+    if slot_minutes * len(rows) != DAY_MINUTES or not np.array_equal(table[:, 0], starts):
+        raise DataError(f"load curve {path} is not one day of uniform slots starting at 0")
+    return starts, table[:, 1:1 + len(SITE_CLASSES)].T, table[:, -1], slot_minutes
 
 
 def write_schedule_csv(path: Path, plan: SchedulePlan) -> None:
@@ -144,8 +149,6 @@ def cmd_forecast(config: PipelineConfig, dataset_dir: Path | None = None) -> dic
 def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> dict:
     curve_path = load_csv or config.load_curve or (config.out_dir / "forecast" / "load_curve.csv")
     starts, site, station, slot_minutes = read_load_curve(Path(curve_path))
-    if len(station) * slot_minutes != int(DAY_MINUTES):
-        raise DataError("load curve must cover exactly one day")
 
     day = LoadProfile(starts, station, slot_minutes)
     plan = multi_day_schedule([day] * config.horizon_days, config.tariff, config.ess)
@@ -227,17 +230,11 @@ def main(argv=None) -> int:
         if getattr(args, "load", None):
             config.load_curve = Path(args.load)
         _COMMANDS[args.command](config)
-    except ChargecastError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code},
-            sys.stderr,
-        )
+    except Exception as exc:  # a ChargecastError carries its exit code; anything else is internal
+        code = exc.exit_code if isinstance(exc, ChargecastError) else 4
+        json.dump({"error": type(exc).__name__, "message": str(exc), "exit_code": code}, sys.stderr)
         sys.stderr.write("\n")
-        return exc.exit_code
-    except Exception as exc:  # keep the contract: internal errors exit 4
-        json.dump({"error": type(exc).__name__, "message": str(exc), "exit_code": 4}, sys.stderr)
-        sys.stderr.write("\n")
-        return 4
+        return code
     return 0
 
 

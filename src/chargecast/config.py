@@ -151,10 +151,10 @@ def parse_config_dict(data: dict) -> PipelineConfig:
 
     tariff = DEFAULT_TARIFF
     if "tariff" in data:
-        try:
-            tariff = TariffSchedule.from_list(data["tariff"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"invalid tariff: {exc}") from None
+        windows = _coerce(data["tariff"], DEFAULT_TARIFF.windows, "tariff")
+        if any(len(w) != 3 for w in windows):
+            raise ConfigurationError("tariff rows must be [start_min, end_min, price]")
+        tariff = TariffSchedule(windows)
 
     horizon_days = _coerce(data.get("horizon_days", 3), 3, "horizon_days")
     if horizon_days < 1:
@@ -180,7 +180,7 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         ess=ess,
         tariff=tariff,
         horizon_days=horizon_days,
-        currency=str(data.get("currency", "¥")),
+        currency=_coerce(data.get("currency", "¥"), "¥", "currency"),
         threads=threads,
     )
 

@@ -86,10 +86,6 @@ class FleetConfig:
         if self.slot_minutes <= 0 or 1440 % self.slot_minutes != 0:
             raise ConfigurationError("slot_minutes must divide 1440")
 
-    @property
-    def dt_hours(self) -> float:
-        return self.slot_minutes / 60.0
-
 
 @dataclass
 class LoadProfile:
@@ -113,7 +109,6 @@ class SiteLoadBundle:
 
     site_profiles: tuple[LoadProfile, ...]
     station: LoadProfile
-    q_pro: tuple[float, ...]
 
     def profile(self, site: SiteClass) -> LoadProfile:
         return self.site_profiles[site.index]
@@ -419,7 +414,6 @@ def _accumulate_site_power(
 def _bundle_from_site_power(
     site_power: np.ndarray,
     config: FleetConfig,
-    horizon_minutes: float,
     report_last_minutes: float | None,
 ) -> SiteLoadBundle:
     """Per-site and composite load curves from a site x slot power matrix.
@@ -438,7 +432,7 @@ def _bundle_from_site_power(
         for i in range(len(SITE_CLASSES))
     )
     station = LoadProfile(starts.copy(), station_power, slot)
-    return SiteLoadBundle(profiles, station, tuple(config.q_pro))
+    return SiteLoadBundle(profiles, station)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +509,7 @@ def run_forecast(
 
     dt_h = config.slot_minutes / 60.0
     site_energy_full = tuple(float(total_power[i].sum() * dt_h) for i in range(len(SITE_CLASSES)))
-    bundle = _bundle_from_site_power(
-        total_power, config, HORIZON_MINUTES, report_last_minutes=DAY_MINUTES
-    )
+    bundle = _bundle_from_site_power(total_power, config, report_last_minutes=DAY_MINUTES)
     return ForecastResult(
         bundle=bundle,
         n_vehicles=config.n_ev,

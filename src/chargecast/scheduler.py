@@ -83,10 +83,6 @@ class TariffSchedule:
     def to_list(self) -> list[list[float]]:
         return [[s, e, p] for s, e, p in self.windows]
 
-    @classmethod
-    def from_list(cls, rows) -> "TariffSchedule":
-        return cls(tuple((float(s), float(e), float(p)) for s, e, p in rows))
-
 
 #: Peak-valley tariff used by the bundled case-study configuration (per kWh).
 DEFAULT_TARIFF = TariffSchedule((

@@ -1,10 +1,11 @@
 """Household travel-survey ingestion: trip records, trip chains, feature samples.
 
 Pipeline: ``parse_records`` reads a trip CSV (NHTS-style column layout) into
-validated :class:`TripRecord` rows, ``build_chains`` groups them per
-vehicle-day and cuts home-closed chains of 2..3 trips, ``extract_features``
-accumulates per-chain-type sample arrays (trip end times, lengths, average
-velocities, midway dwell durations) ready for density fitting.
+validated :class:`TripRecord` rows, ``build_chains`` walks each vehicle-day
+once, unwrapping midnight and cutting home-closed chains of 2..3 trips, and
+``extract_features`` builds the per-chain-type sample arrays the density
+models fit: trip-1 ending time, per-trip length and average velocity, and
+per-midway dwell duration.
 
 Rejected rows and dropped trip sequences are never silently discarded; they
 are counted in an :class:`IngestDiagnostics` summary.
@@ -94,6 +95,7 @@ def _enumerate_chain_types() -> tuple[ChainType, ...]:
 CHAIN_TYPES: tuple[ChainType, ...] = _enumerate_chain_types()
 CHAIN_TYPE_INDEX: dict[ChainType, int] = {t: i for i, t in enumerate(CHAIN_TYPES)}
 _CHAIN_TYPE_BY_LABEL: dict[str, ChainType] = {t.label: t for t in CHAIN_TYPES}
+_CHAIN_TYPE_BY_MIDWAY: dict[tuple[SiteClass, ...], ChainType] = {t.midway: t for t in CHAIN_TYPES}
 
 
 def chain_type_from_label(label: str) -> ChainType:
@@ -136,7 +138,6 @@ class TripChain:
     per trip gap).
     """
 
-    vehicle_id: str
     trips: tuple[TripRecord, ...]
     chain_type: ChainType
     end_times_min: tuple[float, ...]
@@ -293,6 +294,10 @@ def parse_records(
         if miles < 0:
             diag.reject_row(line_no, "negative_length")
             continue
+        if end == start:
+            # Equal clock times put a positive duration nowhere on the day.
+            diag.reject_row(line_no, "zero_clock_duration")
+            continue
         if end < start:
             # Accept only if the reported duration matches a past-midnight
             # interpretation of the clock times.
@@ -341,66 +346,39 @@ def build_chains(
 
     chains: list[TripChain] = []
     for key in sorted(groups):
-        day_trips = sorted(groups[key], key=lambda r: r.start_time)
-
-        # Unwrap clock times onto a monotone axis: a trip crossing midnight
-        # pushes every later time of the same day forward by 24 h.
+        # Clock times are unwrapped onto a monotone axis as the day is
+        # walked: a trip crossing midnight pushes every later time of the
+        # same day forward by 24 h.
         offset = 0.0
-        abs_times: list[tuple[float, float]] = []
-        for trip in day_trips:
-            s = trip.start_time + offset
-            e = trip.end_time + offset
+        segment, ends, dwells = [], [], []
+        for trip in sorted(groups[key], key=lambda r: r.start_time):
+            start, end = trip.start_time + offset, trip.end_time + offset
             if trip.crosses_midnight:
-                e += 1440.0
+                end += 1440.0
                 offset += 1440.0
-            abs_times.append((s, e))
-
-        segment: list[int] = []
-        for i, trip in enumerate(day_trips):
-            segment.append(i)
+            if ends:
+                dwells.append(start - ends[-1])
+            segment.append(trip)
+            ends.append(end)
             if trip.destination is not SiteClass.H:
                 continue
-            chain = _close_segment(day_trips, abs_times, segment, diag)
-            if chain is not None:
-                chains.append(chain)
+            if len(segment) < 2:
+                diag.drop_reasons["too_few_trips"] += 1
+            elif len(segment) > 3:
+                diag.drop_reasons["too_many_trips"] += 1
+            elif any(gap < 0 for gap in dwells):
+                diag.drop_reasons["overlapping_trips"] += 1
+            else:
+                midway = tuple(t.destination for t in segment[:-1])
+                chains.append(TripChain(
+                    tuple(segment), _CHAIN_TYPE_BY_MIDWAY[midway], tuple(ends), tuple(dwells),
+                ))
                 diag.chains_emitted += 1
-            segment = []
+            segment, ends, dwells = [], [], []
         if segment:
             diag.drop_reasons["never_returned_home"] += 1
 
     return chains
-
-
-def _close_segment(
-    day_trips: list[TripRecord],
-    abs_times: list[tuple[float, float]],
-    segment: list[int],
-    diag: IngestDiagnostics,
-) -> TripChain | None:
-    n = len(segment)
-    if n < 2:
-        diag.drop_reasons["too_few_trips"] += 1
-        return None
-    if n > 3:
-        diag.drop_reasons["too_many_trips"] += 1
-        return None
-
-    dwells = []
-    for a, b in zip(segment, segment[1:]):
-        gap = abs_times[b][0] - abs_times[a][1]
-        if gap < 0:
-            diag.drop_reasons["overlapping_trips"] += 1
-            return None
-        dwells.append(gap)
-
-    trips = tuple(day_trips[i] for i in segment)
-    return TripChain(
-        vehicle_id=trips[0].vehicle_id,
-        trips=trips,
-        chain_type=ChainType(tuple(t.destination for t in trips[:-1])),
-        end_times_min=tuple(abs_times[i][1] for i in segment),
-        dwell_minutes=tuple(dwells),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +390,16 @@ FEATURE_LENGTH = "length_km"
 FEATURE_VELOCITY = "velocity_kmh"
 FEATURE_DWELL = "dwell_min"
 
-#: Features indexed per trip (1-based) vs per midway site (1-based).
-TRIP_FEATURES = (FEATURE_END_TIME, FEATURE_LENGTH, FEATURE_VELOCITY)
-
 
 @dataclass
 class ChainFeatureDataset:
     """Per-chain-type sample arrays for density fitting.
 
-    ``samples`` is keyed by (chain type, feature name, 1-based index); the
-    index counts trips for trip features and midway sites for dwell. Trips
-    with zero length or duration are excluded from velocity arrays so that
-    velocity samples stay strictly positive.
+    ``samples`` is keyed by (chain type, feature name, 1-based index): the
+    trip-1 ending time (index 1 only; later ending times follow from it),
+    the length and average velocity of each trip, and the dwell at each
+    midway site. Trips with zero length or duration are excluded from
+    velocity arrays so that velocity samples stay strictly positive.
     """
 
     counts: dict[ChainType, int] = field(default_factory=dict)
@@ -441,28 +417,27 @@ class ChainFeatureDataset:
 
 
 def extract_features(chains: Iterable[TripChain]) -> ChainFeatureDataset:
-    """Accumulate per-(type, feature, index) sample arrays from chains."""
-    counts: Counter = Counter()
-    raw: dict[tuple[ChainType, str, int], list[float]] = {}
+    """Per-(type, feature, index) sample arrays, in chain order within each.
 
-    def push(key: tuple[ChainType, str, int], value: float) -> None:
-        raw.setdefault(key, []).append(value)
-
+    Every type present gets exactly the keys its density model fits; a
+    velocity array may be shorter than the type's count.
+    """
+    by_type: dict[ChainType, list[TripChain]] = {}
     for chain in chains:
-        ctype = chain.chain_type
-        counts[ctype] += 1
-        for k, trip in enumerate(chain.trips, start=1):
-            push((ctype, FEATURE_END_TIME, k), chain.end_times_min[k - 1])
-            push((ctype, FEATURE_LENGTH, k), trip.length_km)
-            if trip.duration > 0 and trip.length_km > 0:
-                push((ctype, FEATURE_VELOCITY, k), trip.length_km / (trip.duration / 60.0))
-        for k, dwell in enumerate(chain.dwell_minutes, start=1):
-            push((ctype, FEATURE_DWELL, k), dwell)
+        by_type.setdefault(chain.chain_type, []).append(chain)
 
-    return ChainFeatureDataset(
-        counts=dict(counts),
-        samples={key: np.asarray(vals, dtype=float) for key, vals in raw.items()},
-    )
+    samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
+    for ctype, group in by_type.items():
+        samples[ctype, FEATURE_END_TIME, 1] = np.array([c.end_times_min[0] for c in group])
+        for k in range(ctype.n_trips):
+            trips = [c.trips[k] for c in group]
+            samples[ctype, FEATURE_LENGTH, k + 1] = np.array([t.length_km for t in trips])
+            samples[ctype, FEATURE_VELOCITY, k + 1] = np.array([
+                t.length_km / (t.duration / 60.0) for t in trips if t.duration > 0 and t.length_km > 0
+            ])
+        for m in range(ctype.n_trips - 1):
+            samples[ctype, FEATURE_DWELL, m + 1] = np.array([c.dwell_minutes[m] for c in group])
+    return ChainFeatureDataset({t: len(g) for t, g in by_type.items()}, samples)
 
 
 def chain_type_proportions(dataset: ChainFeatureDataset) -> np.ndarray:
@@ -550,12 +525,16 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
     for name in manifest["files"]:
         label, feature, index = name.rsplit(".", 1)[0].split("__")
         path = in_dir / _FEATURE_DIR / name
+        if not path.is_file():
+            raise DataError(f"sample file listed in the manifest is missing: {path}")
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["value"]:
+            if next(reader, None) != ["value"]:
                 raise DataError(f"unexpected sample-file header in {path}")
-            values = [float(row[0]) for row in reader]
+            try:
+                values = [float(value) for value, in reader]
+            except ValueError:
+                raise DataError(f"sample file {path} has a row that is not one number") from None
         samples[(chain_type_from_label(label), feature, int(index))] = np.asarray(values)
 
     return ChainFeatureDataset(counts=counts, samples=samples)

@@ -100,6 +100,20 @@ class TestForecastCommand:
         config = write_config(tmp_path, fixture_csv_path)
         assert main(["forecast", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("content", [None, "value\n1.5\nabc\n", "value\n1.5\n\n2.5\n"],
+                             ids=["missing_file", "non_numeric_row", "empty_row"])
+    def test_malformed_sample_file_is_data_error(self, tmp_path, fixture_csv_path, capsys, content):
+        config = write_config(tmp_path, fixture_csv_path)
+        assert main(["ingest", "--config", str(config)]) == 0
+        sample = tmp_path / "out/ingest/features/H-W-H__length_km__1.csv"
+        if content is None:
+            sample.unlink()
+        else:
+            sample.write_text(content)
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(config)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
 
 class TestScheduleCommand:
     def run_all(self, tmp_path, fixture_csv_path, **overrides):
@@ -142,6 +156,31 @@ class TestScheduleCommand:
         assert main(["schedule", "--config", str(config), "--load", str(moved)]) == 0
         summary = json.loads((tmp_path / "out/schedule/summary.json").read_text())
         assert summary["config"]["paths"]["load_curve"] == str(moved)
+
+    @pytest.mark.parametrize("row, cells", [
+        (1, "15,1,1,1"),
+        (1, "15,1,1,1,1,1,abc"),
+        (3, "50,1,1,1,1,1,1"),
+    ], ids=["short_row", "non_numeric_cell", "off_grid_start"])
+    def test_malformed_load_curve_is_data_error(self, tmp_path, fixture_csv_path, capsys, row, cells):
+        lines = ["slot_start_min,load_H_kW,load_W_kW,load_SE_kW,load_SR_kW,load_O_kW,load_station_kW"]
+        lines += [f"{15 * i},0.0,0.0,0.0,0.0,0.0,0.0" for i in range(96)]
+        lines[1 + row] = cells
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, fixture_csv_path)
+        assert main(["schedule", "--config", str(config), "--load", str(curve)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+    def test_one_slot_day_schedules(self, tmp_path, fixture_csv_path):
+        # The slot length comes from the row count: one row is one 1440-min slot.
+        summary = self.run_all(
+            tmp_path, fixture_csv_path,
+            fleet={"slot_minutes": 1440}, tariff=[[0, 1440, 0.7]],
+        )
+        assert len(summary["per_day"]["with_ess"]) == 3
+        lines = (tmp_path / "out/schedule/schedule.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1440", "2880"]
 
 
 class TestPipelineCommand:
@@ -188,7 +227,13 @@ class TestPipelineCommand:
         {"paths": {"input_csv": 5}},
         {"ess": {"require_terminal_soc": "false"}},
         {"fleet": {"n_ev": 2.7}},
-    ], ids=["horizon_days", "threads", "input_csv", "require_terminal_soc", "n_ev"])
+        {"currency": None},
+        {"tariff": [[0, 1440, True]]},
+        {"tariff": [[0, 1440, "0.5"]]},
+    ], ids=[
+        "horizon_days", "threads", "input_csv", "require_terminal_soc", "n_ev",
+        "currency_null", "tariff_bool", "tariff_string",
+    ])
     def test_malformed_value_exits_2(self, tmp_path, fixture_csv_path, capsys, override):
         config = write_config(tmp_path, fixture_csv_path, **override)
         assert main(["ingest", "--config", str(config)]) == 2

@@ -44,7 +44,7 @@ def accumulate(events, config, horizon_minutes=HORIZON_MINUTES, report_last_minu
     """Load bundle of (site, start, duration) events via the array accumulator."""
     site, start, duration = (np.array(column) for column in zip(*events))
     power = _accumulate_site_power(site, start, duration, config, horizon_minutes)
-    return _bundle_from_site_power(power, config, horizon_minutes, report_last_minutes)
+    return _bundle_from_site_power(power, config, report_last_minutes)
 
 
 class TestSocPrimitives:

@@ -1,11 +1,20 @@
 """Survey ingestion: parsing, chain building, feature extraction."""
 
+import csv
 import io
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargecast.errors import ConfigurationError, DataError
+from chargecast.forecast import _required_keys
 from chargecast.survey import (
     CHAIN_TYPES,
     FEATURE_DWELL,
@@ -26,6 +35,7 @@ from chargecast.survey import (
 from conftest import FIXTURE_CHAIN_COUNTS, FIXTURE_TOTAL_CHAINS, FIXTURE_ROWS
 
 HEADER = "HOUSEID,VEHID,TRAVDAY,STRTTIME,ENDTIME,TRVLCMIN,TRPMILES,WHYTO"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _parse(rows, **kwargs):
@@ -86,6 +96,13 @@ class TestParseRecords:
         records, diag = _parse(["A,1,1,1400,1300,30,5,1"])
         assert records == []
         assert diag.reject_reasons["end_before_start"] == 1
+
+    def test_zero_clock_duration_rejected(self):
+        # Equal clock times with a positive duration: the arrival would tie
+        # the previous trip's and break the chain's increasing end times.
+        records, diag = _parse(["A,1,1,0800,0830,30,5,3", "A,1,1,0830,0830,30,5,1"])
+        assert len(records) == 1
+        assert diag.reject_reasons == {"zero_clock_duration": 1}
 
     def test_unmapped_purpose_code_defaults_to_other(self):
         records, _ = _parse(["A,1,1,0800,0830,30,5,42"])
@@ -271,10 +288,25 @@ class TestFixtureInvariants:
         _, chains, dataset, diag = fixture_ingest
         assert dataset.total_chains == len(chains) == diag.chains_emitted
 
+    def test_keys_are_the_fitted_ones(self, fixture_ingest):
+        _, _, dataset, _ = fixture_ingest
+        assert set(dataset.samples) == {
+            (ctype, *key) for ctype in dataset.counts for key in _required_keys(ctype)
+        }
+
     def test_sample_array_lengths_match_counts(self, fixture_ingest):
         _, _, dataset, _ = fixture_ingest
         for (ctype, feature, index), values in dataset.samples.items():
             assert len(values) == dataset.count(ctype), (ctype.label, feature, index)
+
+    def test_generator_reproduces_fixture(self, tmp_path, fixture_csv_path):
+        # The script writes relative to its own location, so it runs as a copy.
+        script = tmp_path / "scripts" / "make_fixture.py"
+        script.parent.mkdir()
+        shutil.copy(REPO_ROOT / "scripts" / "make_fixture.py", script)
+        subprocess.run([sys.executable, str(script)], check=True, capture_output=True)
+        regenerated = tmp_path / "src" / "chargecast" / "data" / "survey_fixture.csv"
+        assert regenerated.read_bytes() == fixture_csv_path.read_bytes()
 
     def test_pipeline_is_deterministic(self, fixture_csv_path):
         def run():
@@ -312,3 +344,81 @@ class TestDatasetSerialization:
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_dataset(tmp_path / "nope")
+
+
+# ---------------------------------------------------------------------------
+# Parse -> chains -> features on generated surveys
+# ---------------------------------------------------------------------------
+
+# One trip: gap after the previous arrival (negative overlaps it), minutes on
+# the road, reported duration (None: the clock's), miles, purpose code, and
+# whether the length cell is garbage.
+_TRIPS = st.tuples(
+    st.just(0) | st.integers(-30, 300),
+    st.just(0) | st.integers(0, 240),
+    st.one_of(st.none(), st.integers(-5, 300)),
+    st.one_of(st.just(0.0), st.floats(0.1, 60.0)),
+    st.sampled_from([1, 1, 3, 11, 15, 97, 42]),
+    st.sampled_from([False] * 9 + [True]),
+)
+_VEHICLE_DAYS = st.lists(
+    st.tuples(st.integers(0, 1439), st.lists(_TRIPS, min_size=1, max_size=5)),
+    min_size=1, max_size=8,
+)
+
+
+def _survey_csv(vehicle_days) -> str:
+    """Survey rows of the generated vehicle-days, one household each."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(HEADER.split(","))
+    for house, (first_start, trips) in enumerate(vehicle_days):
+        arrival = first_start
+        for k, (gap, road, duration, miles, purpose, garbage) in enumerate(trips):
+            start = arrival + (gap if k else 0)
+            arrival = start + road
+            writer.writerow([
+                f"h{house}", "1", 1, _hhmm(start), _hhmm(arrival),
+                road if duration is None else duration,
+                "x" if garbage else round(miles, 3), purpose,
+            ])
+    return out.getvalue()
+
+
+def _hhmm(minute: int) -> str:
+    minute %= 1440
+    return f"{minute // 60:02d}{minute % 60:02d}"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(vehicle_days=_VEHICLE_DAYS)
+def test_parse_chains_features_property(vehicle_days):
+    diag = IngestDiagnostics()
+    records = parse_records(io.StringIO(_survey_csv(vehicle_days)), diagnostics=diag)
+    assert diag.rows_total == sum(len(trips) for _, trips in vehicle_days)
+    assert diag.rows_total == diag.rows_accepted + diag.rows_rejected == len(records) + diag.rows_rejected
+
+    chains = build_chains(records, diag)
+    assert diag.chains_emitted == len(chains)
+    for chain in chains:
+        validate_chain(chain)
+
+    dataset = extract_features(chains)
+    assert dataset.total_chains == len(chains)
+    assert set(dataset.samples) == {
+        (ctype, *key) for ctype in dataset.counts for key in _required_keys(ctype)
+    }
+    for (ctype, feature, _), values in dataset.samples.items():
+        if feature == FEATURE_VELOCITY:
+            assert len(values) <= dataset.count(ctype)
+            assert np.all(values > 0)
+        else:
+            assert len(values) == dataset.count(ctype)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(dataset, tmp, diagnostics=diag)
+        loaded = load_dataset(tmp)
+    assert loaded.counts == dataset.counts
+    assert loaded.samples.keys() == dataset.samples.keys()
+    for key, values in dataset.samples.items():
+        assert np.array_equal(loaded.samples[key], values), key
