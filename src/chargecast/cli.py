@@ -40,17 +40,19 @@ _SCHEDULE_COLUMNS = ["slot_start_min", "price", "p_ev_kw", "p_ess_kw", "p_ch_kw"
 # Artifact writers / readers
 # ---------------------------------------------------------------------------
 
+def _write_slot_table(path: Path, columns: list[str], starts, values) -> None:
+    """One row per slot: the integer start, then shortest round-trip floats."""
+    rows = zip(np.asarray(starts).tolist(), *(np.asarray(v, dtype=float).tolist() for v in values))
+    lines = [",".join(columns)]
+    lines.extend(",".join([str(int(start)), *map(repr, cells)]) for start, *cells in rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_load_curve_csv(path: Path, bundle) -> None:
     """Load-curve CSV; floats use shortest round-trip formatting so the
     station column re-derives exactly from the site columns after reading."""
-    lines = [",".join(_LOAD_CURVE_COLUMNS)]
-    site_powers = [p.power_kw for p in bundle.site_profiles]
-    for i, start in enumerate(bundle.station.slot_start_min):
-        cells = [str(int(start))]
-        cells.extend(repr(float(p[i])) for p in site_powers)
-        cells.append(repr(float(bundle.station.power_kw[i])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    _write_slot_table(path, _LOAD_CURVE_COLUMNS, bundle.station.slot_start_min,
+                      [*(p.power_kw for p in bundle.site_profiles), bundle.station.power_kw])
 
 
 def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -79,17 +81,8 @@ def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
 
 
 def write_schedule_csv(path: Path, plan: SchedulePlan) -> None:
-    lines = [",".join(_SCHEDULE_COLUMNS)]
-    for i in range(plan.n_slots):
-        lines.append(",".join([
-            str(int(plan.slot_start_min[i])),
-            repr(float(plan.price[i])),
-            repr(float(plan.p_ev_kw[i])),
-            repr(float(plan.p_ess_kw[i])),
-            repr(float(plan.p_ch_kw[i])),
-            repr(float(plan.soc_ess[i])),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_slot_table(path, _SCHEDULE_COLUMNS, plan.slot_start_min,
+                      [plan.price, plan.p_ev_kw, plan.p_ess_kw, plan.p_ch_kw, plan.soc_ess])
 
 
 def _write_summary(path: Path, config: PipelineConfig, payload: dict) -> None:

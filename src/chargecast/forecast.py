@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .kde import KdeModel, fit_kde
 from .survey import (
     CHAIN_TYPES,
@@ -39,6 +39,7 @@ from .survey import (
     ChainType,
     SiteClass,
     chain_type_proportions,
+    sample_key,
 )
 
 DAY_MINUTES = 1440.0
@@ -182,7 +183,7 @@ class ModelSet:
             for feature, index in _required_keys(ctype):
                 samples = dataset.get(ctype, feature, index)
                 if samples is None or len(samples) == 0:
-                    raise ConfigurationError(
+                    raise DataError(
                         f"dataset lacks samples for {ctype.label} {feature} #{index}"
                     )
                 support = _feature_support(feature, index, float(np.max(samples)))
@@ -202,8 +203,7 @@ class ModelSet:
             "schema": "fitted-models/v1",
             "proportions": [float(p) for p in self.proportions],
             "models": {
-                f"{ctype.label}__{feature}__{index}": model.to_dict()
-                for (ctype, feature, index), model in self.models.items()
+                sample_key(*key): model.to_dict() for key, model in self.models.items()
             },
         }
         # json.dumps runs the C encoder; json.dump streams through the

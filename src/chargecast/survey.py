@@ -5,7 +5,8 @@ validated :class:`TripRecord` rows, ``build_chains`` walks each vehicle-day
 once, unwrapping midnight and cutting home-closed chains of 2..3 trips, and
 ``extract_features`` builds the per-chain-type sample arrays the density
 models fit: trip-1 ending time, per-trip length and average velocity, and
-per-midway dwell duration.
+per-midway dwell duration. ``save_dataset`` and ``load_dataset`` keep the
+counts and those arrays in one JSON manifest, keyed by :func:`sample_key`.
 
 Rejected rows and dropped trip sequences are never silently discarded; they
 are counted in an :class:`IngestDiagnostics` summary.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -255,7 +257,8 @@ def parse_records(
 
     Distances are converted miles -> km with the exact factor 1.609344 and
     times from HHMM integers to minutes since midnight. Invalid rows are
-    skipped and counted in ``diagnostics`` with their line number; a missing
+    skipped and counted in ``diagnostics`` with their line number (a missing
+    cell or a non-finite number is an ``unparseable_field``); a missing
     mapped column is a fatal ConfigurationError.
     """
     columns = dict(DEFAULT_COLUMN_MAP)
@@ -281,17 +284,22 @@ def parse_records(
             start = _parse_hhmm(row[columns["start_time"]])
             end = _parse_hhmm(row[columns["end_time"]])
             duration = float(row[columns["duration"]])
-            miles = float(row[columns["length_miles"]])
+            length_km = float(row[columns["length_miles"]]) * MILES_TO_KM
+            if not (math.isfinite(duration) and math.isfinite(length_km)):
+                raise ValueError("non-finite duration or length")
             travel_day = int(row[columns["travel_day"]])
             dest_code = int(row[columns["destination"]])
-        except (ValueError, TypeError):
+            household = row[columns["household_id"]].strip()
+            vehicle = row[columns["vehicle_id"]].strip()
+        except (ValueError, TypeError, AttributeError):
+            # AttributeError: a short row lacks a mapped ID cell (None).
             diag.reject_row(line_no, "unparseable_field")
             continue
 
         if duration <= 0:
             diag.reject_row(line_no, "nonpositive_duration")
             continue
-        if miles < 0:
+        if length_km < 0:
             diag.reject_row(line_no, "negative_length")
             continue
         if end == start:
@@ -308,13 +316,13 @@ def parse_records(
 
         records.append(
             TripRecord(
-                household_id=row[columns["household_id"]].strip(),
-                vehicle_id=row[columns["vehicle_id"]].strip(),
+                household_id=household,
+                vehicle_id=vehicle,
                 travel_day=travel_day,
                 start_time=start,
                 end_time=end,
                 duration=duration,
-                length_km=miles * MILES_TO_KM,
+                length_km=length_km,
                 destination=dest_map.get(dest_code, SiteClass.O),
             )
         )
@@ -452,15 +460,23 @@ def chain_type_proportions(dataset: ChainFeatureDataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dataset serialization (directory of CSV arrays + JSON manifest)
+# Dataset serialization (one JSON manifest holding counts and sample arrays)
 # ---------------------------------------------------------------------------
 
 _MANIFEST_NAME = "manifest.json"
-_FEATURE_DIR = "features"
+_FEATURES = (FEATURE_END_TIME, FEATURE_LENGTH, FEATURE_VELOCITY, FEATURE_DWELL)
 
 
-def _sample_file_name(chain_type: ChainType, feature: str, index: int) -> str:
-    return f"{chain_type.label}__{feature}__{index}.csv"
+def sample_key(chain_type: ChainType, feature: str, index: int) -> str:
+    """Name of one sample array, in the ingest manifest and in ``models.json``."""
+    return f"{chain_type.label}__{feature}__{index}"
+
+
+# Every name a manifest may hold: a chain type, a feature and one of its trips.
+_SAMPLE_KEYS: dict[str, tuple[ChainType, str, int]] = {
+    sample_key(t, f, i): (t, f, i)
+    for t in CHAIN_TYPES for f in _FEATURES for i in range(1, t.n_trips + 1)
+}
 
 
 def save_dataset(
@@ -469,72 +485,62 @@ def save_dataset(
     diagnostics: IngestDiagnostics | None = None,
     provenance: dict | None = None,
 ) -> Path:
-    """Write sample arrays as one CSV per (type, feature, index) + manifest."""
+    """Write the counts and every sample array into one JSON manifest."""
     out = Path(out_dir)
-    feature_dir = out / _FEATURE_DIR
-    feature_dir.mkdir(parents=True, exist_ok=True)
-
-    files = {}
-    for (ctype, feature, index), values in sorted(
-        dataset.samples.items(), key=lambda kv: (CHAIN_TYPE_INDEX[kv[0][0]], kv[0][1], kv[0][2])
-    ):
-        name = _sample_file_name(ctype, feature, index)
-        with open(feature_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value"])
-            for v in values:
-                writer.writerow([repr(float(v))])
-        files[name] = len(values)
-
+    out.mkdir(parents=True, exist_ok=True)
     proportions = (
         chain_type_proportions(dataset) if dataset.total_chains > 0
         else np.zeros(len(CHAIN_TYPES))
     )
+    order = sorted(dataset.samples, key=lambda k: (CHAIN_TYPE_INDEX[k[0]], k[1], k[2]))
     manifest = {
         "schema": "chain-feature-dataset/v1",
         "chain_type_order": [t.label for t in CHAIN_TYPES],
         "counts": {t.label: dataset.count(t) for t in CHAIN_TYPES},
         "total_chains": dataset.total_chains,
         "proportions": [float(p) for p in proportions],
-        "files": files,
+        "samples": {sample_key(*key): dataset.samples[key] for key in order},
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics.as_dict()
     if provenance is not None:
         manifest["provenance"] = provenance
     with open(out / _MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        # Each array becomes a list only when the encoder reaches it.
+        json.dump(manifest, fh, indent=2, default=np.ndarray.tolist)
     return out / _MANIFEST_NAME
 
 
 def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
-    """Load a dataset written by :func:`save_dataset`."""
-    in_dir = Path(in_dir)
-    manifest_path = in_dir / _MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise DataError(f"no dataset manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    """Load a dataset written by :func:`save_dataset`.
 
-    counts = {
-        chain_type_from_label(label): int(count)
-        for label, count in manifest["counts"].items()
-        if int(count) > 0
-    }
-    samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
-    for name in manifest["files"]:
-        label, feature, index = name.rsplit(".", 1)[0].split("__")
-        path = in_dir / _FEATURE_DIR / name
-        if not path.is_file():
-            raise DataError(f"sample file listed in the manifest is missing: {path}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["value"]:
-                raise DataError(f"unexpected sample-file header in {path}")
-            try:
-                values = [float(value) for value, in reader]
-            except ValueError:
-                raise DataError(f"sample file {path} has a row that is not one number") from None
-        samples[(chain_type_from_label(label), feature, int(index))] = np.asarray(values)
-
+    A manifest that is not JSON, lacks ``counts`` or ``samples``, names an
+    unknown chain type or array, or holds an array that is not a flat list
+    of finite numbers is a DataError naming the file.
+    """
+    path = Path(in_dir) / _MANIFEST_NAME
+    if not path.is_file():
+        raise DataError(f"no dataset manifest at {path}")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if not (isinstance(manifest, dict)
+                and all(isinstance(manifest.get(k), dict) for k in ("counts", "samples"))):
+            raise ValueError("expected an object with 'counts' and 'samples' objects")
+        counts = {chain_type_from_label(label): n for label, n in manifest["counts"].items()}
+        if not all(type(n) is int and n >= 0 for n in counts.values()):
+            raise ValueError("a chain-type count is not a non-negative integer")
+        counts = {ctype: n for ctype, n in counts.items() if n}
+        samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
+        for name, values in manifest["samples"].items():
+            if name not in _SAMPLE_KEYS:
+                raise ValueError(f"unknown sample array {name!r}")
+            if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+                raise ValueError(f"sample array {name} is not a flat list of numbers")
+            array = np.array(values, dtype=float)
+            if not np.isfinite(array).all():
+                raise ValueError(f"sample array {name} has a non-finite value")
+            samples[_SAMPLE_KEYS[name]] = array
+    except (ValueError, OverflowError, DataError) as exc:
+        raise DataError(f"malformed dataset manifest {path}: {exc}") from None
     return ChainFeatureDataset(counts=counts, samples=samples)

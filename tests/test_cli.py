@@ -1,6 +1,7 @@
 """End-to-end CLI: artifacts, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,16 @@ from conftest import FIXTURE_CHAIN_COUNTS
 
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
 REPO_ROOT = Path(__file__).resolve().parents[1]
+_ARRAY = "H-W-H__length_km__1"
+
+
+def _edit(change):
+    """Manifest-text corruption that applies ``change`` to the parsed document."""
+    def apply(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return apply
 
 
 def write_config(tmp_path, fixture_csv_path, **overrides):
@@ -100,16 +111,28 @@ class TestForecastCommand:
         config = write_config(tmp_path, fixture_csv_path)
         assert main(["forecast", "--config", str(config)]) == 3
 
-    @pytest.mark.parametrize("content", [None, "value\n1.5\nabc\n", "value\n1.5\n\n2.5\n"],
-                             ids=["missing_file", "non_numeric_row", "empty_row"])
-    def test_malformed_sample_file_is_data_error(self, tmp_path, fixture_csv_path, capsys, content):
+    @pytest.mark.parametrize("corrupt", [
+        _edit(lambda m: m["samples"].pop(_ARRAY)),
+        _edit(lambda m: m["samples"][_ARRAY].append("abc")),
+        _edit(lambda m: m["samples"][_ARRAY].insert(1, None)),
+        lambda text: text[:-2],
+        _edit(lambda m: m.pop("counts")),
+        _edit(lambda m: m.pop("samples")),
+        _edit(lambda m: m["samples"].update({"H-Q-H__length_km__1": [1.0]})),
+        _edit(lambda m: m["samples"][_ARRAY].append(math.inf)),
+        _edit(lambda m: m["samples"][_ARRAY].append(10 ** 400)),
+        _edit(lambda m: m["counts"].update({"H-W-H": "44"})),
+        lambda text: "[" + text + "]",
+    ], ids=[
+        "missing_array", "non_numeric_value", "null_value", "not_json", "no_counts",
+        "no_samples", "unknown_label", "non_finite_value", "huge_integer", "string_count",
+        "not_an_object",
+    ])
+    def test_malformed_manifest_is_data_error(self, tmp_path, fixture_csv_path, capsys, corrupt):
         config = write_config(tmp_path, fixture_csv_path)
         assert main(["ingest", "--config", str(config)]) == 0
-        sample = tmp_path / "out/ingest/features/H-W-H__length_km__1.csv"
-        if content is None:
-            sample.unlink()
-        else:
-            sample.write_text(content)
+        manifest = tmp_path / "out/ingest/manifest.json"
+        manifest.write_text(corrupt(manifest.read_text()))
         capsys.readouterr()
         assert main(["forecast", "--config", str(config)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"

@@ -113,6 +113,24 @@ class TestParseRecords:
         assert records == []
         assert diag.reject_reasons["unparseable_field"] == 1
 
+    @pytest.mark.parametrize("row", [
+        "A,1,1,0800,0830,nan,5,3", "A,1,1,0800,0830,inf,5,3", "A,1,1,0800,0830,30,inf,3",
+        "A,1,1,0800,0830,30,nan,3", "A,1,1,0800,0830,30,-inf,3", "A,1,1,0800,0830,30,1.5e308,3",
+    ], ids=["nan_duration", "inf_duration", "inf_miles", "nan_miles", "minus_inf_miles",
+            "km_overflow"])
+    def test_non_finite_number_is_unparseable(self, row):
+        records, diag = _parse([row])
+        assert records == []
+        assert diag.reject_reasons == {"unparseable_field": 1}
+
+    @pytest.mark.parametrize("row", ["1,0800,0830,30,5,3,A", "1,0800,0830,30,5,3"],
+                             ids=["no_vehicle_id", "no_ids"])
+    def test_short_row_without_id_cell_is_unparseable(self, row):
+        diag = IngestDiagnostics()
+        text = "TRAVDAY,STRTTIME,ENDTIME,TRVLCMIN,TRPMILES,WHYTO,HOUSEID,VEHID\n" + row
+        assert parse_records(io.StringIO(text), diagnostics=diag) == []
+        assert diag.reject_reasons == {"unparseable_field": 1}
+
     def test_custom_column_map(self):
         text = "hh,vid,day,dep,arr,mins,mi,why\nA,1,1,0800,0820,20,2,3"
         records = parse_records(io.StringIO(text), column_map={
