@@ -19,10 +19,8 @@ from .scheduler import (
     EssParams,
     SchedulePlan,
     TariffSchedule,
-    baseline_cost,
     brute_force_schedule,
     multi_day_schedule,
-    solve_schedule,
     solve_schedule_slots,
     verify_plan,
 )

@@ -26,7 +26,7 @@ _TOP_LEVEL_KEYS = {
 }
 _PATH_KEYS = {"input_csv", "out_dir", "dataset_dir", "load_curve"}
 _KIND = {
-    bool: "true or false", int: "an integer", float: "a number", str: "a string",
+    bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
     tuple: "a list",
 }
 
@@ -85,8 +85,8 @@ def _require_mapping(value, name: str, known_keys: set[str] | None = None) -> di
 
 def _coerce(value, default, name: str):
     """``value`` as the type of ``default``, with no lossy conversion: a bool
-    takes only true/false, an int an integral number, a float any number,
-    a tuple a list of its first element's type."""
+    takes only true/false, an int an integral number, a float any finite
+    number, a tuple a list of its first element's type."""
     kind = type(default)
     if kind is tuple:
         if isinstance(value, list | tuple):
@@ -99,7 +99,8 @@ def _coerce(value, default, name: str):
         if value.is_integer():
             return int(value)
     elif isinstance(value, (int, float) if kind is float else kind):
-        return kind(value)
+        if kind is not float or abs(value) < float("inf"):  # JSON's NaN and Infinity
+            return kind(value)
     raise ConfigurationError(f"{name} must be {_KIND[kind]}, got {value!r}")
 
 

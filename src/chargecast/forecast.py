@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .kde import KdeModel, fit_kde
+from .kde import KdeModel, fit_kde, invert
 from .survey import (
     CHAIN_TYPES,
     FEATURE_DWELL,
@@ -239,7 +239,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]:
     """Fitted models of each chain type with positive probability, keyed by
-    chain-type index, so that the block loop hashes no ``ChainType``.
+    chain-type index (so that the block loop hashes no ``ChainType``), each
+    type's in draw order.
 
     Raises ``ConfigurationError`` when no chain type has positive
     probability or such a type lacks a fitted model.
@@ -263,6 +264,33 @@ class _BlockSim(NamedTuple):
     infeasible: int
     soc_min: float
     soc_max: float
+
+
+def _draw_chains(rng: np.random.Generator, ctype: np.ndarray, type_models: dict) -> tuple:
+    """Step 4 of ``_simulate_block``: ``(end1, lengths, velocity, dwells)``
+    of chains of types ``ctype``, one row per trip or midway stop (length 0,
+    velocity 1 and dwell 0 past a chain's last trip). Every draw is picked
+    first, then all are inverted with one ``ndtri`` call."""
+    n = ctype.size
+    rows = {FEATURE_END_TIME: np.empty((1, n)), FEATURE_LENGTH: np.zeros((3, n)),
+            FEATURE_VELOCITY: np.ones((3, n)), FEATURE_DWELL: np.zeros((2, n))}
+    targets, picks = [], []
+    for k in np.unique(ctype):
+        chains = np.flatnonzero(ctype == k)
+        for (feature, index), model in type_models[k].items():
+            lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
+            targets.append((rows[feature][index - 1], chains))
+            picks.append(model.pick(rng, chains.size, lower))
+    centre, scale, p, lo, hi = zip(*picks)
+    sizes = [c.size for c in centre]
+    draws = invert(np.concatenate(centre), np.concatenate(scale), np.concatenate(p),
+                   np.repeat(lo, sizes), np.repeat(hi, sizes))
+    start = 0
+    for target, chains in targets:
+        target[chains] = draws[start:start + chains.size]
+        start += chains.size
+    end1, lengths, velocity, dwells = rows.values()
+    return end1[0], lengths, velocity, dwells
 
 
 def _simulate_block(
@@ -303,26 +331,10 @@ def _simulate_block(
         max(type_models),
     )
 
-    # Trip and dwell arrays are zero past a chain's last trip, so those
-    # steps below move neither the clock nor the charge.
-    end1 = np.empty(3 * b)
-    lengths = np.zeros((3, 3 * b))
-    drive_min = np.zeros((3, 3 * b))
-    dwells = np.zeros((2, 3 * b))
-    for k in np.unique(ctype):
-        chains = np.flatnonzero(ctype == k)
-        m = chains.size
-        fitted = type_models[k]
-        end1[chains] = fitted[FEATURE_END_TIME, 1].sample_many(rng, m)
-        for t in range(_N_TRIPS[k]):
-            length = fitted[FEATURE_LENGTH, t + 1].sample_many(rng, m)
-            velocity = fitted[FEATURE_VELOCITY, t + 1].sample_many(
-                rng, m, lower=_MIN_VELOCITY_KMH
-            )
-            lengths[t, chains] = length
-            drive_min[t, chains] = 60.0 * length / velocity
-        for j in range(_N_TRIPS[k] - 1):
-            dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, m)
+    # Trip and dwell rows are zero past a chain's last trip, so those steps
+    # below move neither the clock nor the charge.
+    end1, lengths, velocity, dwells = _draw_chains(rng, ctype, type_models)
+    drive_min = 60.0 * lengths / velocity
 
     n_trips = _N_TRIPS[ctype]
     midway = _MIDWAY_SITE[ctype]

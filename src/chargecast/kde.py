@@ -1,12 +1,12 @@
 """Gaussian kernel density models with bounded support and seeded sampling.
 
 A fitted model is a mixture of Gaussian kernels centred on the data points.
-Supports may be half-open or closed intervals; the density is renormalized
-by the kernel mass falling inside the support. Sampling is exact and
+Supports may be half-open or closed intervals. Sampling is exact and
 vectorized: each draw picks a kernel with probability proportional to its
-mass inside the bounds and inverts that kernel's truncated normal CDF, so
-no draw is rejected, redrawn or clamped. All randomness comes from
-caller-provided numpy Generators, so sampling is reproducible.
+mass inside the bounds (tables built once per model and lower bound, with
+``math.erfc``) and inverts that kernel's truncated normal CDF with
+``ndtri``, so no draw is rejected, redrawn or clamped. All randomness comes
+from caller-provided numpy Generators, so sampling is reproducible.
 """
 
 from __future__ import annotations
@@ -15,13 +15,79 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DataError
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 
 UNBOUNDED = (-math.inf, math.inf)
+
+# Wichura's AS241 (Applied Statistics 37, 1988) normal quantile: numerator
+# and denominator, highest degree first, with the coefficients and the
+# evaluation order of CPython's statistics.NormalDist().inv_cdf.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _ratio(coeffs, r: np.ndarray, scale=1.0) -> np.ndarray:
+    num, den = (np.full_like(r, c[0]) for c in coeffs)
+    for a, b in zip(coeffs[0][1:], coeffs[1][1:]):
+        num = num * r + a
+        den = den * r + b
+    return num * scale / den
+
+
+def ndtri(p) -> np.ndarray:
+    """Standard normal quantile of each probability in ``p``, within a few
+    ulp over (0, 1); ``ndtri(0) = -inf`` and ``ndtri(1) = inf``."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    central = np.abs(p - 0.5) <= 0.425
+    q = p[central] - 0.5
+    out[central] = _ratio(_AS241_CENTRAL, 0.180625 - q * q, q)
+    tail = p[~central]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(tail, 1.0 - tail)))
+        x = np.where(r <= 5.0, _ratio(_AS241_NEAR, r - 1.6), _ratio(_AS241_FAR, r - 5.0))
+    out[~central] = np.copysign(np.where(r == math.inf, math.inf, x), tail - 0.5)
+    return out
+
+
+def _ndtr(bound: float, centres: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Normal cdf of ``(bound - centres) / scale`` by ``math.erfc``; at an
+    infinite bound every value is exactly 0 or 1."""
+    z = (bound - centres) / scale
+    if math.isinf(bound):
+        return (z > 0).astype(float)
+    return 0.5 * np.fromiter(map(math.erfc, (-z * _SQRT1_2).tolist()), float, z.size)
+
+
+def invert(centre, scale, p, lo, hi) -> np.ndarray:
+    """Draws ``centre + scale * ndtri(p)`` of kernel picks, clipped to
+    [lo, hi] (scalars or arrays) against the last-ulp rounding of the sum."""
+    return np.clip(centre + scale * ndtri(p), lo, hi)
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -52,7 +118,8 @@ class KdeModel:
     samples: np.ndarray
     bandwidth: float
     support: tuple[float, float] = UNBOUNDED
-    _mass: float = field(init=False, repr=False)
+    # Kernel tables by sampling lower bound, built on first use.
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -65,78 +132,47 @@ class KdeModel:
             raise DataError(f"empty support interval: {self.support}")
         if self.samples.min() < lo or self.samples.max() > hi:
             raise DataError("sample outside declared support")
-        self._mass = self._support_mass()
 
-    def _support_mass(self) -> float:
-        _, p_lo, p_hi = self._kernel_bounds(*self.support)
-        return float(np.mean(np.abs(p_hi - p_lo)))
+    def _table(self, lo: float):
+        """``(p_lo, width, scale, cdf)`` for draws inside [lo, hi]: each
+        kernel's probability at lo, its signed mass inside [lo, hi], and
+        bandwidth; the cumulative mass, ending at 1.0. Kernels centred below
+        lo have upper-tail probabilities (a negated ``scale``), which keep
+        full precision far from the centre."""
+        table = self._tables.get(lo)
+        if table is None:
+            hi = self.support[1]
+            if not lo < hi:
+                raise DataError(f"empty sampling interval [{lo}, {hi}]")
+            scale = np.where(self.samples < lo, -self.bandwidth, self.bandwidth)
+            p_lo = _ndtr(lo, self.samples, scale)
+            width = _ndtr(hi, self.samples, scale) - p_lo
+            cum = np.cumsum(np.abs(width))
+            if not cum[-1] > 0:
+                raise DataError(f"density has no mass inside [{lo}, {hi}]")
+            table = self._tables[lo] = (p_lo, width, scale, cum / cum[-1])
+        return table
 
-    def _kernel_bounds(self, lo: float, hi: float):
-        """Per-kernel normal probabilities at the bounds ``lo`` < ``hi``.
-
-        Returns ``(tail, p_lo, p_hi)``. For a kernel whose centre lies below
-        ``lo`` (``tail``), the probabilities are upper-tail ones, Q(z) =
-        ndtr(-z), which keep full precision far from the centre; otherwise
-        they are ndtr values. Either way ``|p_hi - p_lo|`` is the kernel's
-        mass inside [lo, hi].
-        """
-        alpha = (lo - self.samples) / self.bandwidth
-        beta = (hi - self.samples) / self.bandwidth
-        tail = alpha > 0
-        return tail, ndtr(np.where(tail, -alpha, alpha)), ndtr(np.where(tail, -beta, beta))
-
-    def pdf(self, x):
-        """Density at ``x`` (scalar or array); 0 outside the support."""
-        x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.samples) / self.bandwidth
-        raw = np.exp(-0.5 * z * z).mean(axis=-1) / (self.bandwidth * _SQRT_2PI)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        out = np.where(inside, raw / self._mass, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x):
-        """Cumulative distribution of the truncated mixture."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        clipped = np.clip(x, lo, hi)
-        upper = ndtr((clipped[..., None] - self.samples) / self.bandwidth).mean(axis=-1)
-        lower = (
-            float(np.mean(ndtr((lo - self.samples) / self.bandwidth)))
-            if math.isfinite(lo) else 0.0
-        )
-        out = np.clip((upper - lower) / self._mass, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+    def pick(self, rng: np.random.Generator, count: int, lower: float = -math.inf):
+        """``(centre, scale, p, lo, hi)`` of ``count`` draws inside [lo, hi] =
+        [max(support lo, lower), support hi], for ``invert``. The stream
+        consumes ``count`` uniforms that pick kernels with probability
+        proportional to their mass inside [lo, hi], then ``count`` that place
+        ``p`` uniformly between each kernel's probabilities at lo and hi."""
+        lo = max(self.support[0], lower)
+        p_lo, width, scale, cdf = self._table(lo)
+        # cdf ends at exactly 1.0 and uniforms are < 1, so every pick is a
+        # kernel with positive mass.
+        k = cdf.searchsorted(rng.random(count), side="right")
+        p = p_lo[k] + rng.random(count) * width[k]
+        return self.samples[k], scale[k], p, lo, self.support[1]
 
     def sample_many(
         self, rng: np.random.Generator, count: int, lower: float = -math.inf
     ) -> np.ndarray:
         """``count`` independent draws from the density, optionally also
-        truncated below at ``lower``.
-
-        Exact inversion: one uniform per draw picks a kernel with probability
-        proportional to its mass inside [max(lo, lower), hi], a second one
-        is mapped through that kernel's truncated normal quantile function.
-        The stream consumes ``count`` uniforms for the kernels, then
-        ``count`` for the inversion.
-        """
-        lo = max(self.support[0], lower)
-        hi = self.support[1]
-        if not lo < hi:
-            raise DataError(f"empty sampling interval [{lo}, {hi}]")
-        tail, p_lo, p_hi = self._kernel_bounds(lo, hi)
-        cum = np.cumsum(np.abs(p_hi - p_lo))
-        if not cum[-1] > 0:
-            raise DataError(f"density has no mass inside [{lo}, {hi}]")
-        # cum / cum[-1] ends at exactly 1.0 and uniforms are < 1, so every
-        # pick is a kernel with positive mass.
-        k = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
-        p = p_lo[k] + rng.random(count) * (p_hi[k] - p_lo[k])
-        z = ndtri(p)
-        x = self.samples[k] + self.bandwidth * np.where(tail[k], -z, z)
-        # The quantile is lo or hi at p = p_lo or p_hi exactly; the clip keeps
-        # the last-ulp rounding of centre + h * z on the right side of them.
-        return np.clip(x, lo, hi)
+        truncated below at ``lower``."""
+        return invert(*self.pick(rng, count, lower))
 
     # -- serialization ------------------------------------------------------
 

@@ -1,31 +1,27 @@
 """Day-ahead storage scheduling against a time-of-use tariff.
 
 The station's bill is sum over slots of (EV load + ESS power) * price * dt.
-Scheduling the ESS is a linear program over 2n variables: a signed power
-p_i per slot (positive while charging) with box limits, and the stored
-energy e_i after slot i with 0 <= e_i <= C. One bidiagonal equality row per
-slot, e_i - e_{i-1} - dt * p_i = 0 with e_{-1} = soc_init * C, links them,
-so the constraint matrix stays sparse (at most 3 nonzeros a row). The
-optional terminal condition (end at least as full as it started) is the
-lower bound e_{n-1} >= soc_init * C; the optional non-export constraint
-(the station never feeds energy back to the grid, enabled by default)
-tightens the lower power bound to -EV load.
+The ESS power p_i of slot i (positive while charging) lies in [lb_i, ub_i],
+and the stored energy e_i = e_{i-1} + dt * p_i, with e_{-1} = soc_init * C,
+in [0, C]. The optional terminal condition is e_{n-1} >= soc_init * C; the
+optional non-export constraint (on by default) tightens lb_i to -EV load.
 
-``solve_schedule`` uses scipy's HiGHS backend; ``brute_force_schedule`` is
-the independent enumeration oracle used to cross-check it on small
-instances. When the days of a horizon tile the same prices, the LP has
-many optimal schedules: only the total cost is pinned, and the per-day
-split of it is whichever optimum HiGHS returns.
+This is Bellman's warehouse problem (1956) with per-slot power limits, and
+``solve_schedule_slots`` solves it exactly by a convex dynamic program (see
+``_cheapest_energy``). ``brute_force_schedule`` is the enumeration oracle
+that cross-checks it on small instances; the tests also compare its cost
+with a HiGHS linear program. When the days of a horizon tile the same
+prices, there are many optimal schedules: only the total cost is pinned,
+and the per-day split of it is whichever optimum the DP returns.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import ConfigurationError, DataError, SolverError
 from .forecast import LoadProfile
@@ -221,10 +217,53 @@ def verify_plan(plan: SchedulePlan, ess: EssParams, tol: float = VERIFY_TOL) -> 
 # Costs and solvers
 # ---------------------------------------------------------------------------
 
-def baseline_cost(p_ev: LoadProfile, tariff: TariffSchedule) -> float:
-    """Electricity bill with the ESS idle."""
-    prices = tariff.slot_prices(p_ev.slot_minutes, len(p_ev.power_kw))
-    return float(np.sum(p_ev.power_kw * prices) * p_ev.slot_minutes / 60.0)
+def _trim(slopes: list[float], lengths: list[float], amount: float, end: int) -> None:
+    """Remove ``amount`` of domain from the cheap (``end=0``) or dear
+    (``end=-1``) end of a segment list."""
+    while lengths and lengths[end] <= amount:
+        amount -= lengths.pop(end)
+        slopes.pop(end)
+    if lengths:
+        lengths[end] -= amount
+
+
+def _cheapest_energy(prices: np.ndarray, lo: np.ndarray, hi: np.ndarray, capacity: float,
+                     e_init: float, terminal: bool) -> np.ndarray:
+    """Stored energy after each slot of a cheapest schedule whose slot i
+    adds between ``lo[i]`` and ``hi[i]`` kWh at ``prices[i]`` > 0.
+
+    The cheapest cost of reaching energy e is convex and piecewise linear,
+    with prices as slopes: a left end and [slope, length] segments sorted by
+    slope. Each slot inserts (price, hi - lo), shifts the left end by lo and
+    cuts the domain to [0, capacity]. The cheapest final energy is the left
+    end, or e_init if ``terminal`` and higher; walking back, each slot starts
+    where the slope crosses its price, clipped to energies reaching its end.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    left = e_init
+    slopes, lengths, bounds = [], [], []  # bounds: per slot domain ends, price crossing
+    for price, a, b in zip(prices.tolist(), lo, hi):
+        j = bisect_left(slopes, price)
+        bounds.append((left, left + sum(lengths), left + sum(lengths[:j])))
+        if j < len(slopes) and slopes[j] == price:
+            lengths[j] += b - a
+        elif b > a:
+            slopes.insert(j, price)
+            lengths.insert(j, b - a)
+        left += a
+        if left < 0:
+            _trim(slopes, lengths, -left, 0)
+            left = 0.0
+        excess = left + sum(lengths) - capacity
+        if excess > 0:
+            _trim(slopes, lengths, excess, -1)
+
+    energy = []
+    e = max(left, e_init) if terminal else left
+    for (dom_lo, dom_hi, cross), a, b in zip(reversed(bounds), reversed(lo), reversed(hi)):
+        energy.append(e)
+        e = min(max(cross, e - b, dom_lo), e - a, dom_hi)
+    return np.array(energy[::-1])
 
 
 def solve_schedule_slots(
@@ -234,7 +273,7 @@ def solve_schedule_slots(
     ess: EssParams,
     slot_start_min: np.ndarray | None = None,
 ) -> SchedulePlan:
-    """Solve the scheduling LP on an explicit slot grid."""
+    """Cheapest ESS schedule on an explicit slot grid (exact DP)."""
     ess.validate()
     p_ev = np.asarray(p_ev_kw, dtype=float)
     prices = np.asarray(prices, dtype=float)
@@ -245,6 +284,8 @@ def solve_schedule_slots(
         raise DataError("price vector and load profile lengths differ")
     if np.any(p_ev < 0):
         raise DataError("EV load must be nonnegative")
+    if not np.all((prices > 0) & np.isfinite(prices)):
+        raise DataError("slot prices must be positive and finite")
 
     if ess.c_ess_kwh == 0 or (ess.p_charge_max_kw == 0 and ess.p_discharge_max_kw == 0):
         plan = _make_plan(p_ev, prices, np.zeros(n), dt_hours, ess, slot_start_min)
@@ -255,52 +296,20 @@ def solve_schedule_slots(
     if not ess.allow_export:
         lb = np.maximum(lb, -p_ev)
     ub = np.full(n, ess.p_charge_max_kw)
-
-    # Variables [p_0..p_{n-1}, e_0..e_{n-1}]; row i: e_i - e_{i-1} - dt*p_i = 0
-    # with the initial store e_{-1} = soc_init*C moved to the right-hand side.
     e_init = ess.soc_init * ess.c_ess_kwh
-    eye = sp.eye(n, format="csr")
-    a_eq = sp.hstack([-dt_hours * eye, eye - sp.eye(n, k=-1, format="csr")], format="csr")
-    b_eq = np.zeros(n)
-    b_eq[0] = e_init
-    bounds = np.empty((2 * n, 2))
-    bounds[:n, 0], bounds[:n, 1] = lb, ub
-    bounds[n:, 0], bounds[n:, 1] = 0.0, ess.c_ess_kwh
-    if ess.require_terminal_soc:
-        bounds[-1, 0] = e_init
-
-    res = linprog(
-        c=np.concatenate([prices * dt_hours, np.zeros(n)]),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
+    energy = _cheapest_energy(
+        prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
     )
-    if res.status != 0:
-        raise SolverError(f"LP solve failed with status {res.status}: {res.message}")
-
-    p_ess = np.clip(res.x[:n], lb, ub)
+    p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
     plan = _make_plan(p_ev, prices, p_ess, dt_hours, ess, slot_start_min)
     verify_plan(plan, ess)
     return plan
 
 
-def solve_schedule(p_ev: LoadProfile, tariff: TariffSchedule, ess: EssParams) -> SchedulePlan:
-    """Minimize the station's bill for one load profile under a tariff."""
-    prices = tariff.slot_prices(p_ev.slot_minutes, len(p_ev.power_kw))
-    return solve_schedule_slots(
-        p_ev.power_kw,
-        prices,
-        p_ev.slot_minutes / 60.0,
-        ess,
-        slot_start_min=np.asarray(p_ev.slot_start_min),
-    )
-
-
 def multi_day_schedule(
     day_profiles: list[LoadProfile], tariff: TariffSchedule, ess: EssParams
 ) -> SchedulePlan:
-    """One LP across consecutive days with SOC carried over the boundaries."""
+    """One schedule across consecutive days with SOC carried over the boundaries."""
     if not day_profiles:
         raise DataError("need at least one day of load")
     slot = day_profiles[0].slot_minutes

@@ -258,8 +258,8 @@ def parse_records(
     Distances are converted miles -> km with the exact factor 1.609344 and
     times from HHMM integers to minutes since midnight. Invalid rows are
     skipped and counted in ``diagnostics`` with their line number (a missing
-    cell or a non-finite number is an ``unparseable_field``); a missing
-    mapped column is a fatal ConfigurationError.
+    cell, a blank ID, or a non-finite number or implied velocity is an
+    ``unparseable_field``); a missing mapped column is a ConfigurationError.
     """
     columns = dict(DEFAULT_COLUMN_MAP)
     if column_map:
@@ -285,13 +285,17 @@ def parse_records(
             end = _parse_hhmm(row[columns["end_time"]])
             duration = float(row[columns["duration"]])
             length_km = float(row[columns["length_miles"]]) * MILES_TO_KM
-            if not (math.isfinite(duration) and math.isfinite(length_km)):
-                raise ValueError("non-finite duration or length")
+            # Velocity is length_km / (duration / 60); a subnormal duration zeroes the divisor.
+            if not (math.isfinite(duration) and math.isfinite(length_km)) or (
+                    duration > 0 and not math.isfinite(length_km / (duration / 60.0))):
+                raise ValueError("non-finite duration, length or velocity")
             travel_day = int(row[columns["travel_day"]])
             dest_code = int(row[columns["destination"]])
             household = row[columns["household_id"]].strip()
             vehicle = row[columns["vehicle_id"]].strip()
-        except (ValueError, TypeError, AttributeError):
+            if not (household and vehicle):
+                raise ValueError("blank ID")
+        except (ValueError, TypeError, AttributeError, ZeroDivisionError):
             # AttributeError: a short row lacks a mapped ID cell (None).
             diag.reject_row(line_no, "unparseable_field")
             continue

@@ -27,15 +27,13 @@ from chargecast.kde import fit_kde
 from chargecast.scheduler import (
     DEFAULT_TARIFF,
     EssParams,
-    baseline_cost,
     brute_force_schedule,
     multi_day_schedule,
-    solve_schedule,
     verify_plan,
 )
 from chargecast.survey import SiteClass
-from test_kde import integral_over_support
-from test_scheduler import hourly_tariff, profile, random_instance
+from test_kde import cdf, integral_over_support
+from test_scheduler import baseline_cost, hourly_tariff, profile, random_instance, solve_schedule
 
 PEAK_WINDOW_H = (1020, 1200)   # 17:00..20:00 slot starts, inclusive
 PEAK_WINDOW_W = (420, 600)     # 07:00..10:00
@@ -156,7 +154,7 @@ def test_criterion_5_kde_properties():
         support=(0.0, 1440.0),
     )
     draws = reference.sample_many(np.random.default_rng(99), 100_000)
-    ks = kstest(draws, reference.cdf).statistic
+    ks = kstest(draws, lambda x: cdf(reference, x)).statistic
     assert ks < 0.01, f"KS statistic {ks}"
     print(f"ACCEPTANCE 5 PASS: worst normalization error {worst:.2e}, KS {ks:.4f}")
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,15 @@ def write_config(tmp_path, fixture_csv_path, **overrides):
     return path
 
 
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI loads no scipy module."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    code = "import sys, chargecast.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestIngestCommand:
     def test_fixture_ingest(self, tmp_path, fixture_csv_path):
         config = write_config(tmp_path, fixture_csv_path)
@@ -59,6 +71,20 @@ class TestIngestCommand:
         assert main(["ingest", "--config", str(config)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert "zero usable chains" in err["message"]
+
+    @pytest.mark.parametrize("trip", [
+        "Z,1,1,0800,0830,5e-324,5,3",      # duration / 60 is 0.0
+        "Z,1,1,0800,0830,1e-300,1e300,3",  # velocity overflows to inf
+    ], ids=["zero_division", "infinite_velocity"])
+    def test_non_finite_velocity_is_unparseable(self, tmp_path, fixture_csv_path, trip):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(fixture_csv_path.read_text() + f"{trip}\nZ,1,1,1700,1730,30,5,1\n")
+        config = write_config(tmp_path, survey)
+        assert main(["ingest", "--config", str(config)]) == 0
+        manifest = json.loads((tmp_path / "out/ingest/manifest.json").read_text())
+        assert manifest["diagnostics"]["reject_reasons"]["unparseable_field"] == 1
+        assert all(math.isfinite(v) for values in manifest["samples"].values() for v in values)
+        assert main(["forecast", "--config", str(config)]) == 0
 
     def test_missing_column(self, tmp_path, fixture_csv_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -253,9 +279,13 @@ class TestPipelineCommand:
         {"currency": None},
         {"tariff": [[0, 1440, True]]},
         {"tariff": [[0, 1440, "0.5"]]},
+        {"ess": {"c_ess_kwh": math.nan}},
+        {"fleet": {"p_charging_kw": math.inf}},
+        {"tariff": [[0, 1440, math.inf]]},
     ], ids=[
         "horizon_days", "threads", "input_csv", "require_terminal_soc", "n_ev",
-        "currency_null", "tariff_bool", "tariff_string",
+        "currency_null", "tariff_bool", "tariff_string", "nan_capacity", "infinite_power",
+        "infinite_price",
     ])
     def test_malformed_value_exits_2(self, tmp_path, fixture_csv_path, capsys, override):
         config = write_config(tmp_path, fixture_csv_path, **override)

@@ -13,7 +13,9 @@ from chargecast.forecast import (
     ModelSet,
     _accumulate_site_power,
     _block_rng,
+    _MIN_VELOCITY_KMH,
     _bundle_from_site_power,
+    _draw_chains,
     _simulate_block,
     _type_models,
     charge_duration_hours,
@@ -22,7 +24,15 @@ from chargecast.forecast import (
     soc_after_trip,
     station_composite,
 )
-from chargecast.survey import CHAIN_TYPES, SiteClass, chain_type_from_label
+from chargecast.survey import (
+    CHAIN_TYPES,
+    FEATURE_DWELL,
+    FEATURE_END_TIME,
+    FEATURE_LENGTH,
+    FEATURE_VELOCITY,
+    SiteClass,
+    chain_type_from_label,
+)
 from conftest import point_model_set
 
 Q_DEFAULT = (0.04, 0.1, 0.2, 0.1, 0.1)
@@ -315,6 +325,31 @@ class TestRunForecast:
         c = _block_rng(99, 8).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_batched_draws_equal_sample_many(self, fixture_models):
+        """One block's chain features, inverted with one ndtri call, equal
+        one sample_many call per model value for value, in the same order."""
+        type_models = _type_models(fixture_models)
+        ctype = np.random.default_rng(1).choice(sorted(type_models), 3 * 256)
+        got = _draw_chains(np.random.default_rng(2), ctype, type_models)
+
+        rng = np.random.default_rng(2)
+        end1 = np.empty(ctype.size)
+        lengths, velocity = np.zeros((3, ctype.size)), np.ones((3, ctype.size))
+        dwells = np.zeros((2, ctype.size))
+        for k in np.unique(ctype):
+            chains = np.flatnonzero(ctype == k)
+            fitted = type_models[k]
+            end1[chains] = fitted[FEATURE_END_TIME, 1].sample_many(rng, chains.size)
+            for t in range(CHAIN_TYPES[k].n_trips):
+                lengths[t, chains] = fitted[FEATURE_LENGTH, t + 1].sample_many(rng, chains.size)
+                velocity[t, chains] = fitted[FEATURE_VELOCITY, t + 1].sample_many(
+                    rng, chains.size, lower=_MIN_VELOCITY_KMH
+                )
+            for j in range(CHAIN_TYPES[k].n_trips - 1):
+                dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, chains.size)
+        for batched, reference in zip(got, (end1, lengths, velocity, dwells)):
+            assert np.array_equal(batched, reference)
 
     def test_invalid_config_rejected(self, fixture_models):
         with pytest.raises(ConfigurationError):

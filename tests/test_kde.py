@@ -2,15 +2,54 @@
 
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
 from chargecast.errors import DataError
-from chargecast.kde import KdeModel, fit_kde, silverman_bandwidth
+from chargecast.kde import KdeModel, fit_kde, ndtri, silverman_bandwidth
+
+
+def _kernel_mass(u, v):
+    """Standard normal mass of [u, v], from the tail on the far side of 0 so
+    that it keeps its precision far from the centre."""
+    return np.where(u > 0, ndtr(-u) - ndtr(-v), ndtr(v) - ndtr(u))
+
+
+def pdf(model: KdeModel, x):
+    """Density of ``model`` at ``x`` (scalar or array); 0 outside the support."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = model.support
+    s, h = model.samples, model.bandwidth
+    z = (x[..., None] - s) / h
+    raw = np.exp(-0.5 * z * z).mean(axis=-1) / (h * math.sqrt(2.0 * math.pi))
+    mass = float(np.mean(_kernel_mass((lo - s) / h, (hi - s) / h)))
+    out = np.where((x >= lo) & (x <= hi), raw / mass, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def cdf(model: KdeModel, x, lower: float = -math.inf):
+    """Cumulative distribution of ``model`` truncated to [max(lo, lower), hi],
+    the distribution ``sample_many(..., lower=lower)`` draws from.
+
+    The mass below ``x`` and the mass above it are each summed from kernel
+    masses that keep their precision in the tails, so the upper tail is a
+    complement (ndtr(-z)) rather than a difference from 1.
+    """
+    lo, hi = max(model.support[0], lower), model.support[1]
+    x = np.clip(np.asarray(x, dtype=float), lo, hi)
+    s, h = model.samples, model.bandwidth
+    z = (x[..., None] - s) / h
+    below = _kernel_mass((lo - s) / h, z).sum(axis=-1)
+    above = _kernel_mass(z, (hi - s) / h).sum(axis=-1)
+    out = below / (below + above)
+    return float(out) if out.ndim == 0 else out
 
 
 def integral_over_support(model: KdeModel, points_per_bandwidth: int = 250) -> float:
@@ -25,7 +64,7 @@ def integral_over_support(model: KdeModel, points_per_bandwidth: int = 250) -> f
     span_hi = min(hi, model.samples.max() + 12 * model.bandwidth)
     n = min(int((span_hi - span_lo) / model.bandwidth * points_per_bandwidth) + 2, 2_000_000)
     grid = np.linspace(span_lo, span_hi, max(n, 2000))
-    return float(np.trapezoid(model.pdf(grid), grid))
+    return float(np.trapezoid(pdf(model, grid), grid))
 
 
 class TestBandwidth:
@@ -63,23 +102,23 @@ class TestBandwidth:
 class TestPdf:
     def test_single_sample_peak_value(self):
         model = fit_kde([4.0])
-        assert model.pdf(4.0) == pytest.approx(1.0 / (model.bandwidth * math.sqrt(2 * math.pi)))
+        assert pdf(model, 4.0) == pytest.approx(1.0 / (model.bandwidth * math.sqrt(2 * math.pi)))
 
     def test_kernel_symmetry(self):
         model = fit_kde([4.0])
         for delta in (0.001, 0.5, 3.0):
-            assert model.pdf(4.0 + delta) == pytest.approx(model.pdf(4.0 - delta), rel=1e-12)
+            assert pdf(model, 4.0 + delta) == pytest.approx(pdf(model, 4.0 - delta), rel=1e-12)
 
     def test_far_tail_is_effectively_zero(self):
         model = fit_kde([0.0, 1.0])
         far = 1.0 + 100 * model.bandwidth
-        assert model.pdf(far) < 1e-300
+        assert pdf(model, far) < 1e-300
 
     def test_zero_outside_support(self):
         model = fit_kde([5.0, 6.0, 7.0], support=(0.0, 10.0))
-        assert model.pdf(-0.5) == 0.0
-        assert model.pdf(10.5) == 0.0
-        assert np.all(model.pdf(np.linspace(-5, 15, 101)) >= 0.0)
+        assert pdf(model, -0.5) == 0.0
+        assert pdf(model, 10.5) == 0.0
+        assert np.all(pdf(model, np.linspace(-5, 15, 101)) >= 0.0)
 
     def test_normalization_unbounded(self):
         rng = np.random.default_rng(3)
@@ -95,7 +134,7 @@ class TestPdf:
         # Mass cut off outside the bounds must be redistributed inside.
         unbounded = fit_kde([0.0, 1.0, 2.0])
         bounded = KdeModel(unbounded.samples, unbounded.bandwidth, support=(0.0, 2.0))
-        assert bounded.pdf(1.0) > unbounded.pdf(1.0)
+        assert pdf(bounded, 1.0) > pdf(unbounded, 1.0)
 
 
 class TestSampling:
@@ -126,9 +165,9 @@ class TestSampling:
         model = KdeModel(np.array([0.0]), bandwidth=5.0, support=(0.0, 0.5))
         draws = model.sample_many(np.random.default_rng(6), 5000)
         assert draws.min() >= 0.0 and draws.max() <= 0.5
-        assert model.cdf(0.5) == pytest.approx(1.0, abs=1e-12)
+        assert cdf(model, 0.5) == pytest.approx(1.0, abs=1e-12)
         assert integral_over_support(model) == pytest.approx(1.0, abs=1e-6)
-        assert kstest(draws, model.cdf).statistic < 0.03
+        assert kstest(draws, lambda x: cdf(model, x)).statistic < 0.03
 
     def test_empirical_cdf_matches_model(self):
         model = fit_kde(
@@ -136,7 +175,7 @@ class TestSampling:
             support=(0.0, 1440.0),
         )
         draws = model.sample_many(np.random.default_rng(2), 100_000)
-        assert kstest(draws, model.cdf).statistic < 0.01
+        assert kstest(draws, lambda x: cdf(model, x)).statistic < 0.01
 
     def test_no_mass_above_lower_bound_is_data_error(self):
         model = KdeModel(np.array([0.0]), bandwidth=1e-3, support=(0.0, 5.0))
@@ -150,8 +189,8 @@ class TestSampling:
     @given(data=st.data())
     def test_truncated_draws_property(self, data):
         """Random truncated mixtures, with the lower sampling bound often
-        above some kernel centres: draws stay inside the bounds and follow
-        the renormalized cdf (KS bound 0.04 for 4000 draws: p < 1e-5)."""
+        above some or all kernel centres: draws stay inside the bounds and
+        follow the renormalized cdf (KS bound 0.04 for 4000 draws: p < 1e-5)."""
         n = data.draw(st.integers(1, 12), label="kernels")
         centres = np.array(data.draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n)))
         bandwidth = data.draw(st.floats(0.05, 30.0), label="bandwidth")
@@ -159,18 +198,37 @@ class TestSampling:
             data.draw(st.sampled_from([-math.inf, 0.0]), label="lo"),
             data.draw(st.sampled_from([math.inf, 100.0, 150.0]), label="hi"),
         )
-        # At or below the highest centre, so the bounded mass is not tiny
-        # and the reference cdf below keeps its precision.
-        lower = data.draw(st.floats(-20.0, float(centres.max())), label="lower")
+        # Up to 12 bandwidths above the highest centre, where the bounded
+        # mass is below 1e-32 of the whole.
+        top = min(float(centres.max()) + 12.0 * bandwidth, support[1] - 1e-6)
+        lower = data.draw(st.floats(-20.0, top), label="lower")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         model = KdeModel(centres, bandwidth, support)
 
         draws = model.sample_many(np.random.default_rng(seed), 4000, lower=lower)
         lo = max(support[0], lower)
         assert lo <= draws.min() and draws.max() <= support[1]
-        below = model.cdf(lo)
-        statistic = kstest(draws, lambda x: (model.cdf(x) - below) / (1.0 - below)).statistic
+        statistic = kstest(draws, lambda x: cdf(model, x, lower)).statistic
         assert statistic < 0.04
+
+
+class TestNdtri:
+    def test_matches_statistics_inv_cdf_bit_for_bit(self):
+        p = np.concatenate([
+            np.linspace(1e-12, 1.0 - 1e-12, 1000), np.random.default_rng(3).random(1000),
+        ])
+        expected = [statistics.NormalDist().inv_cdf(v) for v in p.tolist()]
+        assert ndtri(p).tolist() == expected
+
+    def test_within_8_ulp_of_scipy(self):
+        uniforms = np.random.default_rng(4).random(1_000_000)
+        tails = np.logspace(-300, -1, 3000)
+        for p in (uniforms, tails, 1.0 - tails[tails > 1e-16]):
+            reference = scipy_ndtri(p)
+            assert np.all(np.abs(ndtri(p) - reference) <= 8 * np.spacing(np.abs(reference)))
+
+    def test_endpoints(self):
+        assert ndtri(np.array([0.0, 0.5, 1.0])).tolist() == [-math.inf, 0.0, math.inf]
 
 
 class TestValidationAndSerialization:
@@ -201,8 +259,8 @@ class TestValidationAndSerialization:
         model = fit_kde(rng.normal(30, 7, size=64), support=(0.0, math.inf))
         loaded = self._rebuild(json.loads(json.dumps(model.to_dict())))
         grid = np.linspace(0.0, 60.0, 257)
-        orig = model.pdf(grid)
-        back = loaded.pdf(grid)
+        orig = pdf(model, grid)
+        back = pdf(loaded, grid)
         nonzero = orig > 0
         assert np.all(np.abs(back[nonzero] / orig[nonzero] - 1.0) <= 1e-12)
 

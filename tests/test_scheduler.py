@@ -1,22 +1,23 @@
-"""Storage scheduling: tariff handling, LP vs enumeration, feasibility."""
+"""Storage scheduling: tariff handling, DP vs enumeration and HiGHS, feasibility."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from chargecast.errors import ConfigurationError, DataError, SolverError
 from chargecast.forecast import LoadProfile
 from chargecast.scheduler import (
     DEFAULT_TARIFF,
     EssParams,
+    SchedulePlan,
     TariffSchedule,
-    baseline_cost,
     brute_force_schedule,
     multi_day_schedule,
-    solve_schedule,
     solve_schedule_slots,
     verify_plan,
 )
@@ -34,6 +35,45 @@ def hourly_tariff(prices):
     windows = [(60.0 * i, 60.0 * (i + 1), p) for i, p in enumerate(prices)]
     windows.append((60.0 * len(prices), 1440.0, prices[-1]))
     return TariffSchedule(tuple(windows))
+
+
+def baseline_cost(p_ev: LoadProfile, tariff: TariffSchedule) -> float:
+    """Electricity bill with the ESS idle."""
+    prices = tariff.slot_prices(p_ev.slot_minutes, len(p_ev.power_kw))
+    return float(np.sum(p_ev.power_kw * prices) * p_ev.slot_minutes / 60.0)
+
+
+def solve_schedule(p_ev: LoadProfile, tariff: TariffSchedule, ess: EssParams) -> SchedulePlan:
+    """Cheapest schedule for one load profile under a tariff."""
+    prices = tariff.slot_prices(p_ev.slot_minutes, len(p_ev.power_kw))
+    return solve_schedule_slots(
+        p_ev.power_kw, prices, p_ev.slot_minutes / 60.0, ess,
+        slot_start_min=np.asarray(p_ev.slot_start_min),
+    )
+
+
+def highs_cost(p_ev, prices, dt_hours, ess) -> float:
+    """Station bill of the sparse LP over [p_0..p_{n-1}, e_0..e_{n-1}] solved
+    by HiGHS: one bidiagonal row e_i - e_{i-1} - dt*p_i = 0 per slot, with
+    e_{-1} = soc_init*C on the right-hand side, the second oracle."""
+    n = len(p_ev)
+    lb = np.full(n, -ess.p_discharge_max_kw)
+    if not ess.allow_export:
+        lb = np.maximum(lb, -p_ev)
+    e_init = ess.soc_init * ess.c_ess_kwh
+    eye = sp.eye(n, format="csr")
+    a_eq = sp.hstack([-dt_hours * eye, eye - sp.eye(n, k=-1, format="csr")], format="csr")
+    b_eq = np.zeros(n)
+    b_eq[0] = e_init
+    bounds = np.empty((2 * n, 2))
+    bounds[:n, 0], bounds[:n, 1] = lb, ess.p_charge_max_kw
+    bounds[n:, 0], bounds[n:, 1] = 0.0, ess.c_ess_kwh
+    if ess.require_terminal_soc:
+        bounds[-1, 0] = e_init
+    res = linprog(np.concatenate([prices * dt_hours, np.zeros(n)]), A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(np.sum((p_ev + res.x[:n]) * prices) * dt_hours)
 
 
 def random_instance(rng):
@@ -154,6 +194,12 @@ class TestSolveSchedule:
             solve_schedule_slots([], [], 0.25, ess)
         assert info.value.exit_code == 3
 
+    @pytest.mark.parametrize("price", [0.0, -0.5, np.nan])
+    def test_nonpositive_price_is_data_error(self, price):
+        with pytest.raises(DataError, match="prices must be positive") as info:
+            solve_schedule_slots([10.0, 10.0], [0.5, price], 1.0, EssParams(c_ess_kwh=100.0))
+        assert info.value.exit_code == 3
+
     def test_lp_never_worse_than_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(40):
@@ -199,6 +245,40 @@ class TestSolveSchedule:
         bf = brute_force_schedule(p_ev, tariff, ess, levels)
         assert lp.cost_with_ess <= bf.cost_with_ess + 1e-6
         verify_plan(lp, ess, tol=1e-9)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 60),
+        c_ess=st.one_of(st.just(0.0), st.floats(1.0, 500.0)),
+        p_charge=st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+        p_discharge=st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+        soc_init=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        require_terminal_soc=st.booleans(),
+        allow_export=st.booleans(),
+        dt_hours=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_dp_matches_highs_property(
+        self, data, n, c_ess, p_charge, p_discharge, soc_init, require_terminal_soc,
+        allow_export, dt_hours,
+    ):
+        """The DP's cost equals the HiGHS LP optimum within 1e-9 relative;
+        prices are often repeated, as on a tiled tariff."""
+        load = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0)),
+                                  min_size=n, max_size=n), label="load")
+        levels = data.draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=n), label="levels")
+        prices = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n),
+                           label="prices")
+        ess = EssParams(
+            c_ess_kwh=c_ess, p_charge_max_kw=p_charge, p_discharge_max_kw=p_discharge,
+            soc_init=soc_init, require_terminal_soc=require_terminal_soc,
+            allow_export=allow_export,
+        )
+        p_ev, prices = np.array(load), np.array(prices)
+        plan = solve_schedule_slots(p_ev, prices, dt_hours, ess)
+        reference = highs_cost(p_ev, prices, dt_hours, ess)
+        assert abs(plan.cost_with_ess - reference) <= 1e-9 * max(1.0, abs(reference))
+        verify_plan(plan, ess, tol=1e-9)
 
     def test_price_scaling_equivariance(self):
         rng = np.random.default_rng(8)

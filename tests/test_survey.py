@@ -131,6 +131,17 @@ class TestParseRecords:
         assert parse_records(io.StringIO(text), diagnostics=diag) == []
         assert diag.reject_reasons == {"unparseable_field": 1}
 
+    @pytest.mark.parametrize("rows", [
+        [",1,1,0800,0830,30,5,3", ",1,1,0900,0930,30,5,1"],
+        ["A,  ,1,0800,0830,30,5,3", "B, ,1,0900,0930,30,5,1"],
+    ], ids=["blank_household", "all_space_vehicle"])
+    def test_blank_id_is_unparseable(self, rows):
+        # Blank IDs of different households must not chain together.
+        records, diag = _parse(rows)
+        assert records == []
+        assert diag.reject_reasons == {"unparseable_field": 2}
+        assert build_chains(records, diag) == []
+
     def test_custom_column_map(self):
         text = "hh,vid,day,dep,arr,mins,mi,why\nA,1,1,0800,0820,20,2,3"
         records = parse_records(io.StringIO(text), column_map={
