@@ -27,11 +27,11 @@ from .scheduler import (
 from .survey import (
     CHAIN_TYPES,
     ChainFeatureDataset,
+    ChainTable,
     ChainType,
     IngestDiagnostics,
     SiteClass,
-    TripChain,
-    TripRecord,
+    TripTable,
     build_chains,
     chain_type_proportions,
     extract_features,

@@ -21,6 +21,7 @@ from .forecast import DAY_MINUTES, LoadProfile, ModelSet, run_forecast
 from .scheduler import SchedulePlan, multi_day_schedule
 from .survey import (
     SITE_CLASSES,
+    ChainFeatureDataset,
     IngestDiagnostics,
     build_chains,
     extract_features,
@@ -104,9 +105,8 @@ def cmd_ingest(config: PipelineConfig) -> dict:
     diag = IngestDiagnostics()
     # utf-8-sig tolerates the BOM some survey exports carry.
     with open(config.input_csv, newline="", encoding="utf-8-sig") as fh:
-        records = parse_records(fh, config.column_map, config.destination_map, diag)
-    chains = build_chains(records, diag)
-    dataset = extract_features(chains)
+        trips = parse_records(fh, config.column_map, config.destination_map, diag)
+    dataset = extract_features(build_chains(trips, diag))
     if dataset.total_chains == 0:
         raise DataError("zero usable chains in input data")
 
@@ -116,12 +116,14 @@ def cmd_ingest(config: PipelineConfig) -> dict:
         provenance={"seed": config.seed, "config": config.echo()},
     )
     print(f"ingest: {dataset.total_chains} chains from {diag.rows_accepted} rows -> {out}")
-    return {"dataset_dir": out, "manifest": manifest}
+    return {"dataset_dir": out, "manifest": manifest, "dataset": dataset}
 
 
-def cmd_forecast(config: PipelineConfig, dataset_dir: Path | None = None) -> dict:
-    dataset_dir = dataset_dir or config.dataset_dir or (config.out_dir / "ingest")
-    dataset = load_dataset(dataset_dir)
+def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = None) -> dict:
+    """Fit and simulate from ``dataset``, or else from the manifest under
+    ``paths.dataset_dir`` (by default the ingest output directory)."""
+    if dataset is None:
+        dataset = load_dataset(config.dataset_dir or (config.out_dir / "ingest"))
     models = ModelSet.from_dataset(dataset)
 
     result = run_forecast(config.fleet, models, threads=config.threads)
@@ -169,10 +171,12 @@ def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> dict:
 
 
 def cmd_pipeline(config: PipelineConfig) -> dict:
-    """Each stage consumes the artifact the previous one just wrote, never
-    the standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``."""
+    """Each stage consumes what the previous one just produced, never the
+    standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``.
+    Forecast takes ingest's dataset in memory: the arrays and count order
+    ``load_dataset`` would read back from the manifest just written."""
     artifacts = cmd_ingest(config)
-    artifacts.update(cmd_forecast(config, dataset_dir=artifacts["dataset_dir"]))
+    artifacts.update(cmd_forecast(config, dataset=artifacts["dataset"]))
     artifacts.update(cmd_schedule(config, load_csv=artifacts["load_curve"]))
     return artifacts
 

@@ -12,6 +12,7 @@ file.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -99,7 +100,8 @@ def _coerce(value, default, name: str):
         if value.is_integer():
             return int(value)
     elif isinstance(value, (int, float) if kind is float else kind):
-        if kind is not float or abs(value) < float("inf"):  # JSON's NaN and Infinity
+        # JSON's NaN and Infinity fail this, and so does an integer too large for a float.
+        if kind is not float or abs(value) <= sys.float_info.max:
             return kind(value)
     raise ConfigurationError(f"{name} must be {_KIND[kind]}, got {value!r}")
 

@@ -286,6 +286,8 @@ def solve_schedule_slots(
         raise DataError("EV load must be nonnegative")
     if not np.all((prices > 0) & np.isfinite(prices)):
         raise DataError("slot prices must be positive and finite")
+    if not (dt_hours > 0 and np.isfinite(dt_hours)):
+        raise DataError(f"slot length must be positive and finite, got {dt_hours!r} h")
 
     if ess.c_ess_kwh == 0 or (ess.p_charge_max_kw == 0 and ess.p_discharge_max_kw == 0):
         plan = _make_plan(p_ev, prices, np.zeros(n), dt_hours, ess, slot_start_min)

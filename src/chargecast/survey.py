@@ -1,9 +1,10 @@
-"""Household travel-survey ingestion: trip records, trip chains, feature samples.
+"""Household travel-survey ingestion: trip table, chain table, feature samples.
 
-Pipeline: ``parse_records`` reads a trip CSV (NHTS-style column layout) into
-validated :class:`TripRecord` rows, ``build_chains`` walks each vehicle-day
-once, unwrapping midnight and cutting home-closed chains of 2..3 trips, and
-``extract_features`` builds the per-chain-type sample arrays the density
+Every stage works on numpy columns. ``parse_records`` reads a trip CSV
+(NHTS-style column layout) in chunks into a :class:`TripTable` of validated
+trips; ``build_chains`` sorts them once, unwraps midnight and cuts
+home-closed chains of 2..3 trips into a :class:`ChainTable`; and
+``extract_features`` gathers the per-chain-type sample arrays the density
 models fit: trip-1 ending time, per-trip length and average velocity, and
 per-midway dwell duration. ``save_dataset`` and ``load_dataset`` keep the
 counts and those arrays in one JSON manifest, keyed by :func:`sample_key`.
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -48,14 +50,10 @@ class SiteClass(Enum):
         return SITE_CLASSES.index(self)
 
 
-SITE_CLASSES: tuple[SiteClass, ...] = (
-    SiteClass.H, SiteClass.W, SiteClass.SE, SiteClass.SR, SiteClass.O,
-)
+SITE_CLASSES: tuple[SiteClass, ...] = tuple(SiteClass)
 
 # Site classes that can appear as a midway stop of a home-closed chain.
-MIDWAY_CLASSES: tuple[SiteClass, ...] = (
-    SiteClass.W, SiteClass.SE, SiteClass.SR, SiteClass.O,
-)
+MIDWAY_CLASSES: tuple[SiteClass, ...] = SITE_CLASSES[1:]
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,6 @@ def _enumerate_chain_types() -> tuple[ChainType, ...]:
 CHAIN_TYPES: tuple[ChainType, ...] = _enumerate_chain_types()
 CHAIN_TYPE_INDEX: dict[ChainType, int] = {t: i for i, t in enumerate(CHAIN_TYPES)}
 _CHAIN_TYPE_BY_LABEL: dict[str, ChainType] = {t.label: t for t in CHAIN_TYPES}
-_CHAIN_TYPE_BY_MIDWAY: dict[tuple[SiteClass, ...], ChainType] = {t.midway: t for t in CHAIN_TYPES}
 
 
 def chain_type_from_label(label: str) -> ChainType:
@@ -107,68 +104,51 @@ def chain_type_from_label(label: str) -> ChainType:
         raise DataError(f"unknown chain type label: {label!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class TripRecord:
-    """One validated trip row from the survey file.
+@dataclass(frozen=True)
+class TripTable:
+    """Validated survey trips as columns, in file order.
 
-    Times are minutes since midnight in [0, 1440); a trip that crosses
-    midnight keeps its raw clock times and is unwrapped during chain
-    assembly. Length is kilometres (converted from survey miles).
+    ``vehicle_day`` numbers each trip's (household, vehicle, travel day) in
+    key order. Times are minutes since midnight in [0, 1440); a trip with
+    ``end < start`` crosses midnight. Lengths are km; ``site`` indexes SITE_CLASSES.
     """
 
-    household_id: str
-    vehicle_id: str
-    travel_day: int
-    start_time: float
-    end_time: float
-    duration: float
-    length_km: float
-    destination: SiteClass
+    vehicle_day: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    duration: np.ndarray
+    length_km: np.ndarray
+    site: np.ndarray
 
-    @property
-    def crosses_midnight(self) -> bool:
-        return self.end_time < self.start_time
+    def __len__(self) -> int:
+        return len(self.start)
 
 
-@dataclass(frozen=True, slots=True)
-class TripChain:
-    """An ordered home-closed sequence of 2..3 trips.
+@dataclass(frozen=True)
+class ChainTable:
+    """Home-closed chains of 2..3 trips, one row per chain, in vehicle-day order.
 
-    ``end_times_min`` holds the unwrapped per-trip arrival times: monotone
-    within the chain and allowed to exceed 1440 when the chain runs past
-    midnight. ``dwell_minutes[k]`` is the stay at midway site k (one entry
-    per trip gap).
+    ``chain_type`` indexes CHAIN_TYPES. Column k of ``trip`` is the row in
+    ``trips`` of trip k, and of ``end_time`` its arrival, unwrapped: monotone
+    and past 1440 when the chain runs past midnight. Column m of ``dwell`` is
+    the stay at midway site m. A 2-trip chain pads with -1 or NaN.
     """
 
-    trips: tuple[TripRecord, ...]
-    chain_type: ChainType
-    end_times_min: tuple[float, ...]
-    dwell_minutes: tuple[float, ...]
+    trips: TripTable
+    chain_type: np.ndarray
+    trip: np.ndarray      # (chains, 3)
+    end_time: np.ndarray  # (chains, 3)
+    dwell: np.ndarray     # (chains, 2)
 
-
-def validate_chain(chain: TripChain) -> None:
-    """Re-check every TripChain invariant; raises DataError on violation."""
-    n = len(chain.trips)
-    if not 2 <= n <= 3:
-        raise DataError(f"chain has {n} trips, expected 2..3")
-    if chain.trips[-1].destination is not SiteClass.H:
-        raise DataError("chain does not end at home")
-    midway = tuple(t.destination for t in chain.trips[:-1])
-    if midway != chain.chain_type.midway:
-        raise DataError("chain_type does not match midway destinations")
-    if len(chain.dwell_minutes) != n - 1:
-        raise DataError("dwell count must be trips - 1")
-    if any(d < 0 for d in chain.dwell_minutes):
-        raise DataError("negative dwell duration")
-    if any(b <= a for a, b in zip(chain.end_times_min, chain.end_times_min[1:])):
-        raise DataError("trip end times not strictly increasing")
+    def __len__(self) -> int:
+        return len(self.chain_type)
 
 
 # ---------------------------------------------------------------------------
 # CSV parsing
 # ---------------------------------------------------------------------------
 
-#: Default source-column names for each TripRecord field (NHTS trip table
+#: Default source-column names for each trip field (NHTS trip table
 #: layout). Override through the config file for other survey exports.
 DEFAULT_COLUMN_MAP: dict[str, str] = {
     "household_id": "HOUSEID",
@@ -219,10 +199,6 @@ class IngestDiagnostics:
     def sequences_dropped(self) -> int:
         return sum(self.drop_reasons.values())
 
-    def reject_row(self, line_no: int, reason: str) -> None:
-        self.reject_reasons[reason] += 1
-        self.rejected_rows.append((line_no, reason))
-
     def as_dict(self) -> dict:
         return {
             "rows_total": self.rows_total,
@@ -238,13 +214,42 @@ class IngestDiagnostics:
         }
 
 
-def _parse_hhmm(raw: str) -> float:
-    """HHMM integer text ('0830' or '830') to minutes since midnight."""
-    value = int(raw)
-    hours, minutes = divmod(value, 100)
-    if not (0 <= hours < 24 and 0 <= minutes < 60):
-        raise ValueError(f"not a valid HHMM time: {raw!r}")
-    return float(hours * 60 + minutes)
+#: Survey rows converted per step: parsing never holds every raw row at once.
+CHUNK_ROWS = 8192
+
+# Reject reasons in the order they are checked; code 0 accepts the row.
+_REJECT_REASONS = ("", "unparseable_field", "nonpositive_duration", "negative_length",
+                   "zero_clock_duration", "end_before_start")
+
+# How each mapped cell is converted. The builtins accept what a survey
+# writes (whitespace, '_', any Unicode digits), and numpy's parsers do not.
+_CONVERSIONS = {
+    "household_id": str.strip, "vehicle_id": str.strip, "travel_day": int, "start_time": int,
+    "end_time": int, "duration": float, "length_miles": float, "destination": int,
+}
+
+
+def _convert(convert, rows: list[list], cell: int) -> tuple[list, list[int]]:
+    """``convert`` over column ``cell`` of ``rows``, and the indices of the cells it
+    rejects; a rejected or missing cell (DictReader's None) reads as "0"."""
+    try:
+        return list(map(convert, map(itemgetter(cell), rows))), []
+    except (ValueError, TypeError, IndexError):
+        values, failed = [], []
+    for row in rows:
+        try:
+            values.append(convert(row[cell]))
+        except (ValueError, TypeError, IndexError):
+            failed.append(len(values))
+            values.append(convert("0"))
+    return values, failed
+
+
+def _minutes(hhmm: list[int]) -> np.ndarray:
+    """HHMM integers (0830 or 830) to minutes since midnight, NaN if no clock time."""
+    value = np.array([v if 0 <= v < 2400 else -1 for v in hhmm], dtype=np.int64)
+    hours, minutes = np.divmod(value, 100)
+    return np.where((value >= 0) & (minutes < 60), hours * 60.0 + minutes, np.nan)
 
 
 def parse_records(
@@ -252,145 +257,132 @@ def parse_records(
     column_map: dict[str, str] | None = None,
     dest_map: dict[int, SiteClass] | None = None,
     diagnostics: IngestDiagnostics | None = None,
-) -> list[TripRecord]:
-    """Read and validate trip rows from an open CSV stream.
+) -> TripTable:
+    """Read and validate trip rows, CHUNK_ROWS at a time, into a TripTable.
 
-    Distances are converted miles -> km with the exact factor 1.609344 and
-    times from HHMM integers to minutes since midnight. Invalid rows are
-    skipped and counted in ``diagnostics`` with their line number (a missing
-    cell, a blank ID, or a non-finite number or implied velocity is an
-    ``unparseable_field``); a missing mapped column is a ConfigurationError.
+    Miles become km (exact factor 1.609344) and HHMM times minutes since
+    midnight. An invalid row is counted in ``diagnostics`` with its line
+    number under the first of ``_REJECT_REASONS`` it fails (a missing cell,
+    blank ID, or non-finite number or velocity is an ``unparseable_field``).
     """
-    columns = dict(DEFAULT_COLUMN_MAP)
-    if column_map:
-        columns.update(column_map)
+    columns = {**DEFAULT_COLUMN_MAP, **(column_map or {})}
     dest_map = DEFAULT_DESTINATION_MAP if dest_map is None else dest_map
+    site_of = {code: site.index for code, site in dest_map.items()}
     diag = diagnostics if diagnostics is not None else IngestDiagnostics()
 
-    reader = csv.DictReader(csv_stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(csv_stream)
+    header = next(reader, None)
+    if header is None:
         raise DataError("input CSV is empty (no header row)")
-    missing = [src for src in columns.values() if src not in reader.fieldnames]
+    missing = [src for src in columns.values() if src not in header]
     if missing:
-        raise ConfigurationError(
-            f"mapped column(s) not present in input CSV: {', '.join(sorted(missing))}"
-        )
+        raise ConfigurationError("mapped column(s) not present in input CSV: "
+                                 + ", ".join(sorted(missing)))
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
 
-    records: list[TripRecord] = []
-    for row in reader:
-        diag.rows_total += 1
-        line_no = reader.line_num
-        try:
-            start = _parse_hhmm(row[columns["start_time"]])
-            end = _parse_hhmm(row[columns["end_time"]])
-            duration = float(row[columns["duration"]])
-            length_km = float(row[columns["length_miles"]]) * MILES_TO_KM
-            # Velocity is length_km / (duration / 60); a subnormal duration zeroes the divisor.
-            if not (math.isfinite(duration) and math.isfinite(length_km)) or (
-                    duration > 0 and not math.isfinite(length_km / (duration / 60.0))):
-                raise ValueError("non-finite duration, length or velocity")
-            travel_day = int(row[columns["travel_day"]])
-            dest_code = int(row[columns["destination"]])
-            household = row[columns["household_id"]].strip()
-            vehicle = row[columns["vehicle_id"]].strip()
-            if not (household and vehicle):
-                raise ValueError("blank ID")
-        except (ValueError, TypeError, AttributeError, ZeroDivisionError):
-            # AttributeError: a short row lacks a mapped ID cell (None).
-            diag.reject_row(line_no, "unparseable_field")
-            continue
+    vehicle_days: dict[tuple[str, str, int], int] = {}  # key -> its first accepted row
+    # Per chunk, the accepted rows' first vehicle-day rows and TripTable columns.
+    parts = [(np.empty(0, np.int64), *[np.empty(0)] * 4, np.empty(0, np.int64))]
+    accepted = 0
+    # Non-blank rows numbered as csv.DictReader numbers them: by the
+    # reader's line after the row, which its fieldnames property re-reads.
+    numbered = ((row, reader.line_num) for row in reader if row)
+    for chunk in iter(lambda: list(islice(numbered, CHUNK_ROWS)), []):
+        rows, lines = zip(*chunk)
+        converted = [_convert(f, rows, position[columns[name]]) for name, f in _CONVERSIONS.items()]
+        household, vehicle, day, start, end, duration, miles, code = (c for c, _ in converted)
+        failed = np.zeros(len(rows), bool)
+        failed[[i for _, bad in converted for i in bad]] = True
+        start, end, duration = _minutes(start), _minutes(end), np.array(duration)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            length_km = np.array(miles) * MILES_TO_KM
+            velocity = length_km / (duration / 60.0)  # a subnormal duration zeroes the divisor
+            reason = np.select([
+                failed | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
+                | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
+                | ~np.fromiter(map(bool, household), bool, len(rows))
+                | ~np.fromiter(map(bool, vehicle), bool, len(rows)),
+                duration <= 0,
+                length_km < 0,
+                # Equal clock times put a positive duration nowhere on the day.
+                end == start,
+                # A past-midnight trip must report the wrapped duration.
+                (end < start) & (np.abs(duration - (end + 1440.0 - start)) > _WRAP_DURATION_TOL_MIN),
+            ], range(1, len(_REJECT_REASONS)))
+        diag.rows_total += len(rows)
+        rejected = np.flatnonzero(reason)
+        names = np.take(_REJECT_REASONS, reason[rejected]).tolist()
+        diag.reject_reasons.update(names)  # a new reason enters at its first row
+        diag.rejected_rows.extend(zip(np.take(lines, rejected).tolist(), names))
+        keep = reason == 0
+        first = list(map(vehicle_days.setdefault, compress(zip(household, vehicle, day), keep),
+                         count(accepted)))
+        site = list(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)))
+        parts.append((np.array(first, np.int64), start[keep], end[keep], duration[keep],
+                      length_km[keep], np.array(site, np.int64)))
+        accepted += len(first)
+        # Free this chunk's rows and columns before the next one is read.
+        del chunk, rows, lines, converted, household, vehicle, day, start, end, duration, miles, code
+    diag.rows_accepted += accepted
 
-        if duration <= 0:
-            diag.reject_row(line_no, "nonpositive_duration")
-            continue
-        if length_km < 0:
-            diag.reject_row(line_no, "negative_length")
-            continue
-        if end == start:
-            # Equal clock times put a positive duration nowhere on the day.
-            diag.reject_row(line_no, "zero_clock_duration")
-            continue
-        if end < start:
-            # Accept only if the reported duration matches a past-midnight
-            # interpretation of the clock times.
-            wrapped_gap = end + 1440.0 - start
-            if abs(duration - wrapped_gap) > _WRAP_DURATION_TOL_MIN:
-                diag.reject_row(line_no, "end_before_start")
-                continue
-
-        records.append(
-            TripRecord(
-                household_id=household,
-                vehicle_id=vehicle,
-                travel_day=travel_day,
-                start_time=start,
-                end_time=end,
-                duration=duration,
-                length_km=length_km,
-                destination=dest_map.get(dest_code, SiteClass.O),
-            )
-        )
-        diag.rows_accepted += 1
-    return records
+    first, *table = map(np.concatenate, zip(*parts))
+    # Number the vehicle-days in key order through each one's first row.
+    number = np.zeros(accepted, np.int64)
+    number[[vehicle_days[key] for key in sorted(vehicle_days)]] = np.arange(len(vehicle_days))
+    return TripTable(number[first], *table)
 
 
 # ---------------------------------------------------------------------------
 # Chain assembly
 # ---------------------------------------------------------------------------
 
+_DROP_REASONS = ("", "too_few_trips", "too_many_trips", "overlapping_trips", "never_returned_home")
+
+
 def build_chains(
-    records: Iterable[TripRecord],
+    trips: TripTable,
     diagnostics: IngestDiagnostics | None = None,
-) -> list[TripChain]:
+) -> ChainTable:
     """Cut home-closed chains of 2..3 trips out of per-vehicle-day trips.
 
-    Records are grouped by (household, vehicle, travel day) and sorted by
-    start time; the day's first trip is taken to depart from home (the
-    survey schema carries destinations only). Each arrival at H closes a
-    segment; segments of 1 trip, of 4+ trips, with overlapping trips, or
+    One stable lexsort orders the trips by vehicle-day and start time (a tie
+    keeps file order); the day's first trip is taken to depart from home
+    (the survey schema carries destinations only). Each arrival at H closes
+    a segment; segments of 1 trip, of 4+ trips, with overlapping trips, or
     that never return home are dropped and counted.
     """
     diag = diagnostics if diagnostics is not None else IngestDiagnostics()
+    n = len(trips)
+    order = np.lexsort((trips.start, trips.vehicle_day))
+    site, start, end = trips.site[order], trips.start[order], trips.end[order]
+    new_day = np.diff(trips.vehicle_day[order], prepend=-1) != 0
+    # Clock times are unwrapped onto a monotone axis: a trip crossing
+    # midnight pushes every later time of the same day forward by 24 h.
+    crossing = end < start
+    crossed = np.cumsum(crossing) - crossing
+    offset = 1440.0 * (crossed - crossed[new_day][np.cumsum(new_day) - 1])
+    start, end = start + offset, end + offset + 1440.0 * crossing
 
-    groups: dict[tuple[str, str, int], list[TripRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.household_id, rec.vehicle_id, rec.travel_day), []).append(rec)
+    # A segment starts a day or follows an arrival home.
+    home = site == SiteClass.H.index
+    opens = new_day | np.append(False, home[:-1])
+    first = np.flatnonzero(opens)
+    size = np.diff(np.append(first, n))
+    gap = np.concatenate(([0.0], start[1:] - end[:-1]))  # dwell before each trip
+    reason = np.select([~home[first + size - 1], size < 2, size > 3,
+                        np.logical_or.reduceat((gap < 0) & ~opens, first)], [4, 1, 2, 3], 0)
+    diag.drop_reasons.update(np.take(_DROP_REASONS, reason[reason > 0]).tolist())
 
-    chains: list[TripChain] = []
-    for key in sorted(groups):
-        # Clock times are unwrapped onto a monotone axis as the day is
-        # walked: a trip crossing midnight pushes every later time of the
-        # same day forward by 24 h.
-        offset = 0.0
-        segment, ends, dwells = [], [], []
-        for trip in sorted(groups[key], key=lambda r: r.start_time):
-            start, end = trip.start_time + offset, trip.end_time + offset
-            if trip.crosses_midnight:
-                end += 1440.0
-                offset += 1440.0
-            if ends:
-                dwells.append(start - ends[-1])
-            segment.append(trip)
-            ends.append(end)
-            if trip.destination is not SiteClass.H:
-                continue
-            if len(segment) < 2:
-                diag.drop_reasons["too_few_trips"] += 1
-            elif len(segment) > 3:
-                diag.drop_reasons["too_many_trips"] += 1
-            elif any(gap < 0 for gap in dwells):
-                diag.drop_reasons["overlapping_trips"] += 1
-            else:
-                midway = tuple(t.destination for t in segment[:-1])
-                chains.append(TripChain(
-                    tuple(segment), _CHAIN_TYPE_BY_MIDWAY[midway], tuple(ends), tuple(dwells),
-                ))
-                diag.chains_emitted += 1
-            segment, ends, dwells = [], [], []
-        if segment:
-            diag.drop_reasons["never_returned_home"] += 1
-
-    return chains
+    first, size = first[reason == 0], size[reason == 0]
+    diag.chains_emitted += len(first)
+    at = np.minimum(first[:, None] + np.arange(3), n - 1)  # a 2-trip chain's pad is masked
+    used = np.arange(3) < size[:, None]
+    # CHAIN_TYPES holds the 4 simple types, then the 16 complex ones, in
+    # midway order W, SE, SR, O: site indices 1..4, and H (0) ends a chain.
+    first_stop, second_stop = site[at[:, 0]] - 1, site[at[:, 1]] - 1
+    chain_type = np.where(second_stop < 0, first_stop, 4 + 4 * first_stop + second_stop)
+    return ChainTable(trips, chain_type, np.where(used, order[at], -1), np.where(used, end[at], np.nan),
+                      np.where(used[:, 1:], gap[at[:, 1:]], np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +420,31 @@ class ChainFeatureDataset:
         return self.samples.get((chain_type, feature, index))
 
 
-def extract_features(chains: Iterable[TripChain]) -> ChainFeatureDataset:
+def extract_features(chains: ChainTable) -> ChainFeatureDataset:
     """Per-(type, feature, index) sample arrays, in chain order within each.
 
-    Every type present gets exactly the keys its density model fits; a
-    velocity array may be shorter than the type's count.
+    Types enter ``counts`` in CHAIN_TYPES order, as ``load_dataset`` returns
+    them. Every type present gets exactly the keys its density model fits;
+    a velocity array may be shorter than the type's count.
     """
-    by_type: dict[ChainType, list[TripChain]] = {}
-    for chain in chains:
-        by_type.setdefault(chain.chain_type, []).append(chain)
-
+    trips = chains.trips
+    counts: dict[ChainType, int] = {}
     samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
-    for ctype, group in by_type.items():
-        samples[ctype, FEATURE_END_TIME, 1] = np.array([c.end_times_min[0] for c in group])
+    for i, ctype in enumerate(CHAIN_TYPES):
+        of_type = np.flatnonzero(chains.chain_type == i)
+        if not len(of_type):
+            continue
+        counts[ctype] = len(of_type)
+        samples[ctype, FEATURE_END_TIME, 1] = chains.end_time[of_type, 0]
         for k in range(ctype.n_trips):
-            trips = [c.trips[k] for c in group]
-            samples[ctype, FEATURE_LENGTH, k + 1] = np.array([t.length_km for t in trips])
-            samples[ctype, FEATURE_VELOCITY, k + 1] = np.array([
-                t.length_km / (t.duration / 60.0) for t in trips if t.duration > 0 and t.length_km > 0
-            ])
+            rows = chains.trip[of_type, k]
+            length, duration = trips.length_km[rows], trips.duration[rows]
+            moving = (duration > 0) & (length > 0)
+            samples[ctype, FEATURE_LENGTH, k + 1] = length
+            samples[ctype, FEATURE_VELOCITY, k + 1] = length[moving] / (duration[moving] / 60.0)
         for m in range(ctype.n_trips - 1):
-            samples[ctype, FEATURE_DWELL, m + 1] = np.array([c.dwell_minutes[m] for c in group])
-    return ChainFeatureDataset({t: len(g) for t, g in by_type.items()}, samples)
+            samples[ctype, FEATURE_DWELL, m + 1] = chains.dwell[of_type, m]
+    return ChainFeatureDataset(counts, samples)
 
 
 def chain_type_proportions(dataset: ChainFeatureDataset) -> np.ndarray:
@@ -492,26 +487,31 @@ def save_dataset(
     """Write the counts and every sample array into one JSON manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    proportions = (
-        chain_type_proportions(dataset) if dataset.total_chains > 0
-        else np.zeros(len(CHAIN_TYPES))
-    )
-    order = sorted(dataset.samples, key=lambda k: (CHAIN_TYPE_INDEX[k[0]], k[1], k[2]))
+    total = dataset.total_chains
+    proportions = chain_type_proportions(dataset) if total > 0 else np.zeros(len(CHAIN_TYPES))
     manifest = {
         "schema": "chain-feature-dataset/v1",
         "chain_type_order": [t.label for t in CHAIN_TYPES],
         "counts": {t.label: dataset.count(t) for t in CHAIN_TYPES},
-        "total_chains": dataset.total_chains,
+        "total_chains": total,
         "proportions": [float(p) for p in proportions],
-        "samples": {sample_key(*key): dataset.samples[key] for key in order},
+        "samples": {},
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics.as_dict()
     if provenance is not None:
         manifest["provenance"] = provenance
+    # json.dump(indent=2)'s text, with each array streamed in place of the
+    # empty "samples" object as json writes it: a finite float as its repr.
+    head, samples, tail = json.dumps(manifest, indent=2).partition('\n  "samples": {}')
+    order = sorted(dataset.samples, key=lambda k: (CHAIN_TYPE_INDEX[k[0]], k[1], k[2]))
     with open(out / _MANIFEST_NAME, "w") as fh:
-        # Each array becomes a list only when the encoder reaches it.
-        json.dump(manifest, fh, indent=2, default=np.ndarray.tolist)
+        fh.write(head + samples[:-1])
+        for n, key in enumerate(order):
+            values = dataset.samples[key].tolist()
+            fh.write(f'{"," if n else ""}\n    "{sample_key(*key)}": ')
+            fh.write("[\n      " + ",\n      ".join(map(repr, values)) + "\n    ]" if values else "[]")
+        fh.write(("\n  }" if order else "}") + tail)
     return out / _MANIFEST_NAME
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -282,10 +283,11 @@ class TestPipelineCommand:
         {"ess": {"c_ess_kwh": math.nan}},
         {"fleet": {"p_charging_kw": math.inf}},
         {"tariff": [[0, 1440, math.inf]]},
+        {"ess": {"c_ess_kwh": 10**400}},
     ], ids=[
         "horizon_days", "threads", "input_csv", "require_terminal_soc", "n_ev",
         "currency_null", "tariff_bool", "tariff_string", "nan_capacity", "infinite_power",
-        "infinite_price",
+        "infinite_price", "huge_integer",
     ])
     def test_malformed_value_exits_2(self, tmp_path, fixture_csv_path, capsys, override):
         config = write_config(tmp_path, fixture_csv_path, **override)
@@ -366,6 +368,19 @@ class TestPipelineCommand:
             assert (tmp_path / "chained" / artifact).read_bytes() == (
                 tmp_path / "out" / artifact
             ).read_bytes(), artifact
+
+    def test_in_memory_hand_off_matches_separate_stages(self, tmp_path, fixture_csv_path):
+        # The stages read ingest's manifest back; the pipeline hands the
+        # dataset over in memory, and ModelSet.save keeps its count order.
+        config = write_config(tmp_path, fixture_csv_path)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config)]) == 0
+        piped = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        shutil.rmtree(out)
+        for stage in ("ingest", "forecast", "schedule"):
+            assert main([stage, "--config", str(config)]) == 0
+        staged = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert piped == staged, sorted(str(p) for p in piped if piped[p] != staged.get(p))
 
 
 class TestGoldenCaseStudy:

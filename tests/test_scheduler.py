@@ -200,6 +200,12 @@ class TestSolveSchedule:
             solve_schedule_slots([10.0, 10.0], [0.5, price], 1.0, EssParams(c_ess_kwh=100.0))
         assert info.value.exit_code == 3
 
+    @pytest.mark.parametrize("dt_hours", [0.0, np.nan, np.inf, -0.25])
+    def test_bad_slot_length_is_data_error(self, dt_hours):
+        with pytest.raises(DataError, match="slot length") as info:
+            solve_schedule_slots([10.0, 10.0], [0.5, 1.0], dt_hours, EssParams(c_ess_kwh=100.0))
+        assert info.value.exit_code == 3
+
     def test_lp_never_worse_than_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(40):
