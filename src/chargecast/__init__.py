@@ -19,7 +19,6 @@ from .scheduler import (
     EssParams,
     SchedulePlan,
     TariffSchedule,
-    brute_force_schedule,
     multi_day_schedule,
     solve_schedule_slots,
     verify_plan,

@@ -74,6 +74,8 @@ def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
         table = np.array([[float(cell) for cell in r] for r in rows])
     except ValueError:
         raise DataError(f"load curve {path} has a non-numeric cell") from None
+    if not np.isfinite(table).all():
+        raise DataError(f"load curve {path} has a non-finite cell")
     slot_minutes = int(DAY_MINUTES) // len(rows)
     starts = np.arange(len(rows)) * slot_minutes
     if slot_minutes * len(rows) != DAY_MINUTES or not np.array_equal(table[:, 0], starts):

@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .forecast import FleetConfig
 from .scheduler import DEFAULT_TARIFF, EssParams, TariffSchedule
-from .survey import DEFAULT_DESTINATION_MAP, SiteClass
+from .survey import DEFAULT_COLUMN_MAP, DEFAULT_DESTINATION_MAP, SiteClass
 
 _TOP_LEVEL_KEYS = {
     "paths", "column_map", "destination_map", "fleet", "ess", "tariff",
@@ -171,6 +171,7 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         isinstance(k, str) and isinstance(v, str) for k, v in column_map.items()
     ):
         raise ConfigurationError("column_map must map field names to column names")
+    _require_mapping(column_map, "column_map", set(DEFAULT_COLUMN_MAP))
 
     return PipelineConfig(
         input_csv=Path(paths["input_csv"]) if paths.get("input_csv") else None,

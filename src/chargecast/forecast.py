@@ -39,6 +39,7 @@ from .survey import (
     ChainType,
     SiteClass,
     chain_type_proportions,
+    feature_keys,
     sample_key,
 )
 
@@ -108,11 +109,8 @@ class LoadProfile:
 class SiteLoadBundle:
     """One load curve per site class plus the station composite."""
 
-    site_profiles: tuple[LoadProfile, ...]
+    site_profiles: tuple[LoadProfile, ...]  # indexed by SiteClass.index
     station: LoadProfile
-
-    def profile(self, site: SiteClass) -> LoadProfile:
-        return self.site_profiles[site.index]
 
 
 def station_composite(q_pro: Sequence[float], site_power: np.ndarray) -> np.ndarray:
@@ -180,8 +178,8 @@ class ModelSet:
         for ctype, count in dataset.counts.items():
             if count <= 0:
                 continue
-            for feature, index in _required_keys(ctype):
-                samples = dataset.get(ctype, feature, index)
+            for feature, index in feature_keys(ctype):
+                samples = dataset.samples.get((ctype, feature, index))
                 if samples is None or len(samples) == 0:
                     raise DataError(
                         f"dataset lacks samples for {ctype.label} {feature} #{index}"
@@ -211,16 +209,6 @@ class ModelSet:
         Path(path).write_text(json.dumps(doc))
 
 
-def _required_keys(ctype: ChainType) -> list[tuple[str, int]]:
-    keys: list[tuple[str, int]] = [(FEATURE_END_TIME, 1)]
-    for t in range(1, ctype.n_trips + 1):
-        keys.append((FEATURE_LENGTH, t))
-        keys.append((FEATURE_VELOCITY, t))
-    for m in range(1, ctype.n_trips):
-        keys.append((FEATURE_DWELL, m))
-    return keys
-
-
 # ---------------------------------------------------------------------------
 # Block simulation
 # ---------------------------------------------------------------------------
@@ -248,7 +236,7 @@ def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]
     if not np.any(models.proportions > 0):
         raise ConfigurationError("chain-type proportions have no positive mass")
     return {
-        k: {key: models.get(ctype, *key) for key in _required_keys(ctype)}
+        k: {key: models.get(ctype, *key) for key in feature_keys(ctype)}
         for k, ctype in enumerate(CHAIN_TYPES)
         if models.proportions[k] > 0
     }
@@ -392,20 +380,18 @@ def _accumulate_site_power(
     start_min: np.ndarray,
     duration_min: np.ndarray,
     config: FleetConfig,
-    horizon_minutes: float,
 ) -> np.ndarray:
-    """Per-site average power per slot of the charge events given as arrays.
+    """Per-site average power per slot of the 48 h axis, from charge events
+    given as arrays.
 
     Events are truncated at the axis ends and prorated within partially
     covered slots. Each (site, slot) cell sums its contributions in event
     order.
     """
     slot = float(config.slot_minutes)
-    n_slots = int(round(horizon_minutes / slot))
-    if abs(n_slots * slot - horizon_minutes) > 1e-9:
-        raise ConfigurationError("horizon must be a whole number of slots")
+    n_slots = int(round(HORIZON_MINUTES / slot))
     a = np.maximum(0.0, start_min)
-    b = np.minimum(start_min + duration_min, horizon_minutes)
+    b = np.minimum(start_min + duration_min, HORIZON_MINUTES)
     keep = b > a
     site, a, b = site[keep], a[keep], b[keep]
     i0 = (a // slot).astype(np.intp)
@@ -423,20 +409,11 @@ def _accumulate_site_power(
     return power.reshape(len(SITE_CLASSES), n_slots)
 
 
-def _bundle_from_site_power(
-    site_power: np.ndarray,
-    config: FleetConfig,
-    report_last_minutes: float | None,
-) -> SiteLoadBundle:
-    """Per-site and composite load curves from a site x slot power matrix.
-
-    When ``report_last_minutes`` is set, only the trailing window is
-    returned, with slot labels counted from the window start.
-    """
+def _bundle_from_site_power(site_power: np.ndarray, config: FleetConfig) -> SiteLoadBundle:
+    """Per-site and composite load curves of the last day of a site x slot
+    power matrix, with slot labels counted from that day's start."""
     slot = config.slot_minutes
-    if report_last_minutes is not None:
-        n_report = int(round(report_last_minutes / slot))
-        site_power = site_power[:, site_power.shape[1] - n_report:]
+    site_power = site_power[:, site_power.shape[1] - int(DAY_MINUTES) // slot:]
     starts = np.arange(site_power.shape[1], dtype=int) * slot
     station_power = station_composite(config.q_pro, site_power)
     profiles = tuple(
@@ -508,9 +485,7 @@ def run_forecast(
     event_energy = 0.0
     for block in range(n_blocks):
         sim = _simulate_block(config, models.proportions, type_models, block)
-        total_power += _accumulate_site_power(
-            sim.site, sim.start_min, sim.duration_min, config, HORIZON_MINUTES
-        )
+        total_power += _accumulate_site_power(sim.site, sim.start_min, sim.duration_min, config)
         end = np.minimum(sim.start_min + sim.duration_min, HORIZON_MINUTES)
         inside = end - np.maximum(0.0, sim.start_min)
         event_energy += config.p_charging_kw * float(inside[inside > 0].sum()) / 60.0
@@ -521,7 +496,7 @@ def run_forecast(
 
     dt_h = config.slot_minutes / 60.0
     site_energy_full = tuple(float(total_power[i].sum() * dt_h) for i in range(len(SITE_CLASSES)))
-    bundle = _bundle_from_site_power(total_power, config, report_last_minutes=DAY_MINUTES)
+    bundle = _bundle_from_site_power(total_power, config)
     return ForecastResult(
         bundle=bundle,
         n_vehicles=config.n_ev,

@@ -8,25 +8,22 @@ optional non-export constraint (on by default) tightens lb_i to -EV load.
 
 This is Bellman's warehouse problem (1956) with per-slot power limits, and
 ``solve_schedule_slots`` solves it exactly by a convex dynamic program (see
-``_cheapest_energy``). ``brute_force_schedule`` is the enumeration oracle
-that cross-checks it on small instances; the tests also compare its cost
-with a HiGHS linear program. When the days of a horizon tile the same
-prices, there are many optimal schedules: only the total cost is pinned,
-and the per-day split of it is whichever optimum the DP returns.
+``_cheapest_energy``). The tests cross-check its cost against an
+enumeration oracle on small instances and against a HiGHS linear program.
+When the days of a horizon tile the same prices, there are many optimal
+schedules: only the total cost is pinned, and the per-day split of it is
+whichever optimum the DP returns.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, SolverError
-from .forecast import LoadProfile
-
-MINUTES_PER_DAY = 1440.0
+from .forecast import DAY_MINUTES, LoadProfile
 
 #: Feasibility tolerance of the post-solve verification pass.
 VERIFY_TOL = 1e-9
@@ -46,7 +43,7 @@ class TariffSchedule:
         if not self.windows:
             raise ConfigurationError("tariff needs at least one window")
         ordered = sorted(self.windows, key=lambda w: w[0])
-        if ordered[0][0] != 0.0 or ordered[-1][1] != MINUTES_PER_DAY:
+        if ordered[0][0] != 0.0 or ordered[-1][1] != DAY_MINUTES:
             raise ConfigurationError("tariff windows must cover [0, 1440) exactly")
         for (s0, e0, _), (s1, _, _) in zip(ordered, ordered[1:]):
             if e0 != s1:
@@ -64,7 +61,7 @@ class TariffSchedule:
         """
         prices = np.empty(n_slots)
         for i in range(n_slots):
-            t0 = (i * slot_minutes) % MINUTES_PER_DAY
+            t0 = (i * slot_minutes) % DAY_MINUTES
             t1 = t0 + slot_minutes
             for start, end, price in self.windows:
                 if start <= t0 and t1 <= end:
@@ -181,32 +178,33 @@ def _make_plan(
     return plan
 
 
-def verify_plan(plan: SchedulePlan, ess: EssParams, tol: float = VERIFY_TOL) -> None:
+def verify_plan(plan: SchedulePlan, ess: EssParams) -> None:
     """Check every feasibility condition of a plan; SolverError on failure.
 
-    Power and SOC bounds are checked to ``tol`` (scaled by the power limits
-    for the power checks); the stored-energy recursion is re-derived from
-    the ESS powers and compared slot by slot.
+    Power and SOC bounds are checked to ``VERIFY_TOL`` (scaled by the power
+    limits for the power checks); the stored-energy recursion is re-derived
+    from the ESS powers and compared slot by slot.
     """
     power_scale = max(1.0, ess.p_charge_max_kw, ess.p_discharge_max_kw)
-    p_tol = tol * power_scale
+    p_tol = VERIFY_TOL * power_scale
 
     if np.any(plan.p_ess_kw > ess.p_charge_max_kw + p_tol):
         raise SolverError("ESS charging power exceeds its limit")
     if np.any(plan.p_ess_kw < -ess.p_discharge_max_kw - p_tol):
         raise SolverError("ESS discharging power exceeds its limit")
-    if not ess.allow_export and np.any(plan.p_ch_kw < -max(p_tol, tol * np.max(np.abs(plan.p_ev_kw), initial=1.0))):
+    ev_tol = VERIFY_TOL * np.max(np.abs(plan.p_ev_kw), initial=1.0)
+    if not ess.allow_export and np.any(plan.p_ch_kw < -max(p_tol, ev_tol)):
         raise SolverError("station draw is negative while export is disabled")
     if np.max(np.abs(plan.p_ch_kw - (plan.p_ev_kw + plan.p_ess_kw))) > p_tol:
         raise SolverError("station draw does not equal EV load plus ESS power")
 
     if ess.c_ess_kwh > 0:
         soc_expected = ess.soc_init + plan.dt_hours * np.cumsum(plan.p_ess_kw) / ess.c_ess_kwh
-        if np.max(np.abs(plan.soc_ess - soc_expected)) > tol:
+        if np.max(np.abs(plan.soc_ess - soc_expected)) > VERIFY_TOL:
             raise SolverError("SOC recursion mismatch")
-        if np.any(plan.soc_ess < -tol) or np.any(plan.soc_ess > 1.0 + tol):
+        if np.any(plan.soc_ess < -VERIFY_TOL) or np.any(plan.soc_ess > 1.0 + VERIFY_TOL):
             raise SolverError("ESS state of charge out of [0, 1]")
-        if ess.require_terminal_soc and plan.soc_ess[-1] < ess.soc_init - tol:
+        if ess.require_terminal_soc and plan.soc_ess[-1] < ess.soc_init - VERIFY_TOL:
             raise SolverError("terminal state of charge below its floor")
     else:
         if np.any(np.abs(plan.p_ess_kw) > p_tol):
@@ -282,8 +280,8 @@ def solve_schedule_slots(
         raise DataError("load profile has no slots")
     if len(prices) != n:
         raise DataError("price vector and load profile lengths differ")
-    if np.any(p_ev < 0):
-        raise DataError("EV load must be nonnegative")
+    if not np.all((p_ev >= 0) & np.isfinite(p_ev)):
+        raise DataError("EV load must be finite and nonnegative")
     if not np.all((prices > 0) & np.isfinite(prices)):
         raise DataError("slot prices must be positive and finite")
     if not (dt_hours > 0 and np.isfinite(dt_hours)):
@@ -318,53 +316,11 @@ def multi_day_schedule(
     for profile in day_profiles:
         if profile.slot_minutes != slot:
             raise DataError("all days must share one slot grid")
-        if profile.horizon_minutes != MINUTES_PER_DAY:
+        if profile.horizon_minutes != DAY_MINUTES:
             raise DataError("each profile must cover exactly one day")
 
     p_ev = np.concatenate([p.power_kw for p in day_profiles])
-    day_prices = tariff.slot_prices(slot, int(MINUTES_PER_DAY / slot))
+    day_prices = tariff.slot_prices(slot, int(DAY_MINUTES / slot))
     prices = np.tile(day_prices, len(day_profiles))
     starts = np.arange(len(p_ev)) * slot
     return solve_schedule_slots(p_ev, prices, slot / 60.0, ess, slot_start_min=starts)
-
-
-def brute_force_schedule(
-    p_ev: LoadProfile,
-    tariff: TariffSchedule,
-    ess: EssParams,
-    power_levels,
-    max_slots: int = 8,
-) -> SchedulePlan:
-    """Exhaustive oracle over a discrete ESS power grid (small instances only)."""
-    ess.validate()
-    n = len(p_ev.power_kw)
-    if n > max_slots:
-        raise ConfigurationError(f"brute force limited to {max_slots} slots, got {n}")
-    levels = sorted({float(v) for v in power_levels})
-    if 0.0 not in levels:
-        raise ConfigurationError("power_levels must include 0")
-
-    prices = tariff.slot_prices(p_ev.slot_minutes, n)
-    dt = p_ev.slot_minutes / 60.0
-    load = np.asarray(p_ev.power_kw, dtype=float)
-
-    grid = np.array(list(itertools.product(levels, repeat=n)))  # (L^n, n)
-
-    lb = np.full(n, -ess.p_discharge_max_kw)
-    if not ess.allow_export:
-        lb = np.maximum(lb, -load)
-    ub = np.full(n, ess.p_charge_max_kw)
-    eps = VERIFY_TOL * max(1.0, ess.c_ess_kwh)
-
-    feasible = np.all((grid >= lb - eps) & (grid <= ub + eps), axis=1)
-    energy = ess.soc_init * ess.c_ess_kwh + dt * np.cumsum(grid, axis=1)
-    feasible &= np.all((energy >= -eps) & (energy <= ess.c_ess_kwh + eps), axis=1)
-    if ess.require_terminal_soc:
-        feasible &= energy[:, -1] >= ess.soc_init * ess.c_ess_kwh - eps
-    if not np.any(feasible):
-        raise SolverError("no feasible assignment on the discrete grid")
-
-    costs = (grid + load) @ (prices * dt)
-    costs[~feasible] = np.inf
-    best = grid[int(np.argmin(costs))]
-    return _make_plan(load, prices, best, dt, ess, np.asarray(p_ev.slot_start_min))

@@ -20,7 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice, product, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -52,9 +52,6 @@ class SiteClass(Enum):
 
 SITE_CLASSES: tuple[SiteClass, ...] = tuple(SiteClass)
 
-# Site classes that can appear as a midway stop of a home-closed chain.
-MIDWAY_CLASSES: tuple[SiteClass, ...] = SITE_CLASSES[1:]
-
 
 @dataclass(frozen=True)
 class ChainType:
@@ -84,15 +81,12 @@ class ChainType:
         return self.label
 
 
-def _enumerate_chain_types() -> tuple[ChainType, ...]:
-    simple = [ChainType((x,)) for x in MIDWAY_CLASSES]
-    complex_ = [ChainType((x, y)) for x in MIDWAY_CLASSES for y in MIDWAY_CLASSES]
-    return tuple(simple + complex_)
-
-
-#: Fixed enumeration of the 20 chain types; index order is the canonical
-#: order of every proportion vector in the toolkit.
-CHAIN_TYPES: tuple[ChainType, ...] = _enumerate_chain_types()
+#: Fixed enumeration of the 20 chain types: the 4 simple ones, then the 16
+#: complex ones, each over the midway sites W, SE, SR, O in order. Index
+#: order is the canonical order of every proportion vector in the toolkit.
+CHAIN_TYPES: tuple[ChainType, ...] = tuple(
+    ChainType(midway) for n in (1, 2) for midway in product(SITE_CLASSES[1:], repeat=n)
+)
 CHAIN_TYPE_INDEX: dict[ChainType, int] = {t: i for i, t in enumerate(CHAIN_TYPES)}
 _CHAIN_TYPE_BY_LABEL: dict[str, ChainType] = {t.label: t for t in CHAIN_TYPES}
 
@@ -395,15 +389,26 @@ FEATURE_VELOCITY = "velocity_kmh"
 FEATURE_DWELL = "dwell_min"
 
 
+def feature_keys(chain_type: ChainType) -> list[tuple[str, int]]:
+    """(feature, 1-based index) of every sample array a chain type has, in
+    the order the forecast draws them: the trip-1 ending time, each trip's
+    length and velocity, then each midway dwell."""
+    keys = [(FEATURE_END_TIME, 1)]
+    for t in range(1, chain_type.n_trips + 1):
+        keys += [(FEATURE_LENGTH, t), (FEATURE_VELOCITY, t)]
+    return keys + [(FEATURE_DWELL, m) for m in range(1, chain_type.n_trips)]
+
+
 @dataclass
 class ChainFeatureDataset:
     """Per-chain-type sample arrays for density fitting.
 
-    ``samples`` is keyed by (chain type, feature name, 1-based index): the
-    trip-1 ending time (index 1 only; later ending times follow from it),
-    the length and average velocity of each trip, and the dwell at each
-    midway site. Trips with zero length or duration are excluded from
-    velocity arrays so that velocity samples stay strictly positive.
+    ``samples`` is keyed by (chain type, feature name, 1-based index), over
+    :func:`feature_keys` of each counted type: the trip-1 ending time (later
+    ending times follow from it), the length and average velocity of each
+    trip, and the dwell at each midway site. Trips with zero length or
+    duration are excluded from velocity arrays so that velocity samples stay
+    strictly positive.
     """
 
     counts: dict[ChainType, int] = field(default_factory=dict)
@@ -412,12 +417,6 @@ class ChainFeatureDataset:
     @property
     def total_chains(self) -> int:
         return sum(self.counts.values())
-
-    def count(self, chain_type: ChainType) -> int:
-        return self.counts.get(chain_type, 0)
-
-    def get(self, chain_type: ChainType, feature: str, index: int) -> np.ndarray | None:
-        return self.samples.get((chain_type, feature, index))
 
 
 def extract_features(chains: ChainTable) -> ChainFeatureDataset:
@@ -463,7 +462,6 @@ def chain_type_proportions(dataset: ChainFeatureDataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MANIFEST_NAME = "manifest.json"
-_FEATURES = (FEATURE_END_TIME, FEATURE_LENGTH, FEATURE_VELOCITY, FEATURE_DWELL)
 
 
 def sample_key(chain_type: ChainType, feature: str, index: int) -> str:
@@ -471,10 +469,9 @@ def sample_key(chain_type: ChainType, feature: str, index: int) -> str:
     return f"{chain_type.label}__{feature}__{index}"
 
 
-# Every name a manifest may hold: a chain type, a feature and one of its trips.
+# Every name a manifest may hold: one of a chain type's feature keys.
 _SAMPLE_KEYS: dict[str, tuple[ChainType, str, int]] = {
-    sample_key(t, f, i): (t, f, i)
-    for t in CHAIN_TYPES for f in _FEATURES for i in range(1, t.n_trips + 1)
+    sample_key(t, *key): (t, *key) for t in CHAIN_TYPES for key in feature_keys(t)
 }
 
 
@@ -492,7 +489,7 @@ def save_dataset(
     manifest = {
         "schema": "chain-feature-dataset/v1",
         "chain_type_order": [t.label for t in CHAIN_TYPES],
-        "counts": {t.label: dataset.count(t) for t in CHAIN_TYPES},
+        "counts": {t.label: dataset.counts.get(t, 0) for t in CHAIN_TYPES},
         "total_chains": total,
         "proportions": [float(p) for p in proportions],
         "samples": {},
@@ -519,8 +516,9 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
     """Load a dataset written by :func:`save_dataset`.
 
     A manifest that is not JSON, lacks ``counts`` or ``samples``, names an
-    unknown chain type or array, or holds an array that is not a flat list
-    of finite numbers is a DataError naming the file.
+    unknown chain type, holds an array that is not one of a counted type's
+    :func:`feature_keys` or that is not a flat list of finite numbers, or
+    lacks one of those arrays is a DataError naming the file.
     """
     path = Path(in_dir) / _MANIFEST_NAME
     if not path.is_file():
@@ -537,14 +535,19 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
         counts = {ctype: n for ctype, n in counts.items() if n}
         samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
         for name, values in manifest["samples"].items():
-            if name not in _SAMPLE_KEYS:
-                raise ValueError(f"unknown sample array {name!r}")
+            key = _SAMPLE_KEYS.get(name)
+            if key is None or key[0] not in counts:
+                raise ValueError(f"sample array {name!r} is not an array of a counted chain type")
             if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
                 raise ValueError(f"sample array {name} is not a flat list of numbers")
             array = np.array(values, dtype=float)
             if not np.isfinite(array).all():
                 raise ValueError(f"sample array {name} has a non-finite value")
-            samples[_SAMPLE_KEYS[name]] = array
+            samples[key] = array
+        for ctype in counts:
+            for feature, index in feature_keys(ctype):
+                if (ctype, feature, index) not in samples:
+                    raise ValueError(f"no sample array {sample_key(ctype, feature, index)}")
     except (ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed dataset manifest {path}: {exc}") from None
     return ChainFeatureDataset(counts=counts, samples=samples)

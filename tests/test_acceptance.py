@@ -27,13 +27,19 @@ from chargecast.kde import fit_kde
 from chargecast.scheduler import (
     DEFAULT_TARIFF,
     EssParams,
-    brute_force_schedule,
     multi_day_schedule,
     verify_plan,
 )
 from chargecast.survey import SiteClass
 from test_kde import cdf, integral_over_support
-from test_scheduler import baseline_cost, hourly_tariff, profile, random_instance, solve_schedule
+from test_scheduler import (
+    baseline_cost,
+    brute_force_schedule,
+    hourly_tariff,
+    profile,
+    random_instance,
+    solve_schedule,
+)
 
 PEAK_WINDOW_H = (1020, 1200)   # 17:00..20:00 slot starts, inclusive
 PEAK_WINDOW_W = (420, 600)     # 07:00..10:00
@@ -73,8 +79,8 @@ def test_criterion_2_peak_windows(fixture_models):
     seeds = range(1, 21)
     for seed in seeds:
         bundle = run_forecast(FleetConfig(seed=seed), fixture_models).bundle
-        argmax_h = int(bundle.profile(SiteClass.H).power_kw.argmax()) * 15
-        argmax_w = int(bundle.profile(SiteClass.W).power_kw.argmax()) * 15
+        argmax_h = int(bundle.site_profiles[SiteClass.H.index].power_kw.argmax()) * 15
+        argmax_w = int(bundle.site_profiles[SiteClass.W.index].power_kw.argmax()) * 15
         hits_h += PEAK_WINDOW_H[0] <= argmax_h <= PEAK_WINDOW_H[1]
         hits_w += PEAK_WINDOW_W[0] <= argmax_w <= PEAK_WINDOW_W[1]
 
@@ -98,7 +104,7 @@ def test_criterion_3_lp_vs_oracle():
         gap = lp.cost_with_ess - oracle.cost_with_ess
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6, f"LP cost above the discrete oracle by {gap}"
-        verify_plan(lp, ess, tol=1e-9)
+        verify_plan(lp, ess)
     print(f"ACCEPTANCE 3 PASS: 200 instances, worst LP-minus-oracle gap {worst_gap:.3e}")
 
 

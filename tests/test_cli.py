@@ -150,10 +150,13 @@ class TestForecastCommand:
         _edit(lambda m: m["samples"][_ARRAY].append(10 ** 400)),
         _edit(lambda m: m["counts"].update({"H-W-H": "44"})),
         lambda text: "[" + text + "]",
+        _edit(lambda m: m["samples"].update({"H-W-H__end_time_min__2": [1.0]})),
+        _edit(lambda m: m["samples"].update({"H-W-H__dwell_min__2": [1.0]})),
+        _edit(lambda m: m["samples"].update({"H-W-W-H__length_km__1": [1.0]})),
     ], ids=[
         "missing_array", "non_numeric_value", "null_value", "not_json", "no_counts",
         "no_samples", "unknown_label", "non_finite_value", "huge_integer", "string_count",
-        "not_an_object",
+        "not_an_object", "end_time_2", "dwell_past_last_midway", "uncounted_type",
     ])
     def test_malformed_manifest_is_data_error(self, tmp_path, fixture_csv_path, capsys, corrupt):
         config = write_config(tmp_path, fixture_csv_path)
@@ -211,7 +214,11 @@ class TestScheduleCommand:
         (1, "15,1,1,1"),
         (1, "15,1,1,1,1,1,abc"),
         (3, "50,1,1,1,1,1,1"),
-    ], ids=["short_row", "non_numeric_cell", "off_grid_start"])
+        (1, "15,1,1,1,1,1,nan"),
+        (1, "15,1,1,1,1,1,inf"),
+        (1, "15,1,1,1,1,1,1e400"),
+    ], ids=["short_row", "non_numeric_cell", "off_grid_start", "nan_station", "inf_station",
+            "overflowing_station"])
     def test_malformed_load_curve_is_data_error(self, tmp_path, fixture_csv_path, capsys, row, cells):
         lines = ["slot_start_min,load_H_kW,load_W_kW,load_SE_kW,load_SR_kW,load_O_kW,load_station_kW"]
         lines += [f"{15 * i},0.0,0.0,0.0,0.0,0.0,0.0" for i in range(96)]
@@ -284,10 +291,11 @@ class TestPipelineCommand:
         {"fleet": {"p_charging_kw": math.inf}},
         {"tariff": [[0, 1440, math.inf]]},
         {"ess": {"c_ess_kwh": 10**400}},
+        {"column_map": {"vehicle": "VEHID"}},
     ], ids=[
         "horizon_days", "threads", "input_csv", "require_terminal_soc", "n_ev",
         "currency_null", "tariff_bool", "tariff_string", "nan_capacity", "infinite_power",
-        "infinite_price", "huge_integer",
+        "infinite_price", "huge_integer", "column_map_unknown_field",
     ])
     def test_malformed_value_exits_2(self, tmp_path, fixture_csv_path, capsys, override):
         config = write_config(tmp_path, fixture_csv_path, **override)
@@ -381,6 +389,24 @@ class TestPipelineCommand:
             assert main([stage, "--config", str(config)]) == 0
         staged = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert piped == staged, sorted(str(p) for p in piped if piped[p] != staged.get(p))
+
+    def test_traced_benchmark_run_writes_the_pipeline_bytes(self, tmp_path, fixture_csv_path):
+        """perfbench/traced.py makes the calls the pipeline makes, so it writes
+        the same artifacts, up to the out_dir echo."""
+        config = write_config(tmp_path, fixture_csv_path, fleet={"n_ev": 300}, horizon_days=1)
+        cli, traced = tmp_path / "cli", tmp_path / "traced"
+        assert main(["pipeline", "--config", str(config), "--out", str(cli)]) == 0
+        run = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "perfbench" / "traced.py"), str(tmp_path / "trace.json"),
+             "--config", str(config), "--out", str(traced)],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        echo = b'"out_dir": ' + json.dumps(str(traced)).encode()
+        cli_echo = b'"out_dir": ' + json.dumps(str(cli)).encode()
+        for rel in ["ingest/manifest.json", "forecast/models.json", "forecast/load_curve.csv",
+                    "schedule/schedule.csv"]:
+            assert (traced / rel).read_bytes().replace(echo, cli_echo) == (cli / rel).read_bytes(), rel
 
 
 class TestGoldenCaseStudy:

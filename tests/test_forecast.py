@@ -50,11 +50,12 @@ def vehicle_events(sim, vehicle):
     return list(zip(sim.site[mine], sim.start_min[mine], sim.duration_min[mine]))
 
 
-def accumulate(events, config, horizon_minutes=HORIZON_MINUTES, report_last_minutes=None):
-    """Load bundle of (site, start, duration) events via the array accumulator."""
+def accumulate(events, config):
+    """Reported last-day bundle of (site, start, duration) events on the 48 h
+    axis, via the array accumulator."""
     site, start, duration = (np.array(column) for column in zip(*events))
-    power = _accumulate_site_power(site, start, duration, config, horizon_minutes)
-    return _bundle_from_site_power(power, config, report_last_minutes)
+    power = _accumulate_site_power(site, start, duration, config)
+    return _bundle_from_site_power(power, config)
 
 
 class TestSocPrimitives:
@@ -200,27 +201,27 @@ class TestSimulateVehicle:
 class TestAccumulateLoads:
     def test_single_event_proration(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        events = [(SiteClass.W.index, 480.0, 30.0)]  # 08:00-08:30
-        bundle = accumulate(events, config, horizon_minutes=1440.0)
-        w = bundle.profile(SiteClass.W).power_kw
+        events = [(SiteClass.W.index, DAY_MINUTES + 480.0, 30.0)]  # day-2 08:00-08:30
+        bundle = accumulate(events, config)
+        w = bundle.site_profiles[SiteClass.W.index].power_kw
         assert w[32] == 60.0 and w[33] == 60.0
         assert w.sum() == 120.0
         for site in (SiteClass.H, SiteClass.SE, SiteClass.SR, SiteClass.O):
-            assert not bundle.profile(site).power_kw.any()
+            assert not bundle.site_profiles[site.index].power_kw.any()
         # Station composite: only the W column carries weight here (0.1).
         assert bundle.station.power_kw[32] == pytest.approx(6.0)
 
     def test_partial_slot_proration(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
-        events = [(SiteClass.SE.index, 487.5, 15.0)]  # straddles two slots
-        bundle = accumulate(events, config, horizon_minutes=1440.0)
-        se = bundle.profile(SiteClass.SE).power_kw
+        events = [(SiteClass.SE.index, DAY_MINUTES + 487.5, 15.0)]  # straddles two slots
+        bundle = accumulate(events, config)
+        se = bundle.site_profiles[SiteClass.SE.index].power_kw
         assert se[32] == pytest.approx(30.0) and se[33] == pytest.approx(30.0)
 
     def test_zero_weights_zero_station(self):
         config = FleetConfig(n_ev=0, q_pro=(0.0,) * 5)
-        events = [(i, 600.0, 45.0) for i in range(5)]
-        bundle = accumulate(events, config, horizon_minutes=1440.0)
+        events = [(i, DAY_MINUTES + 600.0, 45.0) for i in range(5)]
+        bundle = accumulate(events, config)
         assert not bundle.station.power_kw.any()
 
     def test_unit_loads_dot_product(self):
@@ -233,13 +234,13 @@ class TestAccumulateLoads:
         events = [(SiteClass.H.index, HORIZON_MINUTES - 10.0, 60.0)]
         bundle = accumulate(events, config)
         # 10 of 60 minutes fall inside the axis.
-        total_kwh = bundle.profile(SiteClass.H).energy_kwh()
+        total_kwh = bundle.site_profiles[SiteClass.H.index].energy_kwh()
         assert total_kwh == pytest.approx(60.0 * 10.0 / 60.0)
 
     def test_event_past_horizon_ignored(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
         bundle = accumulate([(0, HORIZON_MINUTES + 5.0, 30.0)], config)
-        assert not bundle.profile(SiteClass.H).power_kw.any()
+        assert not bundle.site_profiles[SiteClass.H.index].power_kw.any()
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -266,14 +267,14 @@ class TestAccumulateLoads:
                 if overlap > 0:
                     reference[site, i] += config.p_charging_kw * (overlap / slot)
         site, start, duration = (np.array(column) for column in zip(*events))
-        power = _accumulate_site_power(site, start, duration, config, HORIZON_MINUTES)
+        power = _accumulate_site_power(site, start, duration, config)
         assert np.array_equal(power, reference)
 
     def test_reported_window_slicing(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
         events = [(SiteClass.W.index, 1440.0 + 480.0, 30.0)]  # day-2 morning
-        bundle = accumulate(events, config, report_last_minutes=DAY_MINUTES)
-        w = bundle.profile(SiteClass.W)
+        bundle = accumulate(events, config)
+        w = bundle.site_profiles[SiteClass.W.index]
         assert len(w.power_kw) == 96
         assert w.slot_start_min[0] == 0
         assert w.power_kw[32] == 60.0
@@ -387,9 +388,7 @@ class TestFleetProperties:
         power = 0.0
         for block in range(k):
             sim = simulate(config, fixture_models, block)
-            power = power + _accumulate_site_power(
-                sim.site, sim.start_min, sim.duration_min, config, HORIZON_MINUTES
-            )
+            power = power + _accumulate_site_power(sim.site, sim.start_min, sim.duration_min, config)
         prefix = run_forecast(FleetConfig(n_ev=k * 256, q_pro=Q_DEFAULT, seed=seed), fixture_models)
         site = np.stack([p.power_kw for p in prefix.bundle.site_profiles])
         assert np.array_equal(site, power[:, -site.shape[1]:])

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from chargecast import survey
 from chargecast.errors import ConfigurationError, DataError
-from chargecast.forecast import _required_keys
 from chargecast.survey import (
     CHAIN_TYPE_INDEX,
     CHAIN_TYPES,
@@ -41,6 +40,7 @@ from chargecast.survey import (
     chain_type_from_label,
     chain_type_proportions,
     extract_features,
+    feature_keys,
     load_dataset,
     parse_records,
     sample_key,
@@ -352,9 +352,9 @@ class TestExtractFeatures:
         )
         ds = extract_features(build_chains(trips))
         ctype = chain_type_from_label("H-W-H")
-        assert ds.get(ctype, FEATURE_VELOCITY, 1).tolist() == [60.0]
-        assert ds.get(ctype, FEATURE_END_TIME, 1).tolist() == [540.0]
-        assert ds.get(ctype, FEATURE_DWELL, 1).tolist() == [510.0]
+        assert ds.samples[ctype, FEATURE_VELOCITY, 1].tolist() == [60.0]
+        assert ds.samples[ctype, FEATURE_END_TIME, 1].tolist() == [540.0]
+        assert ds.samples[ctype, FEATURE_DWELL, 1].tolist() == [510.0]
 
     def test_empty_chain_list(self):
         ds = extract_features(build_chains(table()))
@@ -371,8 +371,8 @@ class TestExtractFeatures:
                       trip(house="C", start=600, end=630, dest=SiteClass.SE),
                       trip(house="C", start=700, end=730, dest=SiteClass.H))
         ds = extract_features(build_chains(trips))
-        assert ds.count(chain_type_from_label("H-W-H")) == 2
-        assert ds.count(chain_type_from_label("H-SE-H")) == 1
+        assert ds.counts[chain_type_from_label("H-W-H")] == 2
+        assert ds.counts[chain_type_from_label("H-SE-H")] == 1
 
     def test_counts_follow_chain_type_order(self):
         # load_dataset returns this order, and models.json is written in it.
@@ -420,7 +420,7 @@ class TestFixtureInvariants:
         assert diag.rows_total == FIXTURE_ROWS
         assert dataset.total_chains == FIXTURE_TOTAL_CHAINS
         for label, expected in FIXTURE_CHAIN_COUNTS.items():
-            assert dataset.count(chain_type_from_label(label)) == expected
+            assert dataset.counts[chain_type_from_label(label)] == expected
         assert diag.reject_reasons == {"nonpositive_duration": 1, "end_before_start": 1}
         assert diag.drop_reasons == {
             "too_many_trips": 1, "never_returned_home": 1, "overlapping_trips": 1,
@@ -437,13 +437,13 @@ class TestFixtureInvariants:
     def test_keys_are_the_fitted_ones(self, fixture_ingest):
         _, _, dataset, _ = fixture_ingest
         assert set(dataset.samples) == {
-            (ctype, *key) for ctype in dataset.counts for key in _required_keys(ctype)
+            (ctype, *key) for ctype in dataset.counts for key in feature_keys(ctype)
         }
 
     def test_sample_array_lengths_match_counts(self, fixture_ingest):
         _, _, dataset, _ = fixture_ingest
         for (ctype, feature, index), values in dataset.samples.items():
-            assert len(values) == dataset.count(ctype), (ctype.label, feature, index)
+            assert len(values) == dataset.counts[ctype], (ctype.label, feature, index)
 
     def test_generator_reproduces_fixture(self, tmp_path, fixture_csv_path):
         # The script writes relative to its own location, so it runs as a copy.
@@ -673,7 +673,7 @@ def _reference_manifest(dataset, diagnostics=None, provenance=None) -> str:
     manifest = {
         "schema": "chain-feature-dataset/v1",
         "chain_type_order": [t.label for t in CHAIN_TYPES],
-        "counts": {t.label: dataset.count(t) for t in CHAIN_TYPES},
+        "counts": {t.label: dataset.counts.get(t, 0) for t in CHAIN_TYPES},
         "total_chains": dataset.total_chains,
         "proportions": [float(p) for p in proportions],
         "samples": {sample_key(*key): dataset.samples[key] for key in order},
@@ -766,14 +766,14 @@ def test_parse_chains_features_property(vehicle_days):
     dataset = extract_features(chains)
     assert dataset.total_chains == len(chains)
     assert set(dataset.samples) == {
-        (ctype, *key) for ctype in dataset.counts for key in _required_keys(ctype)
+        (ctype, *key) for ctype in dataset.counts for key in feature_keys(ctype)
     }
     for (ctype, feature, _), values in dataset.samples.items():
         if feature == FEATURE_VELOCITY:
-            assert len(values) <= dataset.count(ctype)
+            assert len(values) <= dataset.counts[ctype]
             assert np.all(values > 0)
         else:
-            assert len(values) == dataset.count(ctype)
+            assert len(values) == dataset.counts[ctype]
 
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(dataset, tmp, diagnostics=diag)
