@@ -45,7 +45,7 @@ def _write_slot_table(path: Path, columns: list[str], starts, values) -> None:
     """One row per slot: the integer start, then shortest round-trip floats."""
     rows = zip(np.asarray(starts).tolist(), *(np.asarray(v, dtype=float).tolist() for v in values))
     lines = [",".join(columns)]
-    lines.extend(",".join([str(int(start)), *map(repr, cells)]) for start, *cells in rows)
+    lines.extend(",".join([str(round(start)), *map(repr, cells)]) for start, *cells in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -62,7 +62,10 @@ def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
     must start at minute i * slot."""
     if not path.is_file():
         raise DataError(f"load curve not found: {path}")
-    lines = path.read_text().strip().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"load curve {path} is not UTF-8 text: {exc}") from None
     if not lines or lines[0].split(",") != _LOAD_CURVE_COLUMNS:
         raise DataError(f"unexpected load-curve header in {path}")
     rows = [line.split(",") for line in lines[1:]]
@@ -98,7 +101,7 @@ def _write_summary(path: Path, config: PipelineConfig, payload: dict) -> None:
 # Stages
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(config: PipelineConfig) -> dict:
+def cmd_ingest(config: PipelineConfig) -> ChainFeatureDataset:
     if config.input_csv is None:
         raise ConfigurationError("paths.input_csv is required for ingest")
     if not config.input_csv.is_file():
@@ -106,22 +109,25 @@ def cmd_ingest(config: PipelineConfig) -> dict:
 
     diag = IngestDiagnostics()
     # utf-8-sig tolerates the BOM some survey exports carry.
-    with open(config.input_csv, newline="", encoding="utf-8-sig") as fh:
-        trips = parse_records(fh, config.column_map, config.destination_map, diag)
+    try:
+        with open(config.input_csv, newline="", encoding="utf-8-sig") as fh:
+            trips = parse_records(fh, config.column_map, config.destination_map, diag)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input CSV {config.input_csv} is not UTF-8 text: {exc}") from None
     dataset = extract_features(build_chains(trips, diag))
     if dataset.total_chains == 0:
         raise DataError("zero usable chains in input data")
 
     out = config.out_dir / "ingest"
-    manifest = save_dataset(
+    save_dataset(
         dataset, out, diagnostics=diag,
         provenance={"seed": config.seed, "config": config.echo()},
     )
     print(f"ingest: {dataset.total_chains} chains from {diag.rows_accepted} rows -> {out}")
-    return {"dataset_dir": out, "manifest": manifest, "dataset": dataset}
+    return dataset
 
 
-def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = None) -> dict:
+def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = None) -> Path:
     """Fit and simulate from ``dataset``, or else from the manifest under
     ``paths.dataset_dir`` (by default the ingest output directory)."""
     if dataset is None:
@@ -140,10 +146,10 @@ def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = N
         f"forecast: {result.n_events} charge events, "
         f"station energy {result.bundle.station.energy_kwh():.1f} kWh -> {curve_path}"
     )
-    return {"load_curve": curve_path, "summary": out / "summary.json", "result": result}
+    return curve_path
 
 
-def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> dict:
+def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> None:
     curve_path = load_csv or config.load_curve or (config.out_dir / "forecast" / "load_curve.csv")
     starts, site, station, slot_minutes = read_load_curve(Path(curve_path))
 
@@ -169,18 +175,14 @@ def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> dict:
         f"schedule: cost {plan.cost_with_ess:.2f} vs baseline {plan.cost_baseline:.2f} "
         f"{config.currency} ({plan.saving_fraction:.2%} saving) -> {schedule_path}"
     )
-    return {"schedule": schedule_path, "summary": out / "summary.json", "plan": plan}
 
 
-def cmd_pipeline(config: PipelineConfig) -> dict:
+def cmd_pipeline(config: PipelineConfig) -> None:
     """Each stage consumes what the previous one just produced, never the
     standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``.
     Forecast takes ingest's dataset in memory: the arrays and count order
     ``load_dataset`` would read back from the manifest just written."""
-    artifacts = cmd_ingest(config)
-    artifacts.update(cmd_forecast(config, dataset=artifacts["dataset"]))
-    artifacts.update(cmd_schedule(config, load_csv=artifacts["load_curve"]))
-    return artifacts
+    cmd_schedule(config, load_csv=cmd_forecast(config, dataset=cmd_ingest(config)))
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,10 @@ def load_config(
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON text is UTF-8
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
 

@@ -110,8 +110,8 @@ class KdeModel:
     """Gaussian KDE over one feature, truncated to ``support``.
 
     Attributes:
-        samples: the data points (kernel centres), all inside support.
-        bandwidth: kernel standard deviation, > 0.
+        samples: the data points (kernel centres), finite and inside support.
+        bandwidth: kernel standard deviation, finite and > 0.
         support: closed interval (lo, hi); either end may be infinite.
     """
 
@@ -125,8 +125,10 @@ class KdeModel:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.size == 0:
             raise DataError("KdeModel requires at least one sample")
-        if not self.bandwidth > 0:
-            raise DataError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not np.isfinite(self.samples).all():
+            raise DataError("KdeModel samples must be finite")
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise DataError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         lo, hi = self.support
         if not lo < hi:
             raise DataError(f"empty support interval: {self.support}")
@@ -197,14 +199,6 @@ def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise DataError("cannot fit a density to an empty sample array")
-    if not np.all(np.isfinite(x)):
-        raise DataError("samples must be finite")
-    lo, hi = support
-    if x.min() < lo or x.max() > hi:
-        raise DataError(
-            f"sample range [{x.min()}, {x.max()}] exceeds support [{lo}, {hi}]"
-        )
-
     h = silverman_bandwidth(x)
     if not h > 0:
         h = max(1e-6, 0.01 * max(1.0, float(np.max(np.abs(x)))))

@@ -143,7 +143,6 @@ def _make_plan(
     p_ess: np.ndarray,
     dt_hours: float,
     ess: EssParams,
-    slot_start_min: np.ndarray | None = None,
 ) -> SchedulePlan:
     if ess.c_ess_kwh > 0:
         soc = ess.soc_init + dt_hours * np.cumsum(p_ess) / ess.c_ess_kwh
@@ -153,11 +152,9 @@ def _make_plan(
     cost = float(np.sum(p_ch * prices) * dt_hours)
     baseline = float(np.sum(p_ev * prices) * dt_hours)
     saving = (baseline - cost) / baseline if baseline > 0 else 0.0
-    if slot_start_min is None:
-        slot_start_min = np.arange(len(p_ess)) * dt_hours * 60.0
 
     plan = SchedulePlan(
-        slot_start_min=np.asarray(slot_start_min),
+        slot_start_min=np.arange(len(p_ess)) * (dt_hours * 60.0),
         price=prices,
         p_ev_kw=p_ev,
         p_ess_kw=p_ess,
@@ -269,7 +266,6 @@ def solve_schedule_slots(
     prices: np.ndarray,
     dt_hours: float,
     ess: EssParams,
-    slot_start_min: np.ndarray | None = None,
 ) -> SchedulePlan:
     """Cheapest ESS schedule on an explicit slot grid (exact DP)."""
     ess.validate()
@@ -287,21 +283,18 @@ def solve_schedule_slots(
     if not (dt_hours > 0 and np.isfinite(dt_hours)):
         raise DataError(f"slot length must be positive and finite, got {dt_hours!r} h")
 
-    if ess.c_ess_kwh == 0 or (ess.p_charge_max_kw == 0 and ess.p_discharge_max_kw == 0):
-        plan = _make_plan(p_ev, prices, np.zeros(n), dt_hours, ess, slot_start_min)
-        verify_plan(plan, ess)
-        return plan
-
-    lb = np.full(n, -ess.p_discharge_max_kw)
-    if not ess.allow_export:
-        lb = np.maximum(lb, -p_ev)
-    ub = np.full(n, ess.p_charge_max_kw)
-    e_init = ess.soc_init * ess.c_ess_kwh
-    energy = _cheapest_energy(
-        prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
-    )
-    p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
-    plan = _make_plan(p_ev, prices, p_ess, dt_hours, ess, slot_start_min)
+    p_ess = np.zeros(n)  # exact zeros without storage, where the DP can give -0.0
+    if ess.c_ess_kwh > 0 and (ess.p_charge_max_kw > 0 or ess.p_discharge_max_kw > 0):
+        lb = np.full(n, -ess.p_discharge_max_kw)
+        if not ess.allow_export:
+            lb = np.maximum(lb, -p_ev)
+        ub = np.full(n, ess.p_charge_max_kw)
+        e_init = ess.soc_init * ess.c_ess_kwh
+        energy = _cheapest_energy(
+            prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
+        )
+        p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
+    plan = _make_plan(p_ev, prices, p_ess, dt_hours, ess)
     verify_plan(plan, ess)
     return plan
 
@@ -322,5 +315,4 @@ def multi_day_schedule(
     p_ev = np.concatenate([p.power_kw for p in day_profiles])
     day_prices = tariff.slot_prices(slot, int(DAY_MINUTES / slot))
     prices = np.tile(day_prices, len(day_profiles))
-    starts = np.arange(len(p_ev)) * slot
-    return solve_schedule_slots(p_ev, prices, slot / 60.0, ess, slot_start_min=starts)
+    return solve_schedule_slots(p_ev, prices, slot / 60.0, ess)

@@ -524,7 +524,7 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
     if not path.is_file():
         raise DataError(f"no dataset manifest at {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
         if not (isinstance(manifest, dict)
                 and all(isinstance(manifest.get(k), dict) for k in ("counts", "samples"))):

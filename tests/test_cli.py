@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargecast.cli import main, read_load_curve
+from chargecast.cli import main, read_load_curve, write_schedule_csv
 from chargecast.forecast import station_composite
+from chargecast.scheduler import DEFAULT_TARIFF, EssParams, solve_schedule_slots
 from conftest import FIXTURE_CHAIN_COUNTS
 
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
@@ -44,6 +46,15 @@ def write_config(tmp_path, fixture_csv_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    """The README's "Library use" block runs from the repository root."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(REPO_ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.fullmatch(r"saving: \d+\.\d%\n", capsys.readouterr().out)
 
 
 def test_cli_import_loads_no_scipy():
@@ -229,6 +240,29 @@ class TestScheduleCommand:
         assert main(["schedule", "--config", str(config), "--load", str(curve)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
+    def test_nine_minute_grid_labels(self, tmp_path):
+        # 160 slots of 9 min: each start is 9 * i, though i * (9/60 * 60) is not.
+        rng = np.random.default_rng(9)
+        plan = solve_schedule_slots(rng.uniform(0.0, 300.0, 160), rng.uniform(0.3, 1.0, 160),
+                                    9 / 60, EssParams())
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(path, plan)
+        starts = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert starts == [str(9 * i) for i in range(160)]
+
+    @pytest.mark.parametrize("ess", [
+        EssParams(c_ess_kwh=0.0),
+        EssParams(p_charge_max_kw=0.0, p_discharge_max_kw=0.0),
+    ], ids=["no_capacity", "no_power"])
+    def test_zero_storage_prints_exact_zeros(self, tmp_path, ess):
+        # The DP would give -0.0 in slots with no load, whose floor is -0.0 kW.
+        load = np.random.default_rng(5).uniform(0.0, 300.0, 96)
+        load[:24] = 0.0
+        plan = solve_schedule_slots(load, DEFAULT_TARIFF.slot_prices(15, 96), 0.25, ess)
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(path, plan)
+        assert {line.split(",")[3] for line in path.read_text().splitlines()[1:]} == {"0.0"}
+
     def test_one_slot_day_schedules(self, tmp_path, fixture_csv_path):
         # The slot length comes from the row count: one row is one 1440-min slot.
         summary = self.run_all(
@@ -312,6 +346,26 @@ class TestPipelineCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ingest", "--config", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad, command, code", [
+        ("survey.csv", "ingest", 3), ("curve.csv", "schedule", 3), ("config.json", "ingest", 2),
+    ], ids=["survey_latin1_id", "load_curve_ff_byte", "config_latin1_currency"])
+    def test_undecodable_file_exits_with_its_code(self, tmp_path, fixture_csv_path, capsys,
+                                                  bad, command, code):
+        # Each command stops at its own bad file: config before survey, and
+        # schedule reads no survey.
+        survey = tmp_path / "survey.csv"
+        survey.write_bytes(fixture_csv_path.read_bytes().replace(b"\nH0001,", b"\nH\xe9001,", 1))
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(b"slot_start_min,load_H_kW\n0,\xff\n")
+        config = write_config(tmp_path, survey)
+        if bad == "config.json":
+            config.write_bytes(config.read_bytes()[:-1] + b', "currency": "\xa5"}')
+        args = [command, "--config", str(config)]
+        if command == "schedule":
+            args += ["--load", str(curve)]
+        assert main(args) == code
+        assert str(tmp_path / bad) in json.loads(capsys.readouterr().err)["message"]
 
     def test_out_override(self, tmp_path, fixture_csv_path):
         config = write_config(tmp_path, fixture_csv_path)

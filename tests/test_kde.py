@@ -244,6 +244,13 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError):
             KdeModel(np.array([1.0]), bandwidth=0.0)
 
+    @pytest.mark.parametrize("samples, bandwidth", [
+        ([1.0, math.nan], 0.5), ([1.0, math.inf], 0.5), ([1.0], math.inf),
+    ], ids=["nan_sample", "inf_sample", "inf_bandwidth"])
+    def test_non_finite_model_error(self, samples, bandwidth):
+        with pytest.raises(DataError):
+            KdeModel(np.array(samples), bandwidth=bandwidth, support=(0.0, math.inf))
+
     @staticmethod
     def _rebuild(doc: dict) -> KdeModel:
         """A model read back from a ``to_dict`` document, as a reader of models.json would."""

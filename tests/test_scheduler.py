@@ -48,10 +48,7 @@ def baseline_cost(p_ev: LoadProfile, tariff: TariffSchedule) -> float:
 def solve_schedule(p_ev: LoadProfile, tariff: TariffSchedule, ess: EssParams) -> SchedulePlan:
     """Cheapest schedule for one load profile under a tariff."""
     prices = tariff.slot_prices(p_ev.slot_minutes, len(p_ev.power_kw))
-    return solve_schedule_slots(
-        p_ev.power_kw, prices, p_ev.slot_minutes / 60.0, ess,
-        slot_start_min=np.asarray(p_ev.slot_start_min),
-    )
+    return solve_schedule_slots(p_ev.power_kw, prices, p_ev.slot_minutes / 60.0, ess)
 
 
 def highs_cost(p_ev, prices, dt_hours, ess) -> float:
@@ -117,7 +114,7 @@ def brute_force_schedule(
     costs = (grid + load) @ (prices * dt)
     costs[~feasible] = np.inf
     best = grid[int(np.argmin(costs))]
-    return _make_plan(load, prices, best, dt, ess, np.asarray(p_ev.slot_start_min))
+    return _make_plan(load, prices, best, dt, ess)
 
 
 def random_instance(rng):
