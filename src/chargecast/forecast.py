@@ -197,16 +197,17 @@ class ModelSet:
             ) from None
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "schema": "fitted-models/v1",
-            "proportions": [float(p) for p in self.proportions],
-            "models": {
-                sample_key(*key): model.to_dict() for key, model in self.models.items()
-            },
-        }
-        # json.dumps runs the C encoder; json.dump streams through the
-        # pure-Python one.
-        Path(path).write_text(json.dumps(doc))
+        """Write the bandwidth and support (``null`` for an infinite end) of
+        each model under its :func:`sample_key`. The samples and proportions
+        are the dataset manifest's: a reader rebuilds a model as
+        ``KdeModel(samples[key], bandwidth, support)``. The file is valid only
+        with the manifest this run read: the ``paths.dataset_dir`` that
+        ``forecast/summary.json`` echoes, else ``<out>/ingest``."""
+        models = {}
+        for key, model in self.models.items():
+            support = [float(v) if math.isfinite(v) else None for v in model.support]
+            models[sample_key(*key)] = {"bandwidth": float(model.bandwidth), "support": support}
+        Path(path).write_text(json.dumps({"schema": "fitted-models/v2", "models": models}))
 
 
 # ---------------------------------------------------------------------------

@@ -176,19 +176,6 @@ class KdeModel:
         truncated below at ``lower``."""
         return invert(*self.pick(rng, count, lower))
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        lo, hi = self.support
-        return {
-            "samples": [float(s) for s in self.samples],
-            "bandwidth": float(self.bandwidth),
-            "support": [
-                None if math.isinf(lo) else float(lo),
-                None if math.isinf(hi) else float(hi),
-            ],
-        }
-
 
 def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:
     """Fit a Gaussian KDE with Silverman bandwidth to ``samples``.
@@ -197,8 +184,9 @@ def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:
     a bandwidth of max(1e-6, 0.01 * max(1, largest |sample|)).
     """
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise DataError("cannot fit a density to an empty sample array")
+    # Checked before the bandwidth rule, whose spread of an inf is a NaN.
+    if x.size == 0 or not np.isfinite(x).all():
+        raise DataError("cannot fit a density to an empty or non-finite sample array")
     h = silverman_bandwidth(x)
     if not h > 0:
         h = max(1e-6, 0.01 * max(1.0, float(np.max(np.abs(x)))))

@@ -2,12 +2,14 @@
 
 Every stage works on numpy columns. ``parse_records`` reads a trip CSV
 (NHTS-style column layout) in chunks into a :class:`TripTable` of validated
-trips; ``build_chains`` sorts them once, unwraps midnight and cuts
+trips; ``build_chains`` orders each vehicle-day, unwraps midnight and cuts
 home-closed chains of 2..3 trips into a :class:`ChainTable`; and
 ``extract_features`` gathers the per-chain-type sample arrays the density
 models fit: trip-1 ending time, per-trip length and average velocity, and
 per-midway dwell duration. ``save_dataset`` and ``load_dataset`` keep the
-counts and those arrays in one JSON manifest, keyed by :func:`sample_key`.
+counts, the proportions and those arrays in one JSON manifest, keyed by
+:func:`sample_key`. It is their one artifact: ``forecast/models.json`` adds
+only each fitted model's bandwidth and support under the same keys.
 
 Rejected rows and dropped trip sequences are never silently discarded; they
 are counted in an :class:`IngestDiagnostics` summary.
@@ -76,9 +78,6 @@ class ChainType:
     @property
     def label(self) -> str:
         return "-".join(["H", *[s.value for s in self.midway], "H"])
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.label
 
 
 #: Fixed enumeration of the 20 chain types: the 4 simple ones, then the 16
@@ -340,14 +339,18 @@ def build_chains(
     """Cut home-closed chains of 2..3 trips out of per-vehicle-day trips.
 
     One stable lexsort orders the trips by vehicle-day and start time (a tie
-    keeps file order); the day's first trip is taken to depart from home
-    (the survey schema carries destinations only). Each arrival at H closes
-    a segment; segments of 1 trip, of 4+ trips, with overlapping trips, or
+    keeps file order). On a day that holds a trip across midnight, the trips
+    that start before 04:00 (the NHTS travel-day boundary) sort after the
+    rest, as the small hours that follow that night; every other day keeps
+    its clock order. The day's first trip is taken to depart from home (the
+    survey schema carries destinations only). Each arrival at H closes a
+    segment; segments of 1 trip, of 4+ trips, with overlapping trips, or
     that never return home are dropped and counted.
     """
     diag = diagnostics if diagnostics is not None else IngestDiagnostics()
     n = len(trips)
-    order = np.lexsort((trips.start, trips.vehicle_day))
+    night = np.isin(trips.vehicle_day, trips.vehicle_day[trips.end < trips.start])
+    order = np.lexsort((trips.start, night & (trips.start < 240), trips.vehicle_day))
     site, start, end = trips.site[order], trips.start[order], trips.end[order]
     new_day = np.diff(trips.vehicle_day[order], prepend=-1) != 0
     # Clock times are unwrapped onto a monotone axis: a trip crossing

@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled survey fixture and models fitted from it."""
 
+import json
 import math
 from importlib import resources
 from pathlib import Path
@@ -14,7 +15,9 @@ from chargecast.survey import (
     IngestDiagnostics,
     build_chains,
     extract_features,
+    load_dataset,
     parse_records,
+    sample_key,
 )
 
 # Chain counts baked into the bundled fixture (see scripts/make_fixture.py).
@@ -53,6 +56,20 @@ def fixture_ingest(fixture_csv_path):
 def fixture_models(fixture_ingest) -> ModelSet:
     _, _, dataset, _ = fixture_ingest
     return ModelSet.from_dataset(dataset)
+
+
+def rebuilt_models(dataset_dir, models_json) -> tuple[dict, dict[str, KdeModel]]:
+    """The ``models.json`` document and each model in it, rebuilt as a reader
+    does: the samples from the manifest under ``dataset_dir``, the bandwidth
+    and support from the model's entry (``null`` for an infinite end)."""
+    samples = {sample_key(*key): values for key, values in load_dataset(dataset_dir).samples.items()}
+    doc = json.loads(Path(models_json).read_text())
+    models = {}
+    for key, entry in doc["models"].items():
+        lo, hi = entry["support"]
+        support = (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+        models[key] = KdeModel(samples[key], entry["bandwidth"], support)
+    return doc, models
 
 
 def point_model(value: float, support=(0.0, math.inf)) -> KdeModel:

@@ -15,7 +15,8 @@ import pytest
 from chargecast.cli import main, read_load_curve, write_schedule_csv
 from chargecast.forecast import station_composite
 from chargecast.scheduler import DEFAULT_TARIFF, EssParams, solve_schedule_slots
-from conftest import FIXTURE_CHAIN_COUNTS
+from chargecast.survey import sample_key
+from conftest import FIXTURE_CHAIN_COUNTS, rebuilt_models
 
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -284,6 +285,20 @@ class TestPipelineCommand:
             "forecast/summary.json", "schedule/schedule.csv", "schedule/summary.json",
         ]:
             assert (out / artifact).is_file(), artifact
+
+    def test_models_json_rebuilds_the_fitted_models(self, tmp_path, fixture_csv_path, fixture_models):
+        """models.json holds each fitted model's bandwidth and support, and the
+        manifest its samples; together they rebuild models that draw as the fitted ones."""
+        config = write_config(tmp_path, fixture_csv_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        doc, rebuilt = rebuilt_models(out / "ingest", out / "forecast" / "models.json")
+        assert set(doc) == {"schema", "models"}
+        assert all(set(entry) == {"bandwidth", "support"} for entry in doc["models"].values())
+        assert list(rebuilt) == [sample_key(*key) for key in fixture_models.models]
+        for key, model in fixture_models.models.items():
+            draws = rebuilt[sample_key(*key)].sample_many(np.random.default_rng(5), 200)
+            assert np.array_equal(draws, model.sample_many(np.random.default_rng(5), 200)), key
 
     def test_rerun_byte_identical_artifacts(self, tmp_path, fixture_csv_path):
         config = write_config(tmp_path, fixture_csv_path)

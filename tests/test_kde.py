@@ -1,6 +1,5 @@
 """Density fitting and sampling: bandwidths, truncation, reproducibility."""
 
-import json
 import math
 import statistics
 
@@ -13,7 +12,18 @@ from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
 from chargecast.errors import DataError
+from chargecast.forecast import ModelSet
 from chargecast.kde import KdeModel, fit_kde, ndtri, silverman_bandwidth
+from chargecast.survey import (
+    CHAIN_TYPES,
+    FEATURE_END_TIME,
+    ChainFeatureDataset,
+    chain_type_proportions,
+    feature_keys,
+    sample_key,
+    save_dataset,
+)
+from conftest import rebuilt_models
 
 
 def _kernel_mass(u, v):
@@ -233,8 +243,9 @@ class TestNdtri:
 
 class TestValidationAndSerialization:
     def test_empty_samples_error(self):
-        with pytest.raises(DataError):
-            fit_kde([])
+        for samples in ([], [1.0, math.inf]):
+            with pytest.raises(DataError):
+                fit_kde(samples)
 
     def test_sample_outside_support_error(self):
         with pytest.raises(DataError):
@@ -252,36 +263,39 @@ class TestValidationAndSerialization:
             KdeModel(np.array(samples), bandwidth=bandwidth, support=(0.0, math.inf))
 
     @staticmethod
-    def _rebuild(doc: dict) -> KdeModel:
-        """A model read back from a ``to_dict`` document, as a reader of models.json would."""
-        lo, hi = doc["support"]
-        return KdeModel(
-            samples=np.asarray(doc["samples"], dtype=float),
-            bandwidth=float(doc["bandwidth"]),
-            support=(-math.inf if lo is None else lo, math.inf if hi is None else hi),
+    def _save_and_rebuild(tmp_path, dataset: ChainFeatureDataset, models: ModelSet):
+        """Write ``dataset`` and ``models`` as the pipeline does, then rebuild
+        the models as a reader of ``models.json`` does."""
+        save_dataset(dataset, tmp_path)
+        models.save(tmp_path / "models.json")
+        return rebuilt_models(tmp_path, tmp_path / "models.json")
+
+    def test_json_round_trip_pdf_exact(self, fixture_ingest, fixture_models, tmp_path):
+        _, loaded = self._save_and_rebuild(tmp_path, fixture_ingest[2], fixture_models)
+        for key, model in fixture_models.models.items():
+            back = loaded[sample_key(*key)]
+            assert back.bandwidth == model.bandwidth
+            grid = np.linspace(0.0, 2.0 * model.samples.max(), 257)
+            orig = pdf(model, grid)
+            nonzero = orig > 0
+            assert np.all(np.abs(pdf(back, grid)[nonzero] / orig[nonzero] - 1.0) <= 1e-12), key
+
+    def test_round_trip_preserves_unbounded_support(self, tmp_path):
+        ctype = CHAIN_TYPES[0]
+        dataset = ChainFeatureDataset(
+            {ctype: 2}, {(ctype, *key): np.array([1.0, 2.0]) for key in feature_keys(ctype)}
         )
+        models = ModelSet(chain_type_proportions(dataset),
+                          {key: fit_kde(values) for key, values in dataset.samples.items()})
+        doc, loaded = self._save_and_rebuild(tmp_path, dataset, models)
+        for key, model in models.models.items():
+            assert doc["models"][sample_key(*key)]["support"] == [None, None]
+            assert loaded[sample_key(*key)].support == model.support == (-math.inf, math.inf)
 
-    def test_json_round_trip_pdf_exact(self):
-        rng = np.random.default_rng(8)
-        model = fit_kde(rng.normal(30, 7, size=64), support=(0.0, math.inf))
-        loaded = self._rebuild(json.loads(json.dumps(model.to_dict())))
-        grid = np.linspace(0.0, 60.0, 257)
-        orig = pdf(model, grid)
-        back = pdf(loaded, grid)
-        nonzero = orig > 0
-        assert np.all(np.abs(back[nonzero] / orig[nonzero] - 1.0) <= 1e-12)
-
-    def test_round_trip_preserves_unbounded_support(self):
-        model = fit_kde([1.0, 2.0])
-        loaded = self._rebuild(json.loads(json.dumps(model.to_dict())))
-        assert loaded.support == model.support == (-math.inf, math.inf)
-
-    def test_to_dict_survives_json(self):
-        rng = np.random.default_rng(8)
-        model = fit_kde(rng.normal(30, 7, size=64), support=(0.0, math.inf))
-        doc = model.to_dict()
-        assert json.loads(json.dumps(doc)) == doc
-        assert doc["samples"] == model.samples.tolist()
-        assert doc["bandwidth"] == model.bandwidth
-        assert doc["support"] == [0.0, None]
-        assert fit_kde([1.0, 2.0]).to_dict()["support"] == [None, None]
+    def test_models_json_entry_encoding(self, fixture_ingest, fixture_models, tmp_path):
+        doc, _ = self._save_and_rebuild(tmp_path, fixture_ingest[2], fixture_models)
+        assert doc["schema"] == "fitted-models/v2"
+        assert list(doc["models"]) == [sample_key(*key) for key in fixture_models.models]
+        for key, model in fixture_models.models.items():
+            hi = 1440.0 if key[1:] == (FEATURE_END_TIME, 1) else None
+            assert doc["models"][sample_key(*key)] == {"bandwidth": model.bandwidth, "support": [0.0, hi]}

@@ -298,6 +298,39 @@ class TestBuildChains:
         assert end_times_min(chains, 0) == (1365.0, 1460.0)
         validate_chain(chains)
 
+    def test_small_hours_follow_a_midnight_crossing(self):
+        # 22:00-22:30 SR, 23:50-00:10 SE, 00:30-01:00 H: clock order would
+        # put the trip home first.
+        trips = table(
+            trip(start=1320, end=1350, dest=SiteClass.SR),
+            trip(start=1430, end=10, dur=20, dest=SiteClass.SE),
+            trip(start=30, end=60, dest=SiteClass.H),
+        )
+        chains = build_chains(trips)
+        assert labels(chains) == ["H-SR-SE-H"]
+        assert end_times_min(chains, 0) == (1350.0, 1450.0, 1500.0)
+        validate_chain(chains)
+
+    @pytest.mark.parametrize("home_after_midnight", [False, True])
+    def test_commuter_day_keeps_its_work_chain(self, home_after_midnight):
+        # 07:00 to W, 17:00 to H, 23:50-00:10 to SE: the work dwell is the
+        # day's longest idle gap, and the day still starts in the morning.
+        rows = [trip(start=420, end=450, dest=SiteClass.W),
+                trip(start=1020, end=1050, dest=SiteClass.H),
+                trip(start=1430, end=10, dur=20, dest=SiteClass.SE)]
+        if home_after_midnight:
+            rows.append(trip(start=30, end=60, dest=SiteClass.H))
+        diag = IngestDiagnostics()
+        chains = build_chains(table(*rows), diag)
+        if home_after_midnight:
+            assert labels(chains) == ["H-W-H", "H-SE-H"]
+            assert end_times_min(chains, 1) == (1450.0, 1500.0)
+        else:
+            assert labels(chains) == ["H-W-H"]
+            assert dict(diag.drop_reasons) == {"never_returned_home": 1}
+        assert end_times_min(chains, 0) == (450.0, 1050.0)
+        validate_chain(chains)
+
     def test_two_chains_same_day(self):
         trips = table(
             trip(start=480, end=510, dest=SiteClass.W),
@@ -612,15 +645,18 @@ def _reference_hhmm(raw: str) -> float:
 
 
 def _reference_chains(records, diag):
-    """(type, trips, end times, dwells) per chain, walking each sorted vehicle-day."""
+    """(type, trips, end times, dwells) per chain, walking each sorted vehicle-day;
+    on a day with a trip across midnight, trips before 04:00 come last."""
     groups = {}
     for rec in records:
         groups.setdefault((rec.household_id, rec.vehicle_id, rec.travel_day), []).append(rec)
     chains = []
     for key in sorted(groups):
+        night = any(t.end_time < t.start_time for t in groups[key])
+        day = sorted(groups[key], key=lambda r: (night and r.start_time < 240, r.start_time))
         offset = 0.0
         segment, ends, dwells = [], [], []
-        for t in sorted(groups[key], key=lambda r: r.start_time):
+        for t in day:
             start, end = t.start_time + offset, t.end_time + offset
             if t.end_time < t.start_time:
                 end += 1440.0
