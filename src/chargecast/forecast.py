@@ -8,12 +8,12 @@ along the chain. Whenever the state of charge would drop below the reserve
 after the next trip, the vehicle quick-charges at the current site:
 duration is capped by the stay and by the time to reach full charge.
 
-Vehicles are simulated as arrays, in fixed blocks of 256. Reproducibility
-contract: block ``k`` draws everything from the one RNG stream derived from
-(master seed, k), in the order documented on ``_simulate_block``, and block
-results are reduced in block order. Results are therefore bit-identical for
-any ``threads`` value, and the first k full blocks of a run do not depend on
-the fleet size.
+Vehicles are simulated as arrays, a batch of fixed 256-vehicle blocks at a
+time. Reproducibility contract: block ``k`` draws everything from the one
+RNG stream derived from (master seed, k), in the order documented on
+``_simulate_batch``, and results are reduced per block, in block order. So
+they are bit-identical for any batch size and ``threads`` value, and the
+first k full blocks of a run do not depend on the fleet size.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .survey import (
 DAY_MINUTES = 1440.0
 HORIZON_MINUTES = 2880.0  # two simulated days
 _VEHICLE_BLOCK = 256      # fixed RNG-stream and reduction granularity
+_BATCH_BLOCKS = 2         # blocks simulated with one set of array operations
 _MIN_VELOCITY_KMH = 1.0   # lower sampling bound of every velocity draw
 
 
@@ -87,6 +88,8 @@ class FleetConfig:
             raise ConfigurationError("soc_reserve must be in [0, 1)")
         if self.slot_minutes <= 0 or 1440 % self.slot_minutes != 0:
             raise ConfigurationError("slot_minutes must divide 1440")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass
@@ -228,7 +231,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]:
     """Fitted models of each chain type with positive probability, keyed by
-    chain-type index (so that the block loop hashes no ``ChainType``), each
+    chain-type index (so that the batch loop hashes no ``ChainType``), each
     type's in draw order.
 
     Raises ``ConfigurationError`` when no chain type has positive
@@ -243,10 +246,10 @@ def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]
     }
 
 
-class _BlockSim(NamedTuple):
-    """One block's charge events (one array entry per event) and counters."""
+class _BatchSim(NamedTuple):
+    """One batch's charge events (one array entry per event) and counters."""
 
-    vehicle: np.ndarray       # index within the block
+    vehicle: np.ndarray       # index within the batch; its block is vehicle // 256
     site: np.ndarray          # index into SITE_CLASSES
     start_min: np.ndarray     # absolute minute on the simulation axis
     duration_min: np.ndarray
@@ -255,21 +258,26 @@ class _BlockSim(NamedTuple):
     soc_max: float
 
 
-def _draw_chains(rng: np.random.Generator, ctype: np.ndarray, type_models: dict) -> tuple:
-    """Step 4 of ``_simulate_block``: ``(end1, lengths, velocity, dwells)``
-    of chains of types ``ctype``, one row per trip or midway stop (length 0,
-    velocity 1 and dwell 0 past a chain's last trip). Every draw is picked
-    first, then all are inverted with one ``ndtri`` call."""
+def _draw_batch_chains(rngs: list, ctype: np.ndarray, type_models: dict) -> tuple:
+    """Step 2 of ``_simulate_batch``: ``(end1, lengths, velocity, dwells)``
+    of chains of types ``ctype`` from block streams ``rngs``, one row per trip
+    or midway stop (length 0, velocity 1 and dwell 0 past a chain's last
+    trip). Each model picks once per batch; one ``ndtri`` call inverts all."""
     n = ctype.size
+    block = np.arange(n) % (n // 3) // _VEHICLE_BLOCK
+    order = np.argsort(block, kind="stable")  # the chains block by block
     rows = {FEATURE_END_TIME: np.empty((1, n)), FEATURE_LENGTH: np.zeros((3, n)),
             FEATURE_VELOCITY: np.ones((3, n)), FEATURE_DWELL: np.zeros((2, n))}
     targets, picks = [], []
-    for k in np.unique(ctype):
-        chains = np.flatnonzero(ctype == k)
-        for (feature, index), model in type_models[k].items():
+    for k in np.flatnonzero(np.bincount(ctype)):
+        chains = order[ctype[order] == k]
+        # Row 2j (2j + 1): model j's kernel-pick (placement) uniforms, per block.
+        uniforms = np.hstack([rng.random((2 * len(type_models[k]), count)) for rng, count
+                              in zip(rngs, np.bincount(block[chains], minlength=len(rngs)))])
+        for j, ((feature, index), model) in enumerate(type_models[k].items()):
             lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
             targets.append((rows[feature][index - 1], chains))
-            picks.append(model.pick(rng, chains.size, lower))
+            picks.append(model.pick(uniforms[2 * j:2 * j + 2], lower))
     centre, scale, p, lo, hi = zip(*picks)
     sizes = [c.size for c in centre]
     draws = invert(np.concatenate(centre), np.concatenate(scale), np.concatenate(p),
@@ -282,53 +290,54 @@ def _draw_chains(rng: np.random.Generator, ctype: np.ndarray, type_models: dict)
     return end1[0], lengths, velocity, dwells
 
 
-def _simulate_block(
+def _simulate_batch(
     config: FleetConfig,
     proportions: np.ndarray,
     type_models: dict[int, dict[tuple[str, int], KdeModel]],
-    block: int,
-) -> _BlockSim:
-    """Simulate vehicles ``256 * block`` up to ``min(256 * (block + 1), n_ev)``.
+    blocks: range,
+) -> _BatchSim:
+    """Simulate the vehicles of ``blocks`` as one set of arrays.
 
     Each vehicle drives two days and then a lookahead chain, whose first
-    trip settles the last evening's home-charging decision. The block's
-    ``b`` vehicles draw from ``_block_rng(seed, block)`` in this order:
+    trip settles the last evening's home-charging decision. The ``b``
+    vehicles of block ``k`` draw from ``_block_rng(seed, k)`` in this order:
 
-    1. ``b`` ownership uniforms (below ``p_own``: a private post);
-    2. ``b`` initial-SOC uniforms ``s``, soc0 = 0.5 + 0.5 s for non-owners
-       (drawn for owners too, so that ``p_own`` does not shift later draws);
-    3. ``3 b`` chain-type uniforms: day 0 of every vehicle, then day 1,
-       then the lookahead;
-    4. per chain type present, in enumeration order, over its chains in the
-       order of step 3: trip-1 end times, then each trip's lengths and
-       velocities (sampled above 1 km/h), then each midway dwell.
+    1. ``b`` ownership uniforms (below ``p_own``: a private post), ``b``
+       initial-SOC uniforms ``s``, soc0 = 0.5 + 0.5 s for non-owners (drawn
+       for owners too, so that ``p_own`` does not shift later draws), then
+       ``3 b`` chain-type uniforms: day 0 of every vehicle, day 1, lookahead;
+    2. per chain type present, in enumeration order, per model in draw order
+       (trip-1 end time, each trip's length and velocity, sampled above
+       1 km/h, then each midway dwell): a kernel-pick uniform per chain of
+       the type, in the order of step 1, then a placement uniform per chain.
     """
-    first = block * _VEHICLE_BLOCK
-    b = min(first + _VEHICLE_BLOCK, config.n_ev) - first
+    rngs = [_block_rng(config.seed, k) for k in blocks]
+    step1 = np.hstack([rng.random((5, min(_VEHICLE_BLOCK, config.n_ev - k * _VEHICLE_BLOCK)))
+                       for rng, k in zip(rngs, blocks)])
+    n = step1.shape[1]
     u = config.u_kwh_per_km
     c_ev = config.c_ev_kwh
     p_chg = config.p_charging_kw
     reserve = config.soc_reserve
-    rng = _block_rng(config.seed, block)
 
-    owner = rng.random(b) < config.p_own
-    soc = np.where(owner, 1.0, 0.5 + 0.5 * rng.random(b))
+    owner = step1[0] < config.p_own
+    soc = np.where(owner, 1.0, 0.5 + 0.5 * step1[1])
     # Cumulative rounding can leave the total a hair under 1; a tail draw
     # must still land on a type that actually has models.
     ctype = np.minimum(
-        np.searchsorted(np.cumsum(proportions), rng.random(3 * b), side="right"),
+        np.searchsorted(np.cumsum(proportions), step1[2:].ravel(), side="right"),
         max(type_models),
     )
 
     # Trip and dwell rows are zero past a chain's last trip, so those steps
     # below move neither the clock nor the charge.
-    end1, lengths, velocity, dwells = _draw_chains(rng, ctype, type_models)
+    end1, lengths, velocity, dwells = _draw_batch_chains(rngs, ctype, type_models)
     drive_min = 60.0 * lengths / velocity
 
     n_trips = _N_TRIPS[ctype]
     midway = _MIDWAY_SITE[ctype]
-    vehicle = np.arange(b)
-    home = np.full(b, SiteClass.H.index)
+    vehicle = np.arange(n)
+    home = np.full(n, SiteClass.H.index)
     soc_min = soc
     soc_max = soc
     infeasible = 0
@@ -343,8 +352,8 @@ def _simulate_block(
         soc_max = np.maximum(soc_max, soc)
 
     for day in (0, 1):
-        cur = slice(day * b, (day + 1) * b)
-        nxt = slice((day + 1) * b, (day + 2) * b)
+        cur = slice(day * n, (day + 1) * n)
+        nxt = slice((day + 1) * n, (day + 2) * n)
         end_t = DAY_MINUTES * day + end1[cur]
         for t in range(3):
             if t > 0:
@@ -366,7 +375,7 @@ def _simulate_block(
         soc = np.where(owner, 1.0, soc)
         soc_max = np.where(owner, 1.0, soc_max)
 
-    return _BlockSim(
+    return _BatchSim(
         *(np.concatenate(parts) for parts in zip(*events)),
         infeasible, float(soc_min.min()), float(soc_max.max()),
     )
@@ -381,12 +390,13 @@ def _accumulate_site_power(
     start_min: np.ndarray,
     duration_min: np.ndarray,
     config: FleetConfig,
+    n_rows: int = len(SITE_CLASSES),
 ) -> np.ndarray:
-    """Per-site average power per slot of the 48 h axis, from charge events
-    given as arrays.
+    """Average power per (row, slot) of the 48 h axis, from charge events
+    given as arrays, each in row ``site`` (``5 k + site`` in a batch's block k).
 
     Events are truncated at the axis ends and prorated within partially
-    covered slots. Each (site, slot) cell sums its contributions in event
+    covered slots. Each (row, slot) cell sums its contributions in event
     order.
     """
     slot = float(config.slot_minutes)
@@ -405,9 +415,9 @@ def _accumulate_site_power(
     power = np.bincount(
         site[event[hit]] * n_slots + i[hit],
         weights=config.p_charging_kw * (overlap[hit] / slot),
-        minlength=len(SITE_CLASSES) * n_slots,
+        minlength=n_rows * n_slots,
     )
-    return power.reshape(len(SITE_CLASSES), n_slots)
+    return power.reshape(n_rows, n_slots)
 
 
 def _bundle_from_site_power(site_power: np.ndarray, config: FleetConfig) -> SiteLoadBundle:
@@ -469,9 +479,10 @@ def run_forecast(
 ) -> ForecastResult:
     """Simulate the fleet over 48 h and report the final 24 h load bundle.
 
-    ``threads`` is accepted for compatibility and ignored: the vectorized
-    blocks run in the calling thread, because a thread pool over them
-    measured no gain.
+    The vehicles run in batches of ``_BATCH_BLOCKS`` blocks; the RNG streams
+    and the reductions stay per 256-vehicle block, in block order. ``threads``
+    is accepted for compatibility and ignored: the vectorized batches run in
+    the calling thread, because a thread pool over blocks measured no gain.
     """
     config.validate()
     type_models = _type_models(models)
@@ -484,12 +495,19 @@ def run_forecast(
     soc_min = math.inf
     soc_max = -math.inf
     event_energy = 0.0
-    for block in range(n_blocks):
-        sim = _simulate_block(config, models.proportions, type_models, block)
-        total_power += _accumulate_site_power(sim.site, sim.start_min, sim.duration_min, config)
+    n_sites = len(SITE_CLASSES)
+    for first in range(0, n_blocks, _BATCH_BLOCKS):
+        blocks = range(first, min(first + _BATCH_BLOCKS, n_blocks))
+        sim = _simulate_batch(config, models.proportions, type_models, blocks)
+        block = sim.vehicle // _VEHICLE_BLOCK
+        power = _accumulate_site_power(block * n_sites + sim.site, sim.start_min,
+                                       sim.duration_min, config, len(blocks) * n_sites)
         end = np.minimum(sim.start_min + sim.duration_min, HORIZON_MINUTES)
         inside = end - np.maximum(0.0, sim.start_min)
-        event_energy += config.p_charging_kw * float(inside[inside > 0].sum()) / 60.0
+        for k in range(len(blocks)):
+            total_power += power[k * n_sites:(k + 1) * n_sites]
+            in_block = inside[(block == k) & (inside > 0)]
+            event_energy += config.p_charging_kw * float(in_block.sum()) / 60.0
         n_events += sim.site.size
         infeasible += sim.infeasible
         soc_min = min(soc_min, sim.soc_min)

@@ -6,7 +6,7 @@ vectorized: each draw picks a kernel with probability proportional to its
 mass inside the bounds (tables built once per model and lower bound, with
 ``math.erfc``) and inverts that kernel's truncated normal CDF with
 ``ndtri``, so no draw is rejected, redrawn or clamped. All randomness comes
-from caller-provided numpy Generators, so sampling is reproducible.
+from caller-provided uniforms or Generators, so sampling is reproducible.
 """
 
 from __future__ import annotations
@@ -90,6 +90,13 @@ def invert(centre, scale, p, lo, hi) -> np.ndarray:
     return np.clip(centre + scale * ndtri(p), lo, hi)
 
 
+def _quartile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(x, 100 q)`` of sorted ``x``, step for step (it imports numpy.ma)."""
+    i, t = divmod((ordered.size - 1) * q, 1.0)
+    a, b = ordered[int(i)], ordered[int(i) + 1]
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5).
 
@@ -100,8 +107,8 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     if n < 2:
         return 0.0
     sd = float(samples.std(ddof=1))
-    q25, q75 = np.percentile(samples, [25.0, 75.0])
-    spread = min(sd, (q75 - q25) / 1.34)
+    ordered = np.sort(samples)
+    spread = min(sd, (_quartile(ordered, 0.75) - _quartile(ordered, 0.25)) / 1.34)
     return 0.9 * spread * n ** (-0.2)
 
 
@@ -155,26 +162,26 @@ class KdeModel:
             table = self._tables[lo] = (p_lo, width, scale, cum / cum[-1])
         return table
 
-    def pick(self, rng: np.random.Generator, count: int, lower: float = -math.inf):
-        """``(centre, scale, p, lo, hi)`` of ``count`` draws inside [lo, hi] =
-        [max(support lo, lower), support hi], for ``invert``. The stream
-        consumes ``count`` uniforms that pick kernels with probability
-        proportional to their mass inside [lo, hi], then ``count`` that place
+    def pick(self, uniforms: np.ndarray, lower: float = -math.inf):
+        """``(centre, scale, p, lo, hi)`` of draws inside [lo, hi] =
+        [max(support lo, lower), support hi], for ``invert``: one draw per
+        column of the ``(2, count)`` ``uniforms``. Row 0 picks kernels with
+        probability proportional to their mass inside [lo, hi]; row 1 places
         ``p`` uniformly between each kernel's probabilities at lo and hi."""
         lo = max(self.support[0], lower)
         p_lo, width, scale, cdf = self._table(lo)
         # cdf ends at exactly 1.0 and uniforms are < 1, so every pick is a
         # kernel with positive mass.
-        k = cdf.searchsorted(rng.random(count), side="right")
-        p = p_lo[k] + rng.random(count) * width[k]
+        k = cdf.searchsorted(uniforms[0], side="right")
+        p = p_lo[k] + uniforms[1] * width[k]
         return self.samples[k], scale[k], p, lo, self.support[1]
 
     def sample_many(
         self, rng: np.random.Generator, count: int, lower: float = -math.inf
     ) -> np.ndarray:
         """``count`` independent draws from the density, optionally also
-        truncated below at ``lower``."""
-        return invert(*self.pick(rng, count, lower))
+        truncated below at ``lower``: ``pick`` of the next ``(2, count)`` uniforms."""
+        return invert(*self.pick(rng.random((2, count)), lower))
 
 
 def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:

@@ -1,5 +1,8 @@
 """Fleet simulation: battery primitives, vehicle flow, load accumulation."""
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +10,20 @@ from hypothesis import strategies as st
 
 from chargecast.errors import ConfigurationError
 from chargecast.forecast import (
+    _BATCH_BLOCKS,
+    _MIDWAY_SITE,
+    _MIN_VELOCITY_KMH,
+    _N_TRIPS,
+    _VEHICLE_BLOCK,
     DAY_MINUTES,
     HORIZON_MINUTES,
     FleetConfig,
     ModelSet,
     _accumulate_site_power,
     _block_rng,
-    _MIN_VELOCITY_KMH,
     _bundle_from_site_power,
-    _draw_chains,
-    _simulate_block,
+    _draw_batch_chains,
+    _simulate_batch,
     _type_models,
     charge_duration_hours,
     needs_charge,
@@ -24,6 +31,7 @@ from chargecast.forecast import (
     soc_after_trip,
     station_composite,
 )
+from chargecast.kde import invert
 from chargecast.survey import (
     CHAIN_TYPES,
     FEATURE_DWELL,
@@ -39,8 +47,131 @@ Q_DEFAULT = (0.04, 0.1, 0.2, 0.1, 0.1)
 
 
 def simulate(config, models, block=0):
-    """One block of the fleet simulation, as ``run_forecast`` runs it."""
-    return _simulate_block(config, models.proportions, _type_models(models), block)
+    """One block of the fleet simulation, as a batch of one block."""
+    return _simulate_batch(config, models.proportions, _type_models(models), range(block, block + 1))
+
+
+# ---------------------------------------------------------------------------
+# Per-block oracle: the simulation one 256-vehicle block at a time, which
+# the batched ``run_forecast`` must equal bit for bit.
+# ---------------------------------------------------------------------------
+
+class _BlockSim(NamedTuple):
+    vehicle: np.ndarray
+    site: np.ndarray
+    start_min: np.ndarray
+    duration_min: np.ndarray
+    infeasible: int
+    soc_min: float
+    soc_max: float
+
+
+def _draw_chains(rng, ctype, type_models):
+    """``(end1, lengths, velocity, dwells)`` of one block's chains: per chain
+    type present, per model, every pick, then one ``invert``."""
+    n = ctype.size
+    rows = {FEATURE_END_TIME: np.empty((1, n)), FEATURE_LENGTH: np.zeros((3, n)),
+            FEATURE_VELOCITY: np.ones((3, n)), FEATURE_DWELL: np.zeros((2, n))}
+    targets, picks = [], []
+    for k in np.unique(ctype):
+        chains = np.flatnonzero(ctype == k)
+        for (feature, index), model in type_models[k].items():
+            lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
+            targets.append((rows[feature][index - 1], chains))
+            picks.append(model.pick(rng.random((2, chains.size)), lower))
+    centre, scale, p, lo, hi = zip(*picks)
+    sizes = [c.size for c in centre]
+    draws = invert(np.concatenate(centre), np.concatenate(scale), np.concatenate(p),
+                   np.repeat(lo, sizes), np.repeat(hi, sizes))
+    start = 0
+    for target, chains in targets:
+        target[chains] = draws[start:start + chains.size]
+        start += chains.size
+    end1, lengths, velocity, dwells = rows.values()
+    return end1[0], lengths, velocity, dwells
+
+
+def _simulate_block(config, proportions, type_models, block):
+    """Vehicles ``256 * block`` up to ``min(256 * (block + 1), n_ev)``, drawn
+    from ``_block_rng(seed, block)``."""
+    first = block * _VEHICLE_BLOCK
+    b = min(first + _VEHICLE_BLOCK, config.n_ev) - first
+    u, c_ev, p_chg = config.u_kwh_per_km, config.c_ev_kwh, config.p_charging_kw
+    reserve = config.soc_reserve
+    rng = _block_rng(config.seed, block)
+
+    owner = rng.random(b) < config.p_own
+    soc = np.where(owner, 1.0, 0.5 + 0.5 * rng.random(b))
+    ctype = np.minimum(
+        np.searchsorted(np.cumsum(proportions), rng.random(3 * b), side="right"),
+        max(type_models),
+    )
+    end1, lengths, velocity, dwells = _draw_chains(rng, ctype, type_models)
+    drive_min = 60.0 * lengths / velocity
+
+    n_trips = _N_TRIPS[ctype]
+    midway = _MIDWAY_SITE[ctype]
+    vehicle = np.arange(b)
+    home = np.full(b, SiteClass.H.index)
+    soc_min = soc
+    soc_max = soc
+    infeasible = 0
+    events = []
+
+    def charge(trigger, site, start, stay_min):
+        nonlocal soc, soc_max
+        dur_h = charge_duration_hours(soc, stay_min / 60.0, c_ev, p_chg)
+        fire = trigger & (dur_h > 0)
+        events.append((vehicle[fire], site[fire], start[fire], dur_h[fire] * 60.0))
+        soc = np.where(fire, np.minimum(1.0, soc + dur_h * p_chg / c_ev), soc)
+        soc_max = np.maximum(soc_max, soc)
+
+    for day in (0, 1):
+        cur = slice(day * b, (day + 1) * b)
+        nxt = slice((day + 1) * b, (day + 2) * b)
+        end_t = DAY_MINUTES * day + end1[cur]
+        for t in range(3):
+            if t > 0:
+                end_t = end_t + dwells[t - 1, cur] + drive_min[t, cur]
+            soc, flag = soc_after_trip(soc, lengths[t, cur], u, c_ev)
+            infeasible += int(np.count_nonzero(flag))
+            soc_min = np.minimum(soc_min, soc)
+            if t < 2:
+                trigger = (t < n_trips[cur] - 1) & needs_charge(
+                    soc, lengths[t + 1, cur], u, c_ev, reserve
+                )
+                charge(trigger, midway[cur, t], end_t, dwells[t, cur])
+        next_start = DAY_MINUTES * (day + 1) + end1[nxt] - drive_min[0, nxt]
+        trigger = ~owner & needs_charge(soc, lengths[0, nxt], u, c_ev, reserve)
+        charge(trigger, home, end_t, np.maximum(0.0, next_start - end_t))
+        soc = np.where(owner, 1.0, soc)
+        soc_max = np.where(owner, 1.0, soc_max)
+
+    return _BlockSim(
+        *(np.concatenate(parts) for parts in zip(*events)),
+        infeasible, float(soc_min.min()), float(soc_max.max()),
+    )
+
+
+def oracle_forecast(config, models):
+    """``(site power on the 48 h axis, n_events, event_energy_kwh,
+    infeasible_trips, soc_min, soc_max)``, reduced block by block."""
+    type_models = _type_models(models)
+    n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
+    total_power = np.zeros((5, n_slots))
+    n_events = infeasible = 0
+    soc_min, soc_max, event_energy = math.inf, -math.inf, 0.0
+    for block in range((config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK):
+        sim = _simulate_block(config, models.proportions, type_models, block)
+        total_power += _accumulate_site_power(sim.site, sim.start_min, sim.duration_min, config)
+        end = np.minimum(sim.start_min + sim.duration_min, HORIZON_MINUTES)
+        inside = end - np.maximum(0.0, sim.start_min)
+        event_energy += config.p_charging_kw * float(inside[inside > 0].sum()) / 60.0
+        n_events += sim.site.size
+        infeasible += sim.infeasible
+        soc_min = min(soc_min, sim.soc_min)
+        soc_max = max(soc_max, sim.soc_max)
+    return total_power, n_events, event_energy, infeasible, soc_min, soc_max
 
 
 def vehicle_events(sim, vehicle):
@@ -328,29 +459,43 @@ class TestRunForecast:
         assert not np.array_equal(a, c)
 
     def test_batched_draws_equal_sample_many(self, fixture_models):
-        """One block's chain features, inverted with one ndtri call, equal
-        one sample_many call per model value for value, in the same order."""
+        """A batch's chain features, inverted with one ndtri call, equal one
+        sample_many call per block and model, value for value, each block's
+        in its documented order."""
         type_models = _type_models(fixture_models)
-        ctype = np.random.default_rng(1).choice(sorted(type_models), 3 * 256)
-        got = _draw_chains(np.random.default_rng(2), ctype, type_models)
+        n = 2 * 256 + 100
+        ctype = np.random.default_rng(1).choice(sorted(type_models), 3 * n)
+        got = _draw_batch_chains([np.random.default_rng(b) for b in (2, 3, 4)], ctype, type_models)
+        block = np.tile(np.arange(n) // 256, 3)  # chains are day-major over the vehicles
 
-        rng = np.random.default_rng(2)
         end1 = np.empty(ctype.size)
         lengths, velocity = np.zeros((3, ctype.size)), np.ones((3, ctype.size))
         dwells = np.zeros((2, ctype.size))
-        for k in np.unique(ctype):
-            chains = np.flatnonzero(ctype == k)
-            fitted = type_models[k]
-            end1[chains] = fitted[FEATURE_END_TIME, 1].sample_many(rng, chains.size)
-            for t in range(CHAIN_TYPES[k].n_trips):
-                lengths[t, chains] = fitted[FEATURE_LENGTH, t + 1].sample_many(rng, chains.size)
-                velocity[t, chains] = fitted[FEATURE_VELOCITY, t + 1].sample_many(
-                    rng, chains.size, lower=_MIN_VELOCITY_KMH
-                )
-            for j in range(CHAIN_TYPES[k].n_trips - 1):
-                dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, chains.size)
+        for b, seed in enumerate((2, 3, 4)):
+            rng = np.random.default_rng(seed)
+            mine = np.flatnonzero(block == b)
+            for k in range(len(CHAIN_TYPES)):
+                chains = mine[ctype[mine] == k]
+                if chains.size == 0:
+                    continue
+                fitted = type_models[k]
+                end1[chains] = fitted[FEATURE_END_TIME, 1].sample_many(rng, chains.size)
+                for t in range(CHAIN_TYPES[k].n_trips):
+                    lengths[t, chains] = fitted[FEATURE_LENGTH, t + 1].sample_many(rng, chains.size)
+                    velocity[t, chains] = fitted[FEATURE_VELOCITY, t + 1].sample_many(
+                        rng, chains.size, lower=_MIN_VELOCITY_KMH
+                    )
+                for j in range(CHAIN_TYPES[k].n_trips - 1):
+                    dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, chains.size)
         for batched, reference in zip(got, (end1, lengths, velocity, dwells)):
             assert np.array_equal(batched, reference)
+
+    def test_pick_stream_is_sample_many_stream(self, fixture_models):
+        """``sample_many`` feeds ``pick`` its next 2 * count uniforms."""
+        model = next(iter(fixture_models.models.values()))
+        draws = model.sample_many(np.random.default_rng(8), 50, lower=1.0)
+        uniforms = np.random.default_rng(8).random((2, 50))
+        assert np.array_equal(draws, invert(*model.pick(uniforms, 1.0)))
 
     def test_invalid_config_rejected(self, fixture_models):
         with pytest.raises(ConfigurationError):
@@ -392,3 +537,30 @@ class TestFleetProperties:
         prefix = run_forecast(FleetConfig(n_ev=k * 256, q_pro=Q_DEFAULT, seed=seed), fixture_models)
         site = np.stack([p.power_kw for p in prefix.bundle.site_profiles])
         assert np.array_equal(site, power[:, -site.shape[1]:])
+
+    @settings(derandomize=True, database=None, max_examples=24, deadline=None)
+    @given(
+        n_ev=st.sampled_from(sorted({1, 255, 256, 257, *(
+            m * _BATCH_BLOCKS * _VEHICLE_BLOCK + d for m, d in ((1, -1), (1, 0), (1, 1), (2, 3))
+        )})),
+        p_own=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_batched_run_equals_per_block_oracle(self, fixture_models, n_ev, p_own, seed):
+        """Batching changes no bit of any result: the curves and counters of
+        ``run_forecast`` equal the per-block oracle's."""
+        config = FleetConfig(n_ev=n_ev, p_own=p_own, q_pro=Q_DEFAULT, seed=seed)
+        power, n_events, event_energy, infeasible, soc_min, soc_max = oracle_forecast(
+            config, fixture_models
+        )
+        result = run_forecast(config, fixture_models)
+        expected = _bundle_from_site_power(power, config)
+        for got, want in zip(result.bundle.site_profiles, expected.site_profiles):
+            assert np.array_equal(got.power_kw, want.power_kw)
+        assert np.array_equal(result.bundle.station.power_kw, expected.station.power_kw)
+        dt_h = config.slot_minutes / 60.0
+        assert result.site_energy_full_kwh == tuple(float(row.sum() * dt_h) for row in power)
+        assert result.n_events == n_events
+        assert result.event_energy_kwh == event_energy
+        assert result.infeasible_trips == infeasible
+        assert (result.soc_min, result.soc_max) == (soc_min, soc_max)

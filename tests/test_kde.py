@@ -103,6 +103,23 @@ class TestBandwidth:
         for a in (0.25, 3.0, 117.0):
             assert fit_kde(a * x).bandwidth == pytest.approx(a * h, rel=1e-12)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(-1e10, 1e10), min_size=2, max_size=3),
+            st.lists(st.floats(-1e10, 1e10), min_size=4, max_size=60),
+            st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=60),  # ties
+        ),
+        scale=st.sampled_from([1.0, -2.5e-7, 1e-300, 3.0e140]),
+    )
+    def test_quartiles_match_np_percentile(self, values, scale):
+        """The sorted-copy quartiles give the bandwidth of the
+        ``np.percentile`` formula bit for bit."""
+        x = np.asarray(values) * scale
+        q25, q75 = np.percentile(x, [25.0, 75.0])
+        expected = 0.9 * min(float(x.std(ddof=1)), (q75 - q25) / 1.34) * x.size ** (-0.2)
+        assert np.float64(silverman_bandwidth(x)).tobytes() == np.float64(expected).tobytes()
+
     def test_zero_iqr_with_spread_uses_fallback(self):
         x = [3.0] * 10 + [9.0]
         assert silverman_bandwidth(np.asarray(x)) == 0.0
