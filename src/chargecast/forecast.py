@@ -9,11 +9,14 @@ after the next trip, the vehicle quick-charges at the current site:
 duration is capped by the stay and by the time to reach full charge.
 
 Vehicles are simulated as arrays, a batch of fixed 256-vehicle blocks at a
-time. Reproducibility contract: block ``k`` draws everything from the one
-RNG stream derived from (master seed, k), in the order documented on
-``_simulate_batch``, and results are reduced per block, in block order. So
-they are bit-identical for any batch size and ``threads`` value, and the
-first k full blocks of a run do not depend on the fleet size.
+time. A batch draws its chains one chain type at a time, so that it holds
+only that type's kernel picks at once; this keeps the heap of a batch of
+``_BATCH_BLOCKS`` blocks small. Reproducibility contract: block ``k`` draws
+everything from the one RNG stream derived from (master seed, k), in the
+order documented on ``_simulate_batch``, and results are reduced per block,
+in block order. So they are bit-identical for any batch size and
+``threads`` value, and the first k full blocks of a run do not depend on
+the fleet size.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .survey import (
 DAY_MINUTES = 1440.0
 HORIZON_MINUTES = 2880.0  # two simulated days
 _VEHICLE_BLOCK = 256      # fixed RNG-stream and reduction granularity
-_BATCH_BLOCKS = 2         # blocks simulated with one set of array operations
+_BATCH_BLOCKS = 5         # blocks simulated with one set of array operations
 _MIN_VELOCITY_KMH = 1.0   # lower sampling bound of every velocity draw
 
 
@@ -262,30 +265,29 @@ def _draw_batch_chains(rngs: list, ctype: np.ndarray, type_models: dict) -> tupl
     """Step 2 of ``_simulate_batch``: ``(end1, lengths, velocity, dwells)``
     of chains of types ``ctype`` from block streams ``rngs``, one row per trip
     or midway stop (length 0, velocity 1 and dwell 0 past a chain's last
-    trip). Each model picks once per batch; one ``ndtri`` call inverts all."""
+    trip). One chain type at a time: each of its models picks once for the
+    batch, into one row of ``(models, chains)`` arrays, and one ``invert``
+    call turns the type's picks into draws in place."""
     n = ctype.size
     block = np.arange(n) % (n // 3) // _VEHICLE_BLOCK
     order = np.argsort(block, kind="stable")  # the chains block by block
     rows = {FEATURE_END_TIME: np.empty((1, n)), FEATURE_LENGTH: np.zeros((3, n)),
             FEATURE_VELOCITY: np.ones((3, n)), FEATURE_DWELL: np.zeros((2, n))}
-    targets, picks = [], []
     for k in np.flatnonzero(np.bincount(ctype)):
         chains = order[ctype[order] == k]
+        fitted = type_models[k]
         # Row 2j (2j + 1): model j's kernel-pick (placement) uniforms, per block.
-        uniforms = np.hstack([rng.random((2 * len(type_models[k]), count)) for rng, count
+        uniforms = np.hstack([rng.random((2 * len(fitted), count)) for rng, count
                               in zip(rngs, np.bincount(block[chains], minlength=len(rngs)))])
-        for j, ((feature, index), model) in enumerate(type_models[k].items()):
+        centre, scale, p = np.empty((3, len(fitted), chains.size))
+        lo, hi = np.empty((2, len(fitted), 1))
+        for j, ((feature, _), model) in enumerate(fitted.items()):
             lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
-            targets.append((rows[feature][index - 1], chains))
-            picks.append(model.pick(uniforms[2 * j:2 * j + 2], lower))
-    centre, scale, p, lo, hi = zip(*picks)
-    sizes = [c.size for c in centre]
-    draws = invert(np.concatenate(centre), np.concatenate(scale), np.concatenate(p),
-                   np.repeat(lo, sizes), np.repeat(hi, sizes))
-    start = 0
-    for target, chains in targets:
-        target[chains] = draws[start:start + chains.size]
-        start += chains.size
+            centre[j], scale[j], p[j], lo[j], hi[j] = model.pick(uniforms[2 * j:2 * j + 2], lower)
+        del uniforms  # freed before ndtri's temporaries are made
+        draws = invert(centre, scale, p, lo, hi)
+        for (feature, index), row in zip(fitted, draws):
+            rows[feature][index - 1, chains] = row
     end1, lengths, velocity, dwells = rows.values()
     return end1[0], lengths, velocity, dwells
 
@@ -479,10 +481,14 @@ def run_forecast(
 ) -> ForecastResult:
     """Simulate the fleet over 48 h and report the final 24 h load bundle.
 
-    The vehicles run in batches of ``_BATCH_BLOCKS`` blocks; the RNG streams
-    and the reductions stay per 256-vehicle block, in block order. ``threads``
-    is accepted for compatibility and ignored: the vectorized batches run in
-    the calling thread, because a thread pool over blocks measured no gain.
+    The vehicles run in batches of ``_BATCH_BLOCKS`` blocks. A larger batch
+    repeats the per-batch work (each model's pick, each type's RNG calls, the
+    SOC loop's array passes) less often but holds more heap, about 0.23 MB
+    per block on the fixture models, which a test in
+    ``tests/test_forecast.py`` caps. The RNG streams and the reductions stay
+    per 256-vehicle block, in block order. ``threads`` is accepted for
+    compatibility and ignored: the vectorized batches run in the calling
+    thread, because a thread pool over blocks measured no gain.
     """
     config.validate()
     type_models = _type_models(models)

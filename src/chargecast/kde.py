@@ -5,8 +5,11 @@ Supports may be half-open or closed intervals. Sampling is exact and
 vectorized: each draw picks a kernel with probability proportional to its
 mass inside the bounds (tables built once per model and lower bound, with
 ``math.erfc``) and inverts that kernel's truncated normal CDF with
-``ndtri``, so no draw is rejected, redrawn or clamped. All randomness comes
-from caller-provided uniforms or Generators, so sampling is reproducible.
+``ndtri``, so no draw is rejected, redrawn or clamped. ``pick`` makes the
+picks and ``invert`` turns them into draws in the buffer of their
+probabilities, with an in-place ``ndtri``, so that a batch of draws holds
+few temporaries. All randomness comes from caller-provided uniforms or
+Generators, so sampling is reproducible.
 """
 
 from __future__ import annotations
@@ -52,22 +55,29 @@ _AS241_FAR = (
 
 
 def _ratio(coeffs, r: np.ndarray, scale=1.0) -> np.ndarray:
+    """``num(r) * scale / den(r)`` by Horner's rule, in one pair of buffers."""
     num, den = (np.full_like(r, c[0]) for c in coeffs)
     for a, b in zip(coeffs[0][1:], coeffs[1][1:]):
-        num = num * r + a
-        den = den * r + b
-    return num * scale / den
+        num *= r
+        num += a
+        den *= r
+        den += b
+    num *= scale
+    num /= den
+    return num
 
 
-def ndtri(p) -> np.ndarray:
+def ndtri(p, out=None) -> np.ndarray:
     """Standard normal quantile of each probability in ``p``, within a few
-    ulp over (0, 1); ``ndtri(0) = -inf`` and ``ndtri(1) = inf``."""
+    ulp over (0, 1); ``ndtri(0) = -inf`` and ``ndtri(1) = inf``. ``out`` may
+    be ``p`` itself, which is then overwritten."""
     p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
     central = np.abs(p - 0.5) <= 0.425
     q = p[central] - 0.5
-    out[central] = _ratio(_AS241_CENTRAL, 0.180625 - q * q, q)
     tail = p[~central]
+    if out is None:
+        out = np.empty_like(p)
+    out[central] = _ratio(_AS241_CENTRAL, 0.180625 - q * q, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sqrt(-np.log(np.minimum(tail, 1.0 - tail)))
         x = np.where(r <= 5.0, _ratio(_AS241_NEAR, r - 1.6), _ratio(_AS241_FAR, r - 5.0))
@@ -86,8 +96,12 @@ def _ndtr(bound: float, centres: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def invert(centre, scale, p, lo, hi) -> np.ndarray:
     """Draws ``centre + scale * ndtri(p)`` of kernel picks, clipped to
-    [lo, hi] (scalars or arrays) against the last-ulp rounding of the sum."""
-    return np.clip(centre + scale * ndtri(p), lo, hi)
+    [lo, hi] (scalars, or arrays that broadcast) against the last-ulp
+    rounding of the sum. The draws overwrite ``p``."""
+    x = ndtri(p, out=p)
+    x *= scale
+    x += centre
+    return np.clip(x, lo, hi, out=x)
 
 
 def _quartile(ordered: np.ndarray, q: float) -> float:

@@ -1,6 +1,7 @@
 """Fleet simulation: battery primitives, vehicle flow, load accumulation."""
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -458,15 +459,24 @@ class TestRunForecast:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_batched_draws_equal_sample_many(self, fixture_models):
-        """A batch's chain features, inverted with one ndtri call, equal one
-        sample_many call per block and model, value for value, each block's
-        in its documented order."""
+    @pytest.mark.parametrize("sparse", [False, True], ids=["mixed", "sparse"])
+    def test_batched_draws_equal_sample_many(self, fixture_models, sparse):
+        """A batch's chain features, inverted with one ndtri call per chain
+        type, equal one sample_many call per block and model, value for
+        value, each block's in its documented order. ``sparse``: one type has
+        no chain in the middle block, and another has one chain in the batch."""
         type_models = _type_models(fixture_models)
         n = 2 * 256 + 100
-        ctype = np.random.default_rng(1).choice(sorted(type_models), 3 * n)
-        got = _draw_batch_chains([np.random.default_rng(b) for b in (2, 3, 4)], ctype, type_models)
         block = np.tile(np.arange(n) // 256, 3)  # chains are day-major over the vehicles
+        rng = np.random.default_rng(1)
+        types = sorted(type_models)
+        if sparse:
+            ctype = rng.choice(types[2:], 3 * n)
+            ctype[(block != 1) & (rng.random(3 * n) < 0.2)] = types[0]
+            ctype[n + 300] = types[1]
+        else:
+            ctype = rng.choice(types, 3 * n)
+        got = _draw_batch_chains([np.random.default_rng(b) for b in (2, 3, 4)], ctype, type_models)
 
         end1 = np.empty(ctype.size)
         lengths, velocity = np.zeros((3, ctype.size)), np.ones((3, ctype.size))
@@ -489,6 +499,20 @@ class TestRunForecast:
                     dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, chains.size)
         for batched, reference in zip(got, (end1, lengths, velocity, dwells)):
             assert np.array_equal(batched, reference)
+
+    def test_warm_run_heap_peak(self, fixture_models):
+        """A warm 10,000-vehicle run's traced heap peaks at or below 1.32 MiB:
+        two-block batches that hold every chain type's draws at once peak
+        there (numpy 2.4.6), and larger batches must hold one type's at a time."""
+        config = FleetConfig(n_ev=10_000, q_pro=Q_DEFAULT, seed=20170)
+        run_forecast(config, fixture_models)
+        tracemalloc.start()
+        try:
+            run_forecast(config, fixture_models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.32 * 2**20
 
     def test_pick_stream_is_sample_many_stream(self, fixture_models):
         """``sample_many`` feeds ``pick`` its next 2 * count uniforms."""

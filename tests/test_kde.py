@@ -13,7 +13,15 @@ from scipy.stats import kstest
 
 from chargecast.errors import DataError
 from chargecast.forecast import ModelSet
-from chargecast.kde import KdeModel, fit_kde, ndtri, silverman_bandwidth
+from chargecast.kde import (
+    _AS241_CENTRAL,
+    _AS241_FAR,
+    _AS241_NEAR,
+    KdeModel,
+    fit_kde,
+    ndtri,
+    silverman_bandwidth,
+)
 from chargecast.survey import (
     CHAIN_TYPES,
     FEATURE_END_TIME,
@@ -239,7 +247,52 @@ class TestSampling:
         assert statistic < 0.04
 
 
+def _oracle_ratio(coeffs, r, scale=1.0):
+    num, den = (np.full_like(r, c[0]) for c in coeffs)
+    for a, b in zip(coeffs[0][1:], coeffs[1][1:]):
+        num = num * r + a
+        den = den * r + b
+    return num * scale / den
+
+
+def oracle_ndtri(p):
+    """The out-of-place AS241 quantile that ``ndtri`` must equal byte for
+    byte: both branch ratios on every tail value, then ``np.where``."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    central = np.abs(p - 0.5) <= 0.425
+    q = p[central] - 0.5
+    out[central] = _oracle_ratio(_AS241_CENTRAL, 0.180625 - q * q, q)
+    tail = p[~central]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(tail, 1.0 - tail)))
+        x = np.where(
+            r <= 5.0, _oracle_ratio(_AS241_NEAR, r - 1.6), _oracle_ratio(_AS241_FAR, r - 5.0)
+        )
+    out[~central] = np.copysign(np.where(r == math.inf, math.inf, x), tail - 0.5)
+    return out
+
+
 class TestNdtri:
+    def test_equals_out_of_place_oracle_bytes(self):
+        """Uniforms, both tails down to the smallest subnormal and up to
+        1 - 1e-16, the neighbours of the 0.075 and 0.925 branch edges, 0 and
+        1 give the oracle's float64 bytes, in a new array and in place."""
+        lower = np.concatenate([10.0 ** -np.linspace(1.0, 323.0, 20_000), [5e-324, 1e-323]])
+        edges = np.concatenate([edge + np.spacing(edge) * np.arange(-8, 9) for edge in (0.075, 0.925)])
+        for p in (
+            np.random.default_rng(5).random(200_000),
+            lower,
+            1.0 - 10.0 ** -np.linspace(1.0, 16.0, 20_000),
+            edges,
+            np.array([0.0, 1.0, 0.5]),
+        ):
+            expected = oracle_ndtri(p).tobytes()
+            assert ndtri(p).tobytes() == expected
+            in_place = p.copy()
+            assert ndtri(in_place, out=in_place) is in_place
+            assert in_place.tobytes() == expected
+
     def test_matches_statistics_inv_cdf_bit_for_bit(self):
         p = np.concatenate([
             np.linspace(1e-12, 1.0 - 1e-12, 1000), np.random.default_rng(3).random(1000),
