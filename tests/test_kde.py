@@ -255,7 +255,7 @@ def _oracle_ratio(coeffs, r, scale=1.0):
     return num * scale / den
 
 
-def oracle_ndtri(p):
+def _oracle_ndtri(p):
     """The out-of-place AS241 quantile that ``ndtri`` must equal byte for
     byte: both branch ratios on every tail value, then ``np.where``."""
     p = np.asarray(p, dtype=float)
@@ -279,7 +279,9 @@ class TestNdtri:
         1 - 1e-16, the neighbours of the 0.075 and 0.925 branch edges, 0 and
         1 give the oracle's float64 bytes, in a new array and in place."""
         lower = np.concatenate([10.0 ** -np.linspace(1.0, 323.0, 20_000), [5e-324, 1e-323]])
-        edges = np.concatenate([edge + np.spacing(edge) * np.arange(-8, 9) for edge in (0.075, 0.925)])
+        edges = np.concatenate(
+            [edge + np.spacing(edge) * np.arange(-8, 9) for edge in (0.075, 0.925)]
+        )
         for p in (
             np.random.default_rng(5).random(200_000),
             lower,
@@ -287,7 +289,7 @@ class TestNdtri:
             edges,
             np.array([0.0, 1.0, 0.5]),
         ):
-            expected = oracle_ndtri(p).tobytes()
+            expected = _oracle_ndtri(p).tobytes()
             assert ndtri(p).tobytes() == expected
             in_place = p.copy()
             assert ndtri(in_place, out=in_place) is in_place
