@@ -9,6 +9,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -31,8 +32,7 @@ from .survey import (
 )
 
 _LOAD_CURVE_COLUMNS = [
-    "slot_start_min", "load_H_kW", "load_W_kW", "load_SE_kW",
-    "load_SR_kW", "load_O_kW", "load_station_kW",
+    "slot_start_min", *(f"load_{site.value}_kW" for site in SITE_CLASSES), "load_station_kW",
 ]
 _SCHEDULE_COLUMNS = ["slot_start_min", "price", "p_ev_kw", "p_ess_kw", "p_ch_kw", "soc_ess"]
 
@@ -53,7 +53,7 @@ def write_load_curve_csv(path: Path, bundle) -> None:
     """Load-curve CSV; floats use shortest round-trip formatting so the
     station column re-derives exactly from the site columns after reading."""
     _write_slot_table(path, _LOAD_CURVE_COLUMNS, bundle.station.slot_start_min,
-                      [*(p.power_kw for p in bundle.site_profiles), bundle.station.power_kw])
+                      [*bundle.site_power_kw, bundle.station.power_kw])
 
 
 def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -112,8 +112,8 @@ def cmd_ingest(config: PipelineConfig) -> ChainFeatureDataset:
     try:
         with open(config.input_csv, newline="", encoding="utf-8-sig") as fh:
             trips = parse_records(fh, config.column_map, config.destination_map, diag)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input CSV {config.input_csv} is not UTF-8 text: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
+        raise DataError(f"input CSV {config.input_csv} is not UTF-8 CSV text: {exc}") from None
     dataset = extract_features(build_chains(trips, diag))
     if dataset.total_chains == 0:
         raise DataError("zero usable chains in input data")

@@ -26,6 +26,7 @@ _TOP_LEVEL_KEYS = {
     "horizon_days", "seed", "currency", "threads",
 }
 _PATH_KEYS = {"input_csv", "out_dir", "dataset_dir", "load_curve"}
+_MAX_HORIZON_DAYS = 3660  # ten years; the storage DP takes about 1.3 s at 3,650 days
 _KIND = {
     bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
     tuple: "a list",
@@ -160,8 +161,8 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         tariff = TariffSchedule(windows)
 
     horizon_days = _coerce(data.get("horizon_days", 3), 3, "horizon_days")
-    if horizon_days < 1:
-        raise ConfigurationError("horizon_days must be >= 1")
+    if not 1 <= horizon_days <= _MAX_HORIZON_DAYS:
+        raise ConfigurationError(f"horizon_days must be in [1, {_MAX_HORIZON_DAYS}]")
     threads = _coerce(data.get("threads", 1), 1, "threads")
     if threads < 1:
         raise ConfigurationError("threads must be >= 1")

@@ -113,9 +113,10 @@ class LoadProfile:
 
 @dataclass
 class SiteLoadBundle:
-    """One load curve per site class plus the station composite."""
+    """The reported day's site x slot power in kW, rows in ``SITE_CLASSES``
+    order, and the station composite, whose slot grid the rows share."""
 
-    site_profiles: tuple[LoadProfile, ...]  # indexed by SiteClass.index
+    site_power_kw: np.ndarray
     station: LoadProfile
 
 
@@ -169,13 +170,20 @@ def _feature_support(feature: str, index: int, max_value: float) -> tuple[float,
 
 
 class ModelSet:
-    """Fitted densities for every (chain type, feature, index) in use."""
+    """Fitted densities for every (chain type, feature, index) in use. Some
+    chain type has positive probability, and each such type has all of its
+    :func:`feature_keys` models, or else ``ConfigurationError``."""
 
     def __init__(self, proportions: np.ndarray, models: dict[tuple[ChainType, str, int], KdeModel]):
         self.proportions = np.asarray(proportions, dtype=float)
         self.models = models
         if self.proportions.shape != (len(CHAIN_TYPES),):
             raise ConfigurationError("proportions must cover the full chain-type enumeration")
+        if not np.any(self.proportions > 0):
+            raise ConfigurationError("chain-type proportions have no positive mass")
+        for k in np.flatnonzero(self.proportions > 0):
+            for key in feature_keys(CHAIN_TYPES[k]):
+                self.get(CHAIN_TYPES[k], *key)
 
     @classmethod
     def from_dataset(cls, dataset: ChainFeatureDataset) -> "ModelSet":
@@ -232,23 +240,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _type_models(models: ModelSet) -> dict[int, dict[tuple[str, int], KdeModel]]:
-    """Fitted models of each chain type with positive probability, keyed by
-    chain-type index (so that the batch loop hashes no ``ChainType``), each
-    type's in draw order.
-
-    Raises ``ConfigurationError`` when no chain type has positive
-    probability or such a type lacks a fitted model.
-    """
-    if not np.any(models.proportions > 0):
-        raise ConfigurationError("chain-type proportions have no positive mass")
-    return {
-        k: {key: models.get(ctype, *key) for key in feature_keys(ctype)}
-        for k, ctype in enumerate(CHAIN_TYPES)
-        if models.proportions[k] > 0
-    }
-
-
 class _BatchSim(NamedTuple):
     """One batch's charge events (one array entry per event) and counters."""
 
@@ -261,7 +252,7 @@ class _BatchSim(NamedTuple):
     soc_max: float
 
 
-def _draw_batch_chains(rngs: list, ctype: np.ndarray, type_models: dict) -> tuple:
+def _draw_batch_chains(rngs: list, ctype: np.ndarray, models: ModelSet) -> tuple:
     """Step 2 of ``_simulate_batch``: ``(end1, lengths, velocity, dwells)``
     of chains of types ``ctype`` from block streams ``rngs``, one row per trip
     or midway stop (length 0, velocity 1 and dwell 0 past a chain's last
@@ -275,29 +266,25 @@ def _draw_batch_chains(rngs: list, ctype: np.ndarray, type_models: dict) -> tupl
             FEATURE_VELOCITY: np.ones((3, n)), FEATURE_DWELL: np.zeros((2, n))}
     for k in np.flatnonzero(np.bincount(ctype)):
         chains = order[ctype[order] == k]
-        fitted = type_models[k]
+        keys = feature_keys(CHAIN_TYPES[k])
         # Row 2j (2j + 1): model j's kernel-pick (placement) uniforms, per block.
-        uniforms = np.hstack([rng.random((2 * len(fitted), count)) for rng, count
+        uniforms = np.hstack([rng.random((2 * len(keys), count)) for rng, count
                               in zip(rngs, np.bincount(block[chains], minlength=len(rngs)))])
-        centre, scale, p = np.empty((3, len(fitted), chains.size))
-        lo, hi = np.empty((2, len(fitted), 1))
-        for j, ((feature, _), model) in enumerate(fitted.items()):
+        centre, scale, p = np.empty((3, len(keys), chains.size))
+        lo, hi = np.empty((2, len(keys), 1))
+        for j, (feature, index) in enumerate(keys):
             lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
+            model = models.get(CHAIN_TYPES[k], feature, index)
             centre[j], scale[j], p[j], lo[j], hi[j] = model.pick(uniforms[2 * j:2 * j + 2], lower)
         del uniforms  # freed before ndtri's temporaries are made
         draws = invert(centre, scale, p, lo, hi)
-        for (feature, index), row in zip(fitted, draws):
+        for (feature, index), row in zip(keys, draws):
             rows[feature][index - 1, chains] = row
     end1, lengths, velocity, dwells = rows.values()
     return end1[0], lengths, velocity, dwells
 
 
-def _simulate_batch(
-    config: FleetConfig,
-    proportions: np.ndarray,
-    type_models: dict[int, dict[tuple[str, int], KdeModel]],
-    blocks: range,
-) -> _BatchSim:
+def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _BatchSim:
     """Simulate the vehicles of ``blocks`` as one set of arrays.
 
     Each vehicle drives two days and then a lookahead chain, whose first
@@ -327,13 +314,13 @@ def _simulate_batch(
     # Cumulative rounding can leave the total a hair under 1; a tail draw
     # must still land on a type that actually has models.
     ctype = np.minimum(
-        np.searchsorted(np.cumsum(proportions), step1[2:].ravel(), side="right"),
-        max(type_models),
+        np.searchsorted(np.cumsum(models.proportions), step1[2:].ravel(), side="right"),
+        np.flatnonzero(models.proportions > 0)[-1],
     )
 
     # Trip and dwell rows are zero past a chain's last trip, so those steps
     # below move neither the clock nor the charge.
-    end1, lengths, velocity, dwells = _draw_batch_chains(rngs, ctype, type_models)
+    end1, lengths, velocity, dwells = _draw_batch_chains(rngs, ctype, models)
     drive_min = 60.0 * lengths / velocity
 
     n_trips = _N_TRIPS[ctype]
@@ -375,7 +362,6 @@ def _simulate_batch(
         trigger = ~owner & needs_charge(soc, lengths[0, nxt], u, c_ev, reserve)
         charge(trigger, home, end_t, np.maximum(0.0, next_start - end_t))
         soc = np.where(owner, 1.0, soc)
-        soc_max = np.where(owner, 1.0, soc_max)
 
     return _BatchSim(
         *(np.concatenate(parts) for parts in zip(*events)),
@@ -423,18 +409,13 @@ def _accumulate_site_power(
 
 
 def _bundle_from_site_power(site_power: np.ndarray, config: FleetConfig) -> SiteLoadBundle:
-    """Per-site and composite load curves of the last day of a site x slot
-    power matrix, with slot labels counted from that day's start."""
+    """The last day of a site x slot power matrix and its station composite,
+    with slot labels counted from that day's start."""
     slot = config.slot_minutes
     site_power = site_power[:, site_power.shape[1] - int(DAY_MINUTES) // slot:]
     starts = np.arange(site_power.shape[1], dtype=int) * slot
-    station_power = station_composite(config.q_pro, site_power)
-    profiles = tuple(
-        LoadProfile(starts.copy(), site_power[i].copy(), slot)
-        for i in range(len(SITE_CLASSES))
-    )
-    station = LoadProfile(starts.copy(), station_power, slot)
-    return SiteLoadBundle(profiles, station)
+    station = LoadProfile(starts, station_composite(config.q_pro, site_power), slot)
+    return SiteLoadBundle(site_power, station)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +432,12 @@ class ForecastResult:
     soc_max: float | None
     event_energy_kwh: float
     site_energy_full_kwh: tuple[float, ...]
-    seed: int
 
     def summary(self) -> dict:
-        reported = {
-            f"site_energy_{site.value}_kwh": self.bundle.site_profiles[i].energy_kwh()
-            for i, site in enumerate(SITE_CLASSES)
+        slot = self.bundle.station.slot_minutes
+        reported = {  # in LoadProfile.energy_kwh's operation order, to the last bit
+            f"site_energy_{site.value}_kwh": float(row.sum() * slot / 60.0)
+            for site, row in zip(SITE_CLASSES, self.bundle.site_power_kw)
         }
         return {
             "n_vehicles": self.n_vehicles,
@@ -470,7 +451,6 @@ class ForecastResult:
             },
             "reported_window": reported,
             "station_energy_kwh": self.bundle.station.energy_kwh(),
-            "seed": self.seed,
         }
 
 
@@ -480,6 +460,7 @@ def run_forecast(
     threads: int = 1,
 ) -> ForecastResult:
     """Simulate the fleet over 48 h and report the final 24 h load bundle.
+    ``models`` is not checked again: a ``ModelSet`` checks itself when built.
 
     The vehicles run in batches of ``_BATCH_BLOCKS`` blocks. A larger batch
     repeats the per-batch work (each model's pick, each type's RNG calls, the
@@ -491,7 +472,6 @@ def run_forecast(
     thread, because a thread pool over blocks measured no gain.
     """
     config.validate()
-    type_models = _type_models(models)
 
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
@@ -504,7 +484,7 @@ def run_forecast(
     n_sites = len(SITE_CLASSES)
     for first in range(0, n_blocks, _BATCH_BLOCKS):
         blocks = range(first, min(first + _BATCH_BLOCKS, n_blocks))
-        sim = _simulate_batch(config, models.proportions, type_models, blocks)
+        sim = _simulate_batch(config, models, blocks)
         block = sim.vehicle // _VEHICLE_BLOCK
         power = _accumulate_site_power(block * n_sites + sim.site, sim.start_min,
                                        sim.duration_min, config, len(blocks) * n_sites)
@@ -521,9 +501,8 @@ def run_forecast(
 
     dt_h = config.slot_minutes / 60.0
     site_energy_full = tuple(float(total_power[i].sum() * dt_h) for i in range(len(SITE_CLASSES)))
-    bundle = _bundle_from_site_power(total_power, config)
     return ForecastResult(
-        bundle=bundle,
+        bundle=_bundle_from_site_power(total_power, config),
         n_vehicles=config.n_ev,
         n_events=n_events,
         infeasible_trips=infeasible,
@@ -531,5 +510,4 @@ def run_forecast(
         soc_max=None if math.isinf(soc_max) else soc_max,
         event_energy_kwh=float(event_energy),
         site_energy_full_kwh=site_energy_full,
-        seed=config.seed,
     )

@@ -80,7 +80,8 @@ def ndtri(p, out=None) -> np.ndarray:
     out[central] = _ratio(_AS241_CENTRAL, 0.180625 - q * q, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sqrt(-np.log(np.minimum(tail, 1.0 - tail)))
-        x = np.where(r <= 5.0, _ratio(_AS241_NEAR, r - 1.6), _ratio(_AS241_FAR, r - 5.0))
+        x = np.piecewise(r, [r <= 5.0], [lambda v: _ratio(_AS241_NEAR, v - 1.6),
+                                         lambda v: _ratio(_AS241_FAR, v - 5.0)])
     out[~central] = np.copysign(np.where(r == math.inf, math.inf, x), tail - 0.5)
     return out
 

@@ -149,8 +149,11 @@ def _make_plan(
     else:
         soc = np.full(len(p_ess), ess.soc_init)
     p_ch = p_ev + p_ess
-    cost = float(np.sum(p_ch * prices) * dt_hours)
-    baseline = float(np.sum(p_ev * prices) * dt_hours)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = float(np.sum(p_ch * prices) * dt_hours)
+        baseline = float(np.sum(p_ev * prices) * dt_hours)
+    if not np.isfinite((cost, baseline)).all():
+        raise DataError(f"the bill overflows a float (with storage {cost}, without {baseline})")
     saving = (baseline - cost) / baseline if baseline > 0 else 0.0
 
     plan = SchedulePlan(

@@ -79,8 +79,8 @@ def test_criterion_2_peak_windows(fixture_models):
     seeds = range(1, 21)
     for seed in seeds:
         bundle = run_forecast(FleetConfig(seed=seed), fixture_models).bundle
-        argmax_h = int(bundle.site_profiles[SiteClass.H.index].power_kw.argmax()) * 15
-        argmax_w = int(bundle.site_profiles[SiteClass.W.index].power_kw.argmax()) * 15
+        argmax_h = int(bundle.site_power_kw[SiteClass.H.index].argmax()) * 15
+        argmax_w = int(bundle.site_power_kw[SiteClass.W.index].argmax()) * 15
         hits_h += PEAK_WINDOW_H[0] <= argmax_h <= PEAK_WINDOW_H[1]
         hits_w += PEAK_WINDOW_W[0] <= argmax_w <= PEAK_WINDOW_W[1]
 
@@ -176,9 +176,8 @@ def test_criterion_6_conservation_and_bounds(case_study):
     assert rel <= 1e-9, f"energy mismatch {rel:.2e}"
 
     bundle = result.bundle
-    site_matrix = np.stack([p.power_kw for p in bundle.site_profiles])
     assert np.array_equal(
-        bundle.station.power_kw, station_composite(config.q_pro, site_matrix)
+        bundle.station.power_kw, station_composite(config.q_pro, bundle.site_power_kw)
     )
     print(
         f"ACCEPTANCE 6 PASS: soc in [{result.soc_min:.3f}, {result.soc_max:.3f}], "

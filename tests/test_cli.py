@@ -111,6 +111,16 @@ class TestIngestCommand:
         assert all(math.isfinite(v) for values in manifest["samples"].values() for v in values)
         assert main(["forecast", "--config", str(config)]) == 0
 
+    def test_over_long_cell_is_data_error(self, tmp_path, fixture_csv_path, capsys):
+        # 200,000 characters: over csv.field_size_limit(), 131,072 by default.
+        survey = tmp_path / "survey.csv"
+        survey.write_text(fixture_csv_path.read_text() + f"Z,1,1,0800,0830,30,{'5' * 200_000},3\n")
+        config = write_config(tmp_path, survey)
+        assert main(["ingest", "--config", str(config)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DataError" and str(survey) in error["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_column(self, tmp_path, fixture_csv_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("HOUSEID,VEHID,TRAVDAY,STRTTIME,ENDTIME,TRVLCMIN,TRPMILES\nA,1,1,0800,0810,10,1\n")
@@ -253,6 +263,16 @@ class TestScheduleCommand:
         assert main(["schedule", "--config", str(config), "--load", str(curve)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
+    def test_overflowing_bill_is_data_error(self, tmp_path, capsys):
+        # Both the price and the load are finite, but their product is not.
+        curve = REPO_ROOT / "out/case_study/forecast/load_curve.csv"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "out")},
+                                      "tariff": [[0, 1440, 1e308]]}))
+        assert main(["schedule", "--config", str(config), "--load", str(curve)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+        assert not (tmp_path / "out").exists()
+
     def test_nine_minute_grid_labels(self, tmp_path):
         # 160 slots of 9 min: each start is 9 * i, though i * (9/60 * 60) is not.
         rng = np.random.default_rng(9)
@@ -336,6 +356,15 @@ class TestPipelineCommand:
         assert not (tmp_path / "out").exists()
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigurationError" and "seed" in error["message"]
+
+    @pytest.mark.parametrize("days", [10**20, 3661])
+    def test_horizon_above_maximum_fails_before_writing(self, tmp_path, fixture_csv_path, capsys,
+                                                        days):
+        config = write_config(tmp_path, fixture_csv_path, horizon_days=days)
+        assert main(["pipeline", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError" and "horizon_days" in error["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self, tmp_path, fixture_csv_path, capsys):
         config = write_config(tmp_path, fixture_csv_path, horizonn_days=3)

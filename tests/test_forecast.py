@@ -25,7 +25,6 @@ from chargecast.forecast import (
     _bundle_from_site_power,
     _draw_batch_chains,
     _simulate_batch,
-    _type_models,
     charge_duration_hours,
     needs_charge,
     run_forecast,
@@ -41,6 +40,7 @@ from chargecast.survey import (
     FEATURE_VELOCITY,
     SiteClass,
     chain_type_from_label,
+    feature_keys,
 )
 from conftest import point_model_set
 
@@ -49,7 +49,17 @@ Q_DEFAULT = (0.04, 0.1, 0.2, 0.1, 0.1)
 
 def simulate(config, models, block=0):
     """One block of the fleet simulation, as a batch of one block."""
-    return _simulate_batch(config, models.proportions, _type_models(models), range(block, block + 1))
+    return _simulate_batch(config, models, range(block, block + 1))
+
+
+def per_type_models(models):
+    """The fitted models of each chain type with positive probability, keyed
+    by chain-type index, each type's in :func:`feature_keys` order."""
+    return {
+        k: {key: models.get(ctype, *key) for key in feature_keys(ctype)}
+        for k, ctype in enumerate(CHAIN_TYPES)
+        if models.proportions[k] > 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +167,7 @@ def _simulate_block(config, proportions, type_models, block):
 def oracle_forecast(config, models):
     """``(site power on the 48 h axis, n_events, event_energy_kwh,
     infeasible_trips, soc_min, soc_max)``, reduced block by block."""
-    type_models = _type_models(models)
+    type_models = per_type_models(models)
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
     total_power = np.zeros((5, n_slots))
     n_events = infeasible = 0
@@ -321,13 +331,13 @@ class TestSimulateVehicle:
     def test_missing_model_is_configuration_error(self, fixture_models):
         proportions = np.zeros(len(CHAIN_TYPES))
         proportions[0] = 1.0
-        broken = ModelSet(proportions, {})
         with pytest.raises(ConfigurationError, match="missing fitted model"):
-            _type_models(broken)
+            ModelSet(proportions, {})
         with pytest.raises(ConfigurationError, match="missing fitted model"):
-            run_forecast(self.CONFIG, broken)
+            ModelSet(proportions, {key: model for key, model in fixture_models.models.items()
+                                   if key[0] == CHAIN_TYPES[0] and key[1:] != (FEATURE_DWELL, 1)})
         with pytest.raises(ConfigurationError, match="no positive mass"):
-            _type_models(ModelSet(np.zeros(len(CHAIN_TYPES)), {}))
+            ModelSet(np.zeros(len(CHAIN_TYPES)), {})
 
 
 class TestAccumulateLoads:
@@ -335,11 +345,11 @@ class TestAccumulateLoads:
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
         events = [(SiteClass.W.index, DAY_MINUTES + 480.0, 30.0)]  # day-2 08:00-08:30
         bundle = accumulate(events, config)
-        w = bundle.site_profiles[SiteClass.W.index].power_kw
+        w = bundle.site_power_kw[SiteClass.W.index]
         assert w[32] == 60.0 and w[33] == 60.0
         assert w.sum() == 120.0
         for site in (SiteClass.H, SiteClass.SE, SiteClass.SR, SiteClass.O):
-            assert not bundle.site_profiles[site.index].power_kw.any()
+            assert not bundle.site_power_kw[site.index].any()
         # Station composite: only the W column carries weight here (0.1).
         assert bundle.station.power_kw[32] == pytest.approx(6.0)
 
@@ -347,7 +357,7 @@ class TestAccumulateLoads:
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
         events = [(SiteClass.SE.index, DAY_MINUTES + 487.5, 15.0)]  # straddles two slots
         bundle = accumulate(events, config)
-        se = bundle.site_profiles[SiteClass.SE.index].power_kw
+        se = bundle.site_power_kw[SiteClass.SE.index]
         assert se[32] == pytest.approx(30.0) and se[33] == pytest.approx(30.0)
 
     def test_zero_weights_zero_station(self):
@@ -366,13 +376,13 @@ class TestAccumulateLoads:
         events = [(SiteClass.H.index, HORIZON_MINUTES - 10.0, 60.0)]
         bundle = accumulate(events, config)
         # 10 of 60 minutes fall inside the axis.
-        total_kwh = bundle.site_profiles[SiteClass.H.index].energy_kwh()
+        total_kwh = bundle.site_power_kw[SiteClass.H.index].sum() * config.slot_minutes / 60.0
         assert total_kwh == pytest.approx(60.0 * 10.0 / 60.0)
 
     def test_event_past_horizon_ignored(self):
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
         bundle = accumulate([(0, HORIZON_MINUTES + 5.0, 30.0)], config)
-        assert not bundle.site_profiles[SiteClass.H.index].power_kw.any()
+        assert not bundle.site_power_kw[SiteClass.H.index].any()
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -406,10 +416,10 @@ class TestAccumulateLoads:
         config = FleetConfig(n_ev=0, q_pro=Q_DEFAULT)
         events = [(SiteClass.W.index, 1440.0 + 480.0, 30.0)]  # day-2 morning
         bundle = accumulate(events, config)
-        w = bundle.site_profiles[SiteClass.W.index]
-        assert len(w.power_kw) == 96
-        assert w.slot_start_min[0] == 0
-        assert w.power_kw[32] == 60.0
+        w = bundle.site_power_kw[SiteClass.W.index]
+        assert len(w) == 96
+        assert bundle.station.slot_start_min[0] == 0
+        assert w[32] == 60.0
 
 
 class TestRunForecast:
@@ -430,8 +440,8 @@ class TestRunForecast:
     def test_station_is_exact_weighted_sum(self, fixture_models):
         config = FleetConfig(n_ev=800, q_pro=Q_DEFAULT, seed=9)
         bundle = run_forecast(config, fixture_models).bundle
-        site_matrix = np.stack([p.power_kw for p in bundle.site_profiles])
-        assert np.array_equal(bundle.station.power_kw, station_composite(Q_DEFAULT, site_matrix))
+        station = station_composite(Q_DEFAULT, bundle.site_power_kw)
+        assert np.array_equal(bundle.station.power_kw, station)
 
     def test_soc_bounds(self, fixture_models):
         result = run_forecast(FleetConfig(n_ev=2000, q_pro=Q_DEFAULT, seed=3), fixture_models)
@@ -442,7 +452,7 @@ class TestRunForecast:
         for threads in (1, 2, 8):
             config = FleetConfig(n_ev=777, q_pro=Q_DEFAULT, seed=17)
             bundle = run_forecast(config, fixture_models, threads=threads).bundle
-            curves.append(np.stack([p.power_kw for p in bundle.site_profiles]))
+            curves.append(bundle.site_power_kw)
         assert np.array_equal(curves[0], curves[1])
         assert np.array_equal(curves[0], curves[2])
 
@@ -465,7 +475,7 @@ class TestRunForecast:
         type, equal one sample_many call per block and model, value for
         value, each block's in its documented order. ``sparse``: one type has
         no chain in the middle block, and another has one chain in the batch."""
-        type_models = _type_models(fixture_models)
+        type_models = per_type_models(fixture_models)
         n = 2 * 256 + 100
         block = np.tile(np.arange(n) // 256, 3)  # chains are day-major over the vehicles
         rng = np.random.default_rng(1)
@@ -476,7 +486,8 @@ class TestRunForecast:
             ctype[n + 300] = types[1]
         else:
             ctype = rng.choice(types, 3 * n)
-        got = _draw_batch_chains([np.random.default_rng(b) for b in (2, 3, 4)], ctype, type_models)
+        rngs = [np.random.default_rng(b) for b in (2, 3, 4)]
+        got = _draw_batch_chains(rngs, ctype, fixture_models)
 
         end1 = np.empty(ctype.size)
         lengths, velocity = np.zeros((3, ctype.size)), np.ones((3, ctype.size))
@@ -559,7 +570,7 @@ class TestFleetProperties:
             sim = simulate(config, fixture_models, block)
             power = power + _accumulate_site_power(sim.site, sim.start_min, sim.duration_min, config)
         prefix = run_forecast(FleetConfig(n_ev=k * 256, q_pro=Q_DEFAULT, seed=seed), fixture_models)
-        site = np.stack([p.power_kw for p in prefix.bundle.site_profiles])
+        site = prefix.bundle.site_power_kw
         assert np.array_equal(site, power[:, -site.shape[1]:])
 
     @settings(derandomize=True, database=None, max_examples=24, deadline=None)
@@ -579,8 +590,7 @@ class TestFleetProperties:
         )
         result = run_forecast(config, fixture_models)
         expected = _bundle_from_site_power(power, config)
-        for got, want in zip(result.bundle.site_profiles, expected.site_profiles):
-            assert np.array_equal(got.power_kw, want.power_kw)
+        assert np.array_equal(result.bundle.site_power_kw, expected.site_power_kw)
         assert np.array_equal(result.bundle.station.power_kw, expected.station.power_kw)
         dt_h = config.slot_minutes / 60.0
         assert result.site_energy_full_kwh == tuple(float(row.sum() * dt_h) for row in power)
