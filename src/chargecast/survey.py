@@ -18,6 +18,7 @@ are counted in an :class:`IngestDiagnostics` summary.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -257,72 +258,81 @@ def parse_records(
     midnight. An invalid row is counted in ``diagnostics`` with its line
     number under the first of ``_REJECT_REASONS`` it fails (a missing cell,
     blank ID, or non-finite number or velocity is an ``unparseable_field``).
+    The cyclic garbage collector is paused meanwhile, since the rows and key
+    tuples form no cycles and reference counting frees them; the caller's
+    collector state is restored on return.
     """
-    columns = {**DEFAULT_COLUMN_MAP, **(column_map or {})}
-    dest_map = DEFAULT_DESTINATION_MAP if dest_map is None else dest_map
-    site_of = {code: site.index for code, site in dest_map.items()}
-    diag = diagnostics if diagnostics is not None else IngestDiagnostics()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        columns = {**DEFAULT_COLUMN_MAP, **(column_map or {})}
+        dest_map = DEFAULT_DESTINATION_MAP if dest_map is None else dest_map
+        site_of = {code: site.index for code, site in dest_map.items()}
+        diag = diagnostics if diagnostics is not None else IngestDiagnostics()
 
-    reader = csv.reader(csv_stream)
-    header = next(reader, None)
-    if header is None:
-        raise DataError("input CSV is empty (no header row)")
-    missing = [src for src in columns.values() if src not in header]
-    if missing:
-        raise ConfigurationError("mapped column(s) not present in input CSV: "
-                                 + ", ".join(sorted(missing)))
-    position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        reader = csv.reader(csv_stream)
+        header = next(reader, None)
+        if header is None:
+            raise DataError("input CSV is empty (no header row)")
+        missing = [src for src in columns.values() if src not in header]
+        if missing:
+            raise ConfigurationError("mapped column(s) not present in input CSV: "
+                                     + ", ".join(sorted(missing)))
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
 
-    vehicle_days: dict[tuple[str, str, int], int] = {}  # key -> its first accepted row
-    # Per chunk, the accepted rows' first vehicle-day rows and TripTable columns.
-    parts = [(np.empty(0, np.int64), *[np.empty(0)] * 4, np.empty(0, np.int64))]
-    accepted = 0
-    # Non-blank rows numbered as csv.DictReader numbers them: by the
-    # reader's line after the row, which its fieldnames property re-reads.
-    numbered = ((row, reader.line_num) for row in reader if row)
-    for chunk in iter(lambda: list(islice(numbered, CHUNK_ROWS)), []):
-        rows, lines = zip(*chunk)
-        converted = [_convert(f, rows, position[columns[name]]) for name, f in _CONVERSIONS.items()]
-        household, vehicle, day, start, end, duration, miles, code = (c for c, _ in converted)
-        failed = np.zeros(len(rows), bool)
-        failed[[i for _, bad in converted for i in bad]] = True
-        start, end, duration = _minutes(start), _minutes(end), np.array(duration)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            length_km = np.array(miles) * MILES_TO_KM
-            velocity = length_km / (duration / 60.0)  # a subnormal duration zeroes the divisor
-            reason = np.select([
-                failed | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
-                | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
-                | ~np.fromiter(map(bool, household), bool, len(rows))
-                | ~np.fromiter(map(bool, vehicle), bool, len(rows)),
-                duration <= 0,
-                length_km < 0,
-                # Equal clock times put a positive duration nowhere on the day.
-                end == start,
-                # A past-midnight trip must report the wrapped duration.
-                (end < start) & (np.abs(duration - (end + 1440.0 - start)) > _WRAP_DURATION_TOL_MIN),
-            ], range(1, len(_REJECT_REASONS)))
-        diag.rows_total += len(rows)
-        rejected = np.flatnonzero(reason)
-        names = np.take(_REJECT_REASONS, reason[rejected]).tolist()
-        diag.reject_reasons.update(names)  # a new reason enters at its first row
-        diag.rejected_rows.extend(zip(np.take(lines, rejected).tolist(), names))
-        keep = reason == 0
-        first = list(map(vehicle_days.setdefault, compress(zip(household, vehicle, day), keep),
-                         count(accepted)))
-        site = list(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)))
-        parts.append((np.array(first, np.int64), start[keep], end[keep], duration[keep],
-                      length_km[keep], np.array(site, np.int64)))
-        accepted += len(first)
-        # Free this chunk's rows and columns before the next one is read.
-        del chunk, rows, lines, converted, household, vehicle, day, start, end, duration, miles, code
-    diag.rows_accepted += accepted
+        vehicle_days: dict[tuple[str, str, int], int] = {}  # key -> its first accepted row
+        # Per chunk, the accepted rows' first vehicle-day rows and TripTable columns.
+        parts = [(np.empty(0, np.int64), *[np.empty(0)] * 4, np.empty(0, np.int64))]
+        accepted = 0
+        # Non-blank rows numbered as csv.DictReader numbers them: by the
+        # reader's line after the row, which its fieldnames property re-reads.
+        numbered = ((row, reader.line_num) for row in reader if row)
+        for chunk in iter(lambda: list(islice(numbered, CHUNK_ROWS)), []):
+            rows, lines = zip(*chunk)
+            converted = [_convert(f, rows, position[columns[name]]) for name, f in _CONVERSIONS.items()]
+            household, vehicle, day, start, end, duration, miles, code = (c for c, _ in converted)
+            failed = np.zeros(len(rows), bool)
+            failed[[i for _, bad in converted for i in bad]] = True
+            start, end, duration = _minutes(start), _minutes(end), np.array(duration)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                length_km = np.array(miles) * MILES_TO_KM
+                velocity = length_km / (duration / 60.0)  # a subnormal duration zeroes the divisor
+                reason = np.select([
+                    failed | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
+                    | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
+                    | ~np.fromiter(map(bool, household), bool, len(rows))
+                    | ~np.fromiter(map(bool, vehicle), bool, len(rows)),
+                    duration <= 0,
+                    length_km < 0,
+                    # Equal clock times put a positive duration nowhere on the day.
+                    end == start,
+                    # A past-midnight trip must report the wrapped duration.
+                    (end < start) & (np.abs(duration - (end + 1440.0 - start)) > _WRAP_DURATION_TOL_MIN),
+                ], range(1, len(_REJECT_REASONS)))
+            diag.rows_total += len(rows)
+            rejected = np.flatnonzero(reason)
+            names = np.take(_REJECT_REASONS, reason[rejected]).tolist()
+            diag.reject_reasons.update(names)  # a new reason enters at its first row
+            diag.rejected_rows.extend(zip(np.take(lines, rejected).tolist(), names))
+            keep = reason == 0
+            first = list(map(vehicle_days.setdefault, compress(zip(household, vehicle, day), keep),
+                             count(accepted)))
+            site = list(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)))
+            parts.append((np.array(first, np.int64), start[keep], end[keep], duration[keep],
+                          length_km[keep], np.array(site, np.int64)))
+            accepted += len(first)
+            # Free this chunk's rows and columns before the next one is read.
+            del chunk, rows, lines, converted, household, vehicle, day, start, end, duration, miles, code
+        diag.rows_accepted += accepted
 
-    first, *table = map(np.concatenate, zip(*parts))
-    # Number the vehicle-days in key order through each one's first row.
-    number = np.zeros(accepted, np.int64)
-    number[[vehicle_days[key] for key in sorted(vehicle_days)]] = np.arange(len(vehicle_days))
-    return TripTable(number[first], *table)
+        first, *table = map(np.concatenate, zip(*parts))
+        # Number the vehicle-days in key order through each one's first row.
+        number = np.zeros(accepted, np.int64)
+        number[[vehicle_days[key] for key in sorted(vehicle_days)]] = np.arange(len(vehicle_days))
+        return TripTable(number[first], *table)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

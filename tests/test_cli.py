@@ -7,10 +7,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargecast.cli import main, read_load_curve, write_schedule_csv
 from chargecast.forecast import station_composite
@@ -127,6 +132,74 @@ class TestIngestCommand:
         config = write_config(tmp_path, bad)
         assert main(["ingest", "--config", str(config)]) == 2
         assert "WHYTO" in json.loads(capsys.readouterr().err)["message"]
+
+
+_SURVEY = (REPO_ROOT / "src/chargecast/data/survey_fixture.csv").read_bytes()
+_BAD_NUMBERS = ("1e400", "-1e400", "inf", "-inf", "nan", "Infinity", "1e308", "-1e308", "5e-324",
+                "9" * 400, "9" * 5000, "9" * 200_000, "0x1A", "1_0")
+_BAD_UTF8 = (b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
+# A bad number is drawn most often: the other kinds mostly stop ingest early.
+_MUTATIONS = ("number", "number", "number", "drop_cell", "blank_id", "flip", "truncate", "bad_utf8",
+              "repeat_header")
+
+
+@st.composite
+def mutated_surveys(draw):
+    """The fixture survey with one to three byte- or cell-level mutations."""
+    blob = _SURVEY
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        at = draw(st.integers(0, len(blob)))
+        if kind == "flip" and at < len(blob):
+            blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+        elif kind == "truncate":
+            blob = blob[:at]
+        elif kind == "bad_utf8":
+            blob = blob[:at] + draw(st.sampled_from(_BAD_UTF8)) + blob[at:]
+        else:
+            lines = blob.split(b"\n")
+            row = 0 if kind == "repeat_header" else draw(st.integers(1, max(len(lines) - 1, 1)))
+            cells = lines[row].split(b",") if row < len(lines) else []
+            # A numeric cell is TRAVDAY to TRPMILES, an ID HOUSEID or VEHID.
+            column = draw(st.integers(*{"number": (2, 6), "blank_id": (0, 1)}.get(kind, (0, 7))))
+            if column < len(cells):
+                if kind == "number":
+                    cells[column] = draw(st.sampled_from(_BAD_NUMBERS)).encode()
+                elif kind == "drop_cell":
+                    del cells[column]
+                elif kind == "blank_id":
+                    cells[column] = draw(st.sampled_from([b"", b"  "]))
+                else:
+                    cells[column] = cells[draw(st.integers(0, len(cells) - 1))]
+                lines[row] = b",".join(cells)
+                blob = b"\n".join(lines)
+    return blob
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(survey=mutated_surveys())
+def test_mutated_survey_ingest_exits_0_2_or_3(survey):
+    """A damaged survey exits 0 with a strict-JSON manifest, or 2 or 3 with
+    one JSON error object and no ingest output; never 4."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "survey.csv"
+        path.write_bytes(survey)
+        config = write_config(tmp, path)
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(["ingest", "--config", str(config)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code:
+            assert json.loads(err.getvalue())["exit_code"] == code
+            assert not (tmp / "out/ingest").exists()
+        else:
+            manifest = (tmp / "out/ingest/manifest.json").read_text(encoding="utf-8")
+            json.loads(manifest, parse_constant=_reject_constant)
 
 
 class TestForecastCommand:
@@ -364,6 +437,15 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(config)]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigurationError" and "horizon_days" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_ev", [10**20, 1_000_001])
+    def test_fleet_above_maximum_fails_before_writing(self, tmp_path, fixture_csv_path, capsys,
+                                                      n_ev):
+        config = write_config(tmp_path, fixture_csv_path, fleet={"n_ev": n_ev})
+        assert main(["pipeline", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError" and "n_ev" in error["message"]
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self, tmp_path, fixture_csv_path, capsys):

@@ -1,6 +1,7 @@
 """Survey ingestion: parsing, chain building, feature extraction."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -560,13 +561,18 @@ def test_seven_row_chunks_give_the_same_manifest(fixture_csv_path):
     assert json.loads(seven)["diagnostics"] == _reference_diagnostics(text)
 
 
+def _hundred_copies(fixture_csv_path):
+    """The fixture's rows 100 times over (20,000 rows), each copy under its own household IDs."""
+    body = fixture_csv_path.read_text().splitlines()[1:]
+    return io.StringIO("\n".join(
+        [HEADER, *(row.replace(",", f"-{k},", 1) for k in range(100) for row in body)]
+    ))
+
+
 def test_parsing_holds_one_chunk_of_rows(fixture_csv_path):
     # 20,000 rows: 8,192-row chunks peak near 8.2 MB, and all rows at once
     # (CHUNK_ROWS above the row count) near 17.2 MB.
-    body = fixture_csv_path.read_text().splitlines()[1:]
-    stream = io.StringIO("\n".join(
-        [HEADER, *(row.replace(",", f"-{k},", 1) for k in range(100) for row in body)]
-    ))
+    stream = _hundred_copies(fixture_csv_path)
     tracemalloc.start()
     try:
         trips = parse_records(stream)
@@ -575,6 +581,46 @@ def test_parsing_holds_one_chunk_of_rows(fixture_csv_path):
         tracemalloc.stop()
     assert len(trips) == 100 * (FIXTURE_ROWS - 2)
     assert peak < 12e6
+
+
+def _collections():
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def test_parsing_pauses_the_cyclic_collector(fixture_csv_path):
+    # With the collector running, this parse makes some 80 young and 7
+    # middle collections, each one rescanning the live chunk of rows.
+    stream = _hundred_copies(fixture_csv_path)
+    gc.collect()
+    before = _collections()
+    parse_records(stream)
+    young, middle, old = (a - b for a, b in zip(_collections(), before))
+    assert young <= 1 and middle == old == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parsing_restores_the_collector_state(enabled):
+    try:
+        (gc.enable if enabled else gc.disable)()
+        _parse(["A,1,1,0800,0830,30,5,1"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_csv_error_in_the_paused_loop_restores_the_collector():
+    too_long = "5" * (csv.field_size_limit() + 1)
+    rows = ["A,1,1,0800,0830,30,5,1"] * 3 + [f"A,1,1,0800,0830,30,{too_long},1"]
+    with pytest.raises(csv.Error):
+        _parse(rows)
+    assert gc.isenabled()
+
+
+def test_parsing_leaves_no_cyclic_garbage(fixture_csv_path):
+    stream = _hundred_copies(fixture_csv_path)
+    gc.collect()
+    parse_records(stream)
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
