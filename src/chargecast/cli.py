@@ -3,7 +3,7 @@
 Each stage writes auditable artifacts (CSV data + JSON summary carrying the
 config echo and seed) into its own subdirectory of the output directory.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver or
-internal error.
+internal error. The command is ``chargecast`` or ``python -m chargecast``.
 """
 
 from __future__ import annotations
@@ -97,6 +97,16 @@ def _write_summary(path: Path, config: PipelineConfig, payload: dict) -> None:
         json.dump(payload, fh, indent=2)
 
 
+def _stage_dir(config: PipelineConfig, stage: str) -> Path:
+    """Create ``<out>/<stage>``; a path that cannot be a directory is a configuration error."""
+    out = config.out_dir / stage
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -118,7 +128,7 @@ def cmd_ingest(config: PipelineConfig) -> ChainFeatureDataset:
     if dataset.total_chains == 0:
         raise DataError("zero usable chains in input data")
 
-    out = config.out_dir / "ingest"
+    out = _stage_dir(config, "ingest")
     save_dataset(
         dataset, out, diagnostics=diag,
         provenance={"seed": config.seed, "config": config.echo()},
@@ -132,12 +142,14 @@ def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = N
     ``paths.dataset_dir`` (by default the ingest output directory)."""
     if dataset is None:
         dataset = load_dataset(config.dataset_dir or (config.out_dir / "ingest"))
-    models = ModelSet.from_dataset(dataset)
+    try:  # numpy would only warn, and carry the inf or NaN on
+        with np.errstate(over="raise", invalid="raise"):
+            models = ModelSet.from_dataset(dataset)
+            result = run_forecast(config.fleet, models, threads=config.threads)
+    except FloatingPointError as exc:
+        raise DataError(f"a sample or fleet value is too large for the forecast ({exc})") from None
 
-    result = run_forecast(config.fleet, models, threads=config.threads)
-
-    out = config.out_dir / "forecast"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _stage_dir(config, "forecast")
     models.save(out / "models.json")
     curve_path = out / "load_curve.csv"
     write_load_curve_csv(curve_path, result.bundle)
@@ -156,8 +168,7 @@ def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> None:
     day = LoadProfile(starts, station, slot_minutes)
     plan = multi_day_schedule([day] * config.horizon_days, config.tariff, config.ess)
 
-    out = config.out_dir / "schedule"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _stage_dir(config, "schedule")
     schedule_path = out / "schedule.csv"
     write_schedule_csv(schedule_path, plan)
     _write_summary(out / "summary.json", config, {
@@ -195,13 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Forecast quick-charge station load and schedule its storage.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("ingest", "parse the travel survey and extract chain features"),
-        ("forecast", "fit densities and simulate the fleet's charging load"),
-        ("schedule", "optimize the storage schedule against the tariff"),
-        ("pipeline", "run ingest, forecast and schedule in sequence"),
+    for name, run, help_text in [
+        ("ingest", cmd_ingest, "parse the travel survey and extract chain features"),
+        ("forecast", cmd_forecast, "fit densities and simulate the fleet's charging load"),
+        ("schedule", cmd_schedule, "optimize the storage schedule against the tariff"),
+        ("pipeline", cmd_pipeline, "run ingest, forecast and schedule in sequence"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -211,33 +223,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "forecast": cmd_forecast,
-    "schedule": cmd_schedule,
-    "pipeline": cmd_pipeline,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(
-            args.config,
-            seed_override=args.seed,
-            out_override=args.out,
-            threads_override=args.threads,
-        )
+        config = load_config(args.config, seed_override=args.seed, out_override=args.out,
+                             threads_override=args.threads)
         if getattr(args, "load", None):
             config.load_curve = Path(args.load)
-        _COMMANDS[args.command](config)
+        args.run(config)
     except Exception as exc:  # a ChargecastError carries its exit code; anything else is internal
         code = exc.exit_code if isinstance(exc, ChargecastError) else 4
         json.dump({"error": type(exc).__name__, "message": str(exc), "exit_code": code}, sys.stderr)
         sys.stderr.write("\n")
         return code
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

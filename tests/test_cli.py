@@ -1,5 +1,7 @@
 """End-to-end CLI: artifacts, exit codes, determinism."""
 
+import copy
+import importlib
 import json
 import math
 import os
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargecast import __main__ as entry
 from chargecast.cli import main, read_load_curve, write_schedule_csv
 from chargecast.forecast import station_composite
 from chargecast.scheduler import DEFAULT_TARIFF, EssParams, solve_schedule_slots
@@ -82,6 +85,37 @@ def test_pipeline_run_loads_no_numpy_ma(tmp_path, fixture_csv_path):
     out = subprocess.run([sys.executable, "-c", code, str(write_config(tmp_path, fixture_csv_path))],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_package_import_loads_no_numpy():
+    """The package root imports nothing, so the entry module runs before numpy loads."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    code = "import sys, chargecast; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "kept"])
+def test_entry_defaults_openblas_to_one_thread(monkeypatch, capsys, tmp_path, preset, expected):
+    # setenv first, so that teardown also removes a value the entry module set.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert entry.main(["ingest", "--config", str(tmp_path / "missing.json")]) == 2
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+
+
+def test_console_script_target_is_callable():
+    """The ``[project.scripts]`` entry names a function that imports."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["chargecast"]
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 class TestIngestCommand:
@@ -180,6 +214,20 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _assert_exits_0_2_or_3(argv, stage_dir, artifact):
+    """``main(argv)`` exits 0 and ``stage_dir / artifact`` is strict JSON, or it
+    exits 2 or 3 with one JSON error object on stderr and no ``stage_dir``."""
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert json.loads(err.getvalue())["exit_code"] == code
+        assert not stage_dir.exists()
+    else:
+        json.loads((stage_dir / artifact).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(survey=mutated_surveys())
 def test_mutated_survey_ingest_exits_0_2_or_3(survey):
@@ -190,16 +238,120 @@ def test_mutated_survey_ingest_exits_0_2_or_3(survey):
         path = tmp / "survey.csv"
         path.write_bytes(survey)
         config = write_config(tmp, path)
-        err = StringIO()
-        with redirect_stdout(StringIO()), redirect_stderr(err):
-            code = main(["ingest", "--config", str(config)])
-        assert code in (0, 2, 3), err.getvalue()
-        if code:
-            assert json.loads(err.getvalue())["exit_code"] == code
-            assert not (tmp / "out/ingest").exists()
+        _assert_exits_0_2_or_3(["ingest", "--config", str(config)], tmp / "out/ingest", "manifest.json")
+
+
+_CASE_STUDY = REPO_ROOT / "out/case_study"
+_CURVE = (_CASE_STUDY / "forecast/load_curve.csv").read_bytes()
+_BAD_CELLS = ("1e308", "9" * 400, "nan", "inf", "-inf", "-300.5", "-0.0", "", "  ", "1_0",
+              "\u0661\u0662", "\uff13.5")
+# A bad cell is drawn most often: every other kind stops schedule early.
+_CURVE_MUTATIONS = ("cell", "cell", "cell", "flip", "truncate", "bad_utf8", "drop_line",
+                    "duplicate_line")
+
+
+@st.composite
+def mutated_load_curves(draw):
+    """The case-study load curve with one or two byte-, cell- or line-level mutations."""
+    blob = _CURVE
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(_CURVE_MUTATIONS))
+        at = draw(st.integers(0, len(blob)))
+        if kind == "flip" and at < len(blob):
+            blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+        elif kind == "truncate":
+            blob = blob[:at]
+        elif kind == "bad_utf8":
+            blob = blob[:at] + draw(st.sampled_from(_BAD_UTF8)) + blob[at:]
         else:
-            manifest = (tmp / "out/ingest/manifest.json").read_text(encoding="utf-8")
-            json.loads(manifest, parse_constant=_reject_constant)
+            lines = blob.split(b"\n")
+            row = draw(st.integers(0, len(lines) - 1))
+            if kind == "drop_line":
+                del lines[row]
+            elif kind == "duplicate_line":
+                lines.insert(row, lines[row])
+            elif row > 0:  # a data row's cell in columns 1 to 6, the loads
+                cells = lines[row].split(b",")
+                column = draw(st.integers(1, 6))
+                if column < len(cells):
+                    cells[column] = draw(st.sampled_from(_BAD_CELLS)).encode()
+                    lines[row] = b",".join(cells)
+            blob = b"\n".join(lines)
+    return blob
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(curve=mutated_load_curves())
+def test_mutated_load_curve_schedule_exits_0_2_or_3(curve):
+    """A damaged load curve exits 0 with a strict-JSON schedule summary, or 2
+    or 3 with one JSON error object and no schedule output; never 4."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "curve.csv").write_bytes(curve)
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"paths": {"out_dir": str(tmp / "out")}}))
+        argv = ["schedule", "--config", str(config), "--load", str(tmp / "curve.csv")]
+        _assert_exits_0_2_or_3(argv, tmp / "out/schedule", "summary.json")
+
+
+_MANIFEST = json.loads((_CASE_STUDY / "ingest/manifest.json").read_text(encoding="utf-8"))
+_CONFIG = json.loads((REPO_ROOT / "configs/case_study.json").read_text(encoding="utf-8"))
+_CONFIG["fleet"]["n_ev"] = 300
+# json.dumps writes NaN and Infinity as such, and 10**400 as its digits.
+_ODD_VALUES = (None, True, False, 0, -1, 1.5, 1e308, -1e308, 10**400, "", "H-W-H", "1.0", [], {},
+               [[1.0]], [[], [None]], 2**63, -0.0, 5e-324, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _json_edit(draw, doc, roots):
+    """``doc`` with the value at one random path under one of ``roots`` (top-level
+    keys) swapped for an odd value, or deleted."""
+    roots = [key for key in roots if key in doc]  # an earlier edit may have deleted one
+    if not roots:
+        return doc
+    doc = copy.deepcopy(doc)
+    node, key = doc, draw(st.sampled_from(roots))
+    while isinstance(node[key], dict | list) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    if draw(st.integers(0, 3)):
+        node[key] = draw(st.sampled_from(_ODD_VALUES))
+    else:
+        del node[key]
+    return doc
+
+
+@st.composite
+def mutated_forecast_inputs(draw):
+    """The case-study manifest and config, as text, after one or two edits.
+    The manifest is edited three times as often as the config, whose edits
+    mostly exit 2 before the manifest is read, and only under ``counts`` and
+    ``samples``, the keys the forecast reads."""
+    manifest, config = _MANIFEST, _CONFIG
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.integers(0, 3)):
+            manifest = draw(_json_edit(manifest, ["counts", "samples"]))
+        else:
+            config = draw(_json_edit(config, list(config)))
+    if isinstance(config.get("fleet", {}), dict):
+        # A dropped n_ev would default to 10,000 vehicles: keep each run small.
+        config = {**config, "fleet": {"n_ev": 300, **config.get("fleet", {})}}
+    return json.dumps(manifest), json.dumps(config)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(inputs=mutated_forecast_inputs())
+def test_mutated_manifest_or_config_forecast_exits_0_2_or_3(inputs):
+    """A damaged manifest or config exits 0 with a strict-JSON forecast summary,
+    or 2 or 3 with one JSON error object and no forecast output; never 4."""
+    manifest, config = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "out/ingest").mkdir(parents=True)
+        (tmp / "out/ingest/manifest.json").write_text(manifest, encoding="utf-8")
+        (tmp / "config.json").write_text(config, encoding="utf-8")
+        argv = ["forecast", "--config", str(tmp / "config.json"), "--out", str(tmp / "out")]
+        _assert_exits_0_2_or_3(argv, tmp / "out/forecast", "summary.json")
 
 
 class TestForecastCommand:
@@ -273,6 +425,25 @@ class TestForecastCommand:
         capsys.readouterr()
         assert main(["forecast", "--config", str(config)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+    @pytest.mark.parametrize("sample, fleet", [
+        (1e300, {}),                        # the bandwidth's squared deviations overflow
+        (None, {"u_kwh_per_km": 1e308}),    # a trip's energy overflows
+        (None, {"c_ev_kwh": 5e-324}),       # a trip's share of the battery overflows
+    ], ids=["huge_sample", "huge_consumption", "tiny_battery"])
+    def test_overflowing_forecast_is_data_error(self, tmp_path, fixture_csv_path, capsys, sample,
+                                                fleet):
+        config = write_config(tmp_path, fixture_csv_path, fleet={"n_ev": 300, **fleet})
+        assert main(["ingest", "--config", str(config)]) == 0
+        if sample is not None:
+            manifest = tmp_path / "out/ingest/manifest.json"
+            append = _edit(lambda m: m["samples"][_ARRAY].append(sample))
+            manifest.write_text(append(manifest.read_text()))
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(config)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DataError" and "too large" in error["message"]
+        assert not (tmp_path / "out/forecast").exists()
 
 
 class TestScheduleCommand:
@@ -521,6 +692,21 @@ class TestPipelineCommand:
         assert (alt / "ingest/manifest.json").is_file()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("occupied", ["out", "out/forecast"], ids=["out_dir", "stage_dir"])
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, fixture_csv_path, capsys, occupied):
+        # A file at --out stops ingest; one at <out>/forecast stops the
+        # forecast after ingest has written its output.
+        config = write_config(tmp_path, fixture_csv_path)
+        blocker = tmp_path / occupied
+        blocker.parent.mkdir(exist_ok=True)
+        blocker.write_bytes(b"not a directory\n")
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError" and str(blocker) in error["message"]
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert (tmp_path / "out/ingest/manifest.json").is_file() == (occupied == "out/forecast")
+        assert not (tmp_path / "out/schedule").exists()
+
     def test_bom_in_input_csv(self, tmp_path, fixture_csv_path):
         bom_csv = tmp_path / "bom.csv"
         bom_csv.write_bytes(b"\xef\xbb\xbf" + fixture_csv_path.read_bytes())
@@ -611,19 +797,44 @@ class TestPipelineCommand:
 
 
 class TestGoldenCaseStudy:
-    def test_pipeline_reproduces_committed_artifacts(self, tmp_path, monkeypatch):
+    @staticmethod
+    def assert_golden(out):
         """Every file under out/case_study, byte for byte, up to the out_dir echo."""
-        golden = REPO_ROOT / "out" / "case_study"
-        out = tmp_path / "case_study"
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["pipeline", "--config", "configs/case_study.json", "--out", str(out)]) == 0
-
         def tree(root):
             return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
-        assert tree(out) == tree(golden)
+        assert tree(out) == tree(_CASE_STUDY)
         echo = b'"out_dir": ' + json.dumps(str(out)).encode()
         committed_echo = b'"out_dir": ' + json.dumps("out/case_study").encode()
-        for rel in tree(golden):
+        for rel in tree(_CASE_STUDY):
             got = (out / rel).read_bytes().replace(echo, committed_echo)
-            assert got == (golden / rel).read_bytes(), rel
+            assert got == (_CASE_STUDY / rel).read_bytes(), rel
+
+    def test_pipeline_reproduces_committed_artifacts(self, tmp_path, monkeypatch):
+        out = tmp_path / "case_study"
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["pipeline", "--config", "configs/case_study.json", "--out", str(out)]) == 0
+        self.assert_golden(out)
+
+    def test_python_m_chargecast_reproduces_committed_artifacts(self, tmp_path):
+        """``python -m chargecast`` writes the committed bytes, and on Linux its
+        process ends with one thread: OpenBLAS started no worker."""
+        out = tmp_path / "case_study"
+        code = ("import os, runpy\n"
+                "try:\n"
+                "    runpy.run_module('chargecast', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)\n")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        run = subprocess.run(
+            [sys.executable, "-c", code, "pipeline", "--config", "configs/case_study.json",
+             "--out", str(out)],
+            cwd=REPO_ROOT, env={**env, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        self.assert_golden(out)
+        if not sys.platform.startswith("linux"):
+            pytest.skip("/proc/self/task is Linux-only")
+        assert run.stdout.splitlines()[-1] == "1"
