@@ -87,7 +87,7 @@ def read_load_curve(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
 
 
 def write_schedule_csv(path: Path, plan: SchedulePlan) -> None:
-    _write_slot_table(path, _SCHEDULE_COLUMNS, plan.slot_start_min,
+    _write_slot_table(path, _SCHEDULE_COLUMNS, np.arange(plan.n_slots) * (plan.dt_hours * 60.0),
                       [plan.price, plan.p_ev_kw, plan.p_ess_kw, plan.p_ch_kw, plan.soc_ess])
 
 
@@ -142,12 +142,8 @@ def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = N
     ``paths.dataset_dir`` (by default the ingest output directory)."""
     if dataset is None:
         dataset = load_dataset(config.dataset_dir or (config.out_dir / "ingest"))
-    try:  # numpy would only warn, and carry the inf or NaN on
-        with np.errstate(over="raise", invalid="raise"):
-            models = ModelSet.from_dataset(dataset)
-            result = run_forecast(config.fleet, models, threads=config.threads)
-    except FloatingPointError as exc:
-        raise DataError(f"a sample or fleet value is too large for the forecast ({exc})") from None
+    models = ModelSet.from_dataset(dataset)
+    result = run_forecast(config.fleet, models, threads=config.threads)
 
     out = _stage_dir(config, "forecast")
     models.save(out / "models.json")
@@ -193,6 +189,8 @@ def cmd_pipeline(config: PipelineConfig) -> None:
     standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``.
     Forecast takes ingest's dataset in memory: the arrays and count order
     ``load_dataset`` would read back from the manifest just written."""
+    # A tariff boundary inside a forecast slot fails here, before any stage writes.
+    config.tariff.slot_prices(config.fleet.slot_minutes, 1440 // config.fleet.slot_minutes)
     cmd_schedule(config, load_csv=cmd_forecast(config, dataset=cmd_ingest(config)))
 
 

@@ -5,8 +5,8 @@ The bundled defaults reproduce the case-study setup (10000-vehicle fleet,
 tariff), so a config file only needs the paths section to run end to end.
 The ``fleet`` and ``ess`` sections are the fields of :class:`FleetConfig`
 and :class:`EssParams`, read, converted and echoed from the dataclasses
-themselves. All validation happens at load time, before any stage writes a
-file.
+themselves. Every check runs before any stage writes a file: at load time,
+and the tariff's fit to the forecast grid first thing in ``pipeline``.
 """
 
 from __future__ import annotations

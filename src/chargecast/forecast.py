@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .kde import KdeModel, fit_kde, invert
+from .kde import KdeModel, fit_kde, invert, overflow_as_data_error
 from .survey import (
     CHAIN_TYPES,
     FEATURE_DWELL,
@@ -103,10 +103,6 @@ class LoadProfile:
     slot_start_min: np.ndarray
     power_kw: np.ndarray
     slot_minutes: int
-
-    @property
-    def horizon_minutes(self) -> float:
-        return float(len(self.power_kw) * self.slot_minutes)
 
     def energy_kwh(self) -> float:
         return float(self.power_kw.sum() * self.slot_minutes / 60.0)
@@ -455,6 +451,7 @@ class ForecastResult:
         }
 
 
+@overflow_as_data_error("a sample or fleet value is too large for the forecast")
 def run_forecast(
     config: FleetConfig,
     models: ModelSet,

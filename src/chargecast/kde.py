@@ -15,6 +15,7 @@ Generators, so sampling is reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,17 @@ class KdeModel:
         return invert(*self.pick(rng.random((2, count)), lower))
 
 
+@contextmanager
+def overflow_as_data_error(message: str):
+    """Numpy float overflow or invalid results as a ``DataError``, not a warned inf or NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DataError(f"{message} ({exc})") from None
+
+
+@overflow_as_data_error("a sample is too large for the density fit")
 def fit_kde(samples, support: tuple[float, float] = UNBOUNDED) -> KdeModel:
     """Fit a Gaussian KDE with Silverman bandwidth to ``samples``.
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, SolverError
 from .forecast import DAY_MINUTES, LoadProfile
+from .kde import overflow_as_data_error
 
 #: Feasibility tolerance of the post-solve verification pass.
 VERIFY_TOL = 1e-9
@@ -115,11 +116,10 @@ class SchedulePlan:
 
     ``p_ess_kw`` is signed: positive charging, negative discharging.
     ``soc_ess[i]`` is the state of charge after slot i's ESS power has been
-    applied. Per-day figures are filled when the horizon is a whole number
-    of days.
+    applied. Only ``multi_day_schedule``, which is handed the days, fills the
+    per-day bills; a plan of ``solve_schedule_slots`` alone leaves them empty.
     """
 
-    slot_start_min: np.ndarray
     price: np.ndarray
     p_ev_kw: np.ndarray
     p_ess_kw: np.ndarray
@@ -137,6 +137,7 @@ class SchedulePlan:
         return len(self.p_ess_kw)
 
 
+@overflow_as_data_error("the bill overflows a float")
 def _make_plan(
     p_ev: np.ndarray,
     prices: np.ndarray,
@@ -149,15 +150,11 @@ def _make_plan(
     else:
         soc = np.full(len(p_ess), ess.soc_init)
     p_ch = p_ev + p_ess
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = float(np.sum(p_ch * prices) * dt_hours)
-        baseline = float(np.sum(p_ev * prices) * dt_hours)
-    if not np.isfinite((cost, baseline)).all():
-        raise DataError(f"the bill overflows a float (with storage {cost}, without {baseline})")
+    cost = float(np.sum(p_ch * prices) * dt_hours)
+    baseline = float(np.sum(p_ev * prices) * dt_hours)
     saving = (baseline - cost) / baseline if baseline > 0 else 0.0
 
-    plan = SchedulePlan(
-        slot_start_min=np.arange(len(p_ess)) * (dt_hours * 60.0),
+    return SchedulePlan(
         price=prices,
         p_ev_kw=p_ev,
         p_ess_kw=p_ess,
@@ -168,14 +165,6 @@ def _make_plan(
         cost_baseline=baseline,
         saving_fraction=saving,
     )
-    slots_per_day = 24.0 / dt_hours
-    if slots_per_day == int(slots_per_day) and plan.n_slots % int(slots_per_day) == 0:
-        spd = int(slots_per_day)
-        for d in range(plan.n_slots // spd):
-            sl = slice(d * spd, (d + 1) * spd)
-            plan.day_costs_with_ess.append(float(np.sum(p_ch[sl] * prices[sl]) * dt_hours))
-            plan.day_costs_baseline.append(float(np.sum(p_ev[sl] * prices[sl]) * dt_hours))
-    return plan
 
 
 def verify_plan(plan: SchedulePlan, ess: EssParams) -> None:
@@ -305,17 +294,20 @@ def solve_schedule_slots(
 def multi_day_schedule(
     day_profiles: list[LoadProfile], tariff: TariffSchedule, ess: EssParams
 ) -> SchedulePlan:
-    """One schedule across consecutive days with SOC carried over the boundaries."""
+    """One schedule across consecutive days with SOC carried over, and its bill by day."""
     if not day_profiles:
         raise DataError("need at least one day of load")
     slot = day_profiles[0].slot_minutes
     for profile in day_profiles:
         if profile.slot_minutes != slot:
             raise DataError("all days must share one slot grid")
-        if profile.horizon_minutes != DAY_MINUTES:
+        if len(profile.power_kw) * slot != DAY_MINUTES:
             raise DataError("each profile must cover exactly one day")
 
     p_ev = np.concatenate([p.power_kw for p in day_profiles])
-    day_prices = tariff.slot_prices(slot, int(DAY_MINUTES / slot))
-    prices = np.tile(day_prices, len(day_profiles))
-    return solve_schedule_slots(p_ev, prices, slot / 60.0, ess)
+    prices = np.tile(tariff.slot_prices(slot, int(DAY_MINUTES / slot)), len(day_profiles))
+    plan = solve_schedule_slots(p_ev, prices, slot / 60.0, ess)
+    plan.day_costs_with_ess, plan.day_costs_baseline = (
+        ((power * prices).reshape(len(day_profiles), -1).sum(axis=1) * plan.dt_hours).tolist()
+        for power in (plan.p_ch_kw, p_ev))
+    return plan

@@ -619,6 +619,18 @@ class TestPipelineCommand:
         assert error["error"] == "ConfigurationError" and "n_ev" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"tariff": [[0, 487, 0.5], [487, 1440, 0.6]], "fleet": {"n_ev": 300}},
+        {"fleet": {"slot_minutes": 1440}},
+    ], ids=["off_grid_tariff", "one_slot_day"])
+    def test_tariff_off_the_forecast_grid_fails_before_writing(self, tmp_path, fixture_csv_path,
+                                                              capsys, overrides):
+        config = write_config(tmp_path, fixture_csv_path, **overrides)
+        assert main(["pipeline", "--config", str(config)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DataError" and "straddles a tariff boundary" in error["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path, fixture_csv_path, capsys):
         config = write_config(tmp_path, fixture_csv_path, horizonn_days=3)
         assert main(["pipeline", "--config", str(config)]) == 2

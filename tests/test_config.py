@@ -1,6 +1,7 @@
 """Config schema: the fleet and ess sections are the dataclass fields."""
 
 import json
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -46,6 +47,19 @@ def test_new_dataclass_field_is_a_config_key(monkeypatch):
 def test_case_study_echo_round_trips():
     config = load_config(REPO_ROOT / "configs" / "case_study.json")
     assert echo_round_trip(config) == config.echo()
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+    expected = {
+        *config_module._TOP_LEVEL_KEYS - {"paths", "fleet", "ess"},
+        *(f"paths.{key}" for key in config_module._PATH_KEYS),
+        *(f"fleet.{f.name}" for f in fields(FleetConfig) if f.name != "seed"),
+        "ess.*",
+    }
+    assert expected <= documented, sorted(expected - documented)
 
 
 unit = st.floats(0.0, 1.0) | st.integers(0, 1)

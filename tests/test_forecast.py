@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargecast.errors import ConfigurationError
+from chargecast.errors import ConfigurationError, DataError
 from chargecast.forecast import (
     _BATCH_BLOCKS,
     _MIDWAY_SITE,
@@ -537,6 +537,11 @@ class TestRunForecast:
             run_forecast(FleetConfig(n_ev=-1), fixture_models)
         with pytest.raises(ConfigurationError):
             run_forecast(FleetConfig(slot_minutes=7), fixture_models)
+
+    def test_overflowing_fleet_value_is_data_error(self, fixture_models):
+        # A trip's energy overflows, where numpy would only warn.
+        with pytest.raises(DataError, match="too large"):
+            run_forecast(FleetConfig(n_ev=300, u_kwh_per_km=1e308), fixture_models)
 
 
 class TestFleetProperties:

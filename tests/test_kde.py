@@ -319,6 +319,11 @@ class TestValidationAndSerialization:
             with pytest.raises(DataError):
                 fit_kde(samples)
 
+    def test_overflowing_sample_is_data_error(self):
+        # The squared deviations of the bandwidth's standard deviation overflow.
+        with pytest.raises(DataError, match="too large"):
+            fit_kde(np.array([1e300, -1e300, 0.0, 2.0]))
+
     def test_sample_outside_support_error(self):
         with pytest.raises(DataError):
             fit_kde([1.0, 5.0], support=(0.0, 4.0))

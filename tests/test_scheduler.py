@@ -452,6 +452,26 @@ class TestMultiDay:
         assert sum(plan.day_costs_with_ess) == pytest.approx(plan.cost_with_ess, rel=1e-12)
         assert sum(plan.day_costs_baseline) == pytest.approx(plan.cost_baseline, rel=1e-12)
 
+    @pytest.mark.parametrize("slot", [1440, 60, 15])
+    @pytest.mark.parametrize("n_days", [1, 3, 14])
+    def test_day_costs_are_the_day_slice_sums(self, n_days, slot):
+        """Each day's bill is bit for bit the np.sum of that day's slots."""
+        rng = np.random.default_rng(n_days * slot)
+        n = 1440 // slot
+        tariff = DEFAULT_TARIFF if slot <= 60 else TariffSchedule(((0.0, 1440.0, 0.7),))
+        days = [profile(rng.uniform(0, 900, n), slot) for _ in range(n_days)]
+        plan = multi_day_schedule(days, tariff, EssParams())
+        day_slices = [slice(d * n, (d + 1) * n) for d in range(n_days)]
+        for costs, power in [(plan.day_costs_with_ess, plan.p_ch_kw),
+                             (plan.day_costs_baseline, plan.p_ev_kw)]:
+            assert costs == [float(np.sum(power[sl] * plan.price[sl]) * plan.dt_hours)
+                             for sl in day_slices]
+
+    def test_slot_solve_has_no_days(self):
+        plan = solve_schedule_slots(np.full(96, 100.0), DEFAULT_TARIFF.slot_prices(15, 96), 0.25,
+                                    EssParams())
+        assert plan.day_costs_with_ess == plan.day_costs_baseline == []
+
     def test_sixty_days_stay_sparse(self):
         # A dense n x n block over 5,760 slots would alone take over 500 MB.
         rng = np.random.default_rng(60)
