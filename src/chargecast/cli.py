@@ -19,7 +19,7 @@ import numpy as np
 from .config import PipelineConfig, load_config
 from .errors import ChargecastError, ConfigurationError, DataError
 from .forecast import DAY_MINUTES, LoadProfile, ModelSet, run_forecast
-from .scheduler import SchedulePlan, multi_day_schedule
+from .scheduler import SchedulePlan, check_horizon, multi_day_schedule
 from .survey import (
     SITE_CLASSES,
     ChainFeatureDataset,
@@ -189,7 +189,8 @@ def cmd_pipeline(config: PipelineConfig) -> None:
     standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``.
     Forecast takes ingest's dataset in memory: the arrays and count order
     ``load_dataset`` would read back from the manifest just written."""
-    # A tariff boundary inside a forecast slot fails here, before any stage writes.
+    # Too many slots or a tariff boundary inside a forecast slot fails here, before any writes.
+    check_horizon(config.horizon_days, config.fleet.slot_minutes)
     config.tariff.slot_prices(config.fleet.slot_minutes, 1440 // config.fleet.slot_minutes)
     cmd_schedule(config, load_csv=cmd_forecast(config, dataset=cmd_ingest(config)))
 

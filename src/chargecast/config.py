@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .forecast import FleetConfig
-from .scheduler import DEFAULT_TARIFF, EssParams, TariffSchedule
+from .scheduler import DEFAULT_TARIFF, MAX_HORIZON_SLOTS, EssParams, TariffSchedule
 from .survey import DEFAULT_COLUMN_MAP, DEFAULT_DESTINATION_MAP, SiteClass
 
 _TOP_LEVEL_KEYS = {
@@ -26,7 +26,6 @@ _TOP_LEVEL_KEYS = {
     "horizon_days", "seed", "currency", "threads",
 }
 _PATH_KEYS = {"input_csv", "out_dir", "dataset_dir", "load_curve"}
-_MAX_HORIZON_DAYS = 3660  # ten years; the storage DP takes about 1.3 s at 3,650 days
 _KIND = {
     bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
     tuple: "a list",
@@ -65,7 +64,7 @@ class PipelineConfig:
             "destination_map": {str(k): v.value for k, v in self.destination_map.items()},
             "fleet": _section_echo(self.fleet),
             "ess": _section_echo(self.ess),
-            "tariff": self.tariff.to_list(),
+            "tariff": [list(window) for window in self.tariff.windows],
             "horizon_days": self.horizon_days,
             "seed": self.seed,
             "currency": self.currency,
@@ -161,8 +160,8 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         tariff = TariffSchedule(windows)
 
     horizon_days = _coerce(data.get("horizon_days", 3), 3, "horizon_days")
-    if not 1 <= horizon_days <= _MAX_HORIZON_DAYS:
-        raise ConfigurationError(f"horizon_days must be in [1, {_MAX_HORIZON_DAYS}]")
+    if not 1 <= horizon_days <= MAX_HORIZON_SLOTS:  # a day has a slot; the scheduler bounds slots
+        raise ConfigurationError(f"horizon_days must be in [1, {MAX_HORIZON_SLOTS}]")
     threads = _coerce(data.get("threads", 1), 1, "threads")
     if threads < 1:
         raise ConfigurationError("threads must be >= 1")

@@ -28,54 +28,45 @@ from .kde import overflow_as_data_error
 
 #: Feasibility tolerance of the post-solve verification pass.
 VERIFY_TOL = 1e-9
+#: Most slots in one horizon, 3,660 days of 15 minutes: the storage DP's work grows with slots.
+MAX_HORIZON_SLOTS = 3660 * 96
 
 
 @dataclass(frozen=True)
 class TariffSchedule:
     """Daily time-of-use price windows: (start_min, end_min, price_per_kwh).
 
-    Windows must tile [0, 1440) exactly; the schedule repeats for multi-day
-    horizons.
+    Each window must run forward (start below end), and the windows must
+    tile [0, 1440) exactly; the schedule repeats for multi-day horizons.
     """
 
     windows: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        if not self.windows:
+        ordered = tuple(sorted(self.windows, key=lambda w: w[0]))
+        if not ordered:
             raise ConfigurationError("tariff needs at least one window")
-        ordered = sorted(self.windows, key=lambda w: w[0])
-        if ordered[0][0] != 0.0 or ordered[-1][1] != DAY_MINUTES:
-            raise ConfigurationError("tariff windows must cover [0, 1440) exactly")
-        for (s0, e0, _), (s1, _, _) in zip(ordered, ordered[1:]):
-            if e0 != s1:
-                raise ConfigurationError(
-                    f"tariff windows must tile without gaps/overlaps near minute {e0}"
-                )
-        if any(price <= 0 for _, _, price in ordered):
+        starts, ends, prices = zip(*ordered)
+        if not all(start < end for start, end in zip(starts, ends)):
+            raise ConfigurationError("tariff windows must run forward: each start below its end")
+        gaps = [end for end, start in zip((0.0, *ends), (*starts, DAY_MINUTES)) if end != start]
+        if gaps:
+            raise ConfigurationError(f"tariff windows do not tile [0, 1440) at minute {gaps[0]}")
+        if not all(price > 0 for price in prices):
             raise ConfigurationError("tariff prices must be positive")
-        object.__setattr__(self, "windows", tuple(ordered))
+        object.__setattr__(self, "windows", ordered)
 
     def slot_prices(self, slot_minutes: float, n_slots: int) -> np.ndarray:
-        """Per-slot prices for a horizon of ``n_slots`` starting at minute 0.
-
-        Each slot must lie inside a single window (grid mismatch otherwise).
-        """
-        prices = np.empty(n_slots)
-        for i in range(n_slots):
-            t0 = (i * slot_minutes) % DAY_MINUTES
-            t1 = t0 + slot_minutes
-            for start, end, price in self.windows:
-                if start <= t0 and t1 <= end:
-                    prices[i] = price
-                    break
-            else:
-                raise DataError(
-                    f"slot starting at minute {i * slot_minutes} straddles a tariff boundary"
-                )
-        return prices
-
-    def to_list(self) -> list[list[float]]:
-        return [[s, e, p] for s, e, p in self.windows]
+        """Per-slot prices of ``n_slots`` slots from minute 0, the windows repeating
+        daily; a slot that ends past the window it starts in is a grid mismatch."""
+        ends, prices = np.array([window[1:] for window in self.windows], dtype=float).T
+        start = np.arange(n_slots) * slot_minutes
+        t0 = start % DAY_MINUTES
+        window = np.searchsorted(ends, t0, side="right")
+        straddling = start[t0 + slot_minutes > ends[window]]
+        if straddling.size:
+            raise DataError(f"slot starting at minute {straddling[0]} straddles a tariff boundary")
+        return prices[window]
 
 
 #: Peak-valley tariff used by the bundled case-study configuration (per kWh).
@@ -291,6 +282,13 @@ def solve_schedule_slots(
     return plan
 
 
+def check_horizon(n_days: int, slot_minutes: int) -> None:
+    """ConfigurationError if the horizon holds more than ``MAX_HORIZON_SLOTS`` slots."""
+    if n_days * (DAY_MINUTES // slot_minutes) > MAX_HORIZON_SLOTS:
+        raise ConfigurationError(f"horizon_days {n_days} of {slot_minutes}-minute slots is more "
+                                 f"than the scheduler's {MAX_HORIZON_SLOTS} slots")
+
+
 def multi_day_schedule(
     day_profiles: list[LoadProfile], tariff: TariffSchedule, ess: EssParams
 ) -> SchedulePlan:
@@ -303,9 +301,10 @@ def multi_day_schedule(
             raise DataError("all days must share one slot grid")
         if len(profile.power_kw) * slot != DAY_MINUTES:
             raise DataError("each profile must cover exactly one day")
+    check_horizon(len(day_profiles), slot)
 
     p_ev = np.concatenate([p.power_kw for p in day_profiles])
-    prices = np.tile(tariff.slot_prices(slot, int(DAY_MINUTES / slot)), len(day_profiles))
+    prices = tariff.slot_prices(slot, len(p_ev))
     plan = solve_schedule_slots(p_ev, prices, slot / 60.0, ess)
     plan.day_costs_with_ess, plan.day_costs_baseline = (
         ((power * prices).reshape(len(day_profiles), -1).sum(axis=1) * plan.dt_hours).tolist()

@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled survey fixture and models fitted from it."""
+"""Shared fixtures: the bundled survey fixture and models fitted from it, and the
+`hypothesis` profile of every property test."""
 
 import json
 import math
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chargecast.forecast import ModelSet
 from chargecast.kde import KdeModel
@@ -19,6 +21,10 @@ from chargecast.survey import (
     parse_records,
     sample_key,
 )
+
+# Every property test draws the same examples on each run and keeps no example database.
+settings.register_profile("chargecast", derandomize=True, database=None)
+settings.load_profile("chargecast")
 
 # Chain counts baked into the bundled fixture (see scripts/make_fixture.py).
 FIXTURE_CHAIN_COUNTS = {

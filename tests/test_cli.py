@@ -228,7 +228,7 @@ def _assert_exits_0_2_or_3(argv, stage_dir, artifact):
         json.loads((stage_dir / artifact).read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(survey=mutated_surveys())
 def test_mutated_survey_ingest_exits_0_2_or_3(survey):
     """A damaged survey exits 0 with a strict-JSON manifest, or 2 or 3 with
@@ -280,7 +280,7 @@ def mutated_load_curves(draw):
     return blob
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(curve=mutated_load_curves())
 def test_mutated_load_curve_schedule_exits_0_2_or_3(curve):
     """A damaged load curve exits 0 with a strict-JSON schedule summary, or 2
@@ -339,7 +339,7 @@ def mutated_forecast_inputs(draw):
     return json.dumps(manifest), json.dumps(config)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(inputs=mutated_forecast_inputs())
 def test_mutated_manifest_or_config_forecast_exits_0_2_or_3(inputs):
     """A damaged manifest or config exits 0 with a strict-JSON forecast summary,
@@ -540,6 +540,19 @@ class TestScheduleCommand:
         write_schedule_csv(path, plan)
         assert {line.split(",")[3] for line in path.read_text().splitlines()[1:]} == {"0.0"}
 
+    def test_one_minute_horizon_above_the_slot_bound_writes_nothing(self, tmp_path,
+                                                                   fixture_csv_path, capsys):
+        # 366 days of a 1,440-row curve are 527,040 slots, above the scheduler's 351,360.
+        lines = ["slot_start_min,load_H_kW,load_W_kW,load_SE_kW,load_SR_kW,load_O_kW,load_station_kW"]
+        lines += [f"{i},0.0,0.0,0.0,0.0,0.0,1.0" for i in range(1440)]
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, fixture_csv_path, horizon_days=366)
+        assert main(["schedule", "--config", str(config), "--load", str(curve)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError" and "horizon_days 366" in error["message"]
+        assert not (tmp_path / "out/schedule").exists()
+
     def test_one_slot_day_schedules(self, tmp_path, fixture_csv_path):
         # The slot length comes from the row count: one row is one 1440-min slot.
         summary = self.run_all(
@@ -629,6 +642,27 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(config)]) == 3
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "DataError" and "straddles a tariff boundary" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_one_minute_horizon_above_the_slot_bound_fails_before_writing(
+            self, tmp_path, fixture_csv_path, capsys):
+        config = write_config(tmp_path, fixture_csv_path, fleet={"slot_minutes": 1},
+                              horizon_days=366)
+        assert main(["pipeline", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError" and "horizon_days" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tariff", [
+        [[0, 2000, 0.5], [2000, 1440, 0.6]],
+        [[0, 600, 0.5], [600, 600, 9.0], [600, 1440, 0.6]],
+    ], ids=["backward", "zero_width"])
+    def test_tariff_window_running_backward_fails_before_writing(self, tmp_path,
+                                                                 fixture_csv_path, capsys, tariff):
+        config = write_config(tmp_path, fixture_csv_path, tariff=tariff, fleet={"n_ev": 300})
+        assert main(["pipeline", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigurationError" and "run forward" in error["message"]
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self, tmp_path, fixture_csv_path, capsys):

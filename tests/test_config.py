@@ -68,7 +68,7 @@ nonnegative = st.floats(0.0, 1e4) | st.integers(0, 10_000)
 optional_path = st.none() | st.text(alphabet="ab/._-", max_size=8)
 
 
-@settings(derandomize=True, database=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     fleet=st.fixed_dictionaries({}, optional={
         "p_own": unit,

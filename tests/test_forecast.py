@@ -384,7 +384,7 @@ class TestAccumulateLoads:
         bundle = accumulate([(0, HORIZON_MINUTES + 5.0, 30.0)], config)
         assert not bundle.site_power_kw[SiteClass.H.index].any()
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         events=st.lists(
             st.tuples(st.integers(0, 4), st.floats(-200.0, 3000.0), st.floats(0.0, 600.0)),
@@ -547,7 +547,7 @@ class TestRunForecast:
 class TestFleetProperties:
     """Invariants over generated fleets (deterministic examples, no database)."""
 
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         n_ev=st.integers(1, 600),
         p_own=st.floats(0.0, 1.0),
@@ -564,7 +564,7 @@ class TestFleetProperties:
         residual = abs(sum(result.site_energy_full_kwh) - result.event_energy_kwh)
         assert residual <= 1e-9 * result.event_energy_kwh
 
-    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None)
     @given(n_ev=st.integers(257, 1100), seed=st.integers(0, 2**32 - 1))
     def test_block_prefix_matches_smaller_fleet(self, fixture_models, n_ev, seed):
         """The first k blocks of an n-vehicle run equal a k*256-vehicle run."""
@@ -578,7 +578,7 @@ class TestFleetProperties:
         site = prefix.bundle.site_power_kw
         assert np.array_equal(site, power[:, -site.shape[1]:])
 
-    @settings(derandomize=True, database=None, max_examples=24, deadline=None)
+    @settings(max_examples=24, deadline=None)
     @given(
         n_ev=st.sampled_from(sorted({1, 255, 256, 257, *(
             m * _BATCH_BLOCKS * _VEHICLE_BLOCK + d for m, d in ((1, -1), (1, 0), (1, 1), (2, 3))

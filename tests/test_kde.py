@@ -111,7 +111,7 @@ class TestBandwidth:
         for a in (0.25, 3.0, 117.0):
             assert fit_kde(a * x).bandwidth == pytest.approx(a * h, rel=1e-12)
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         values=st.one_of(
             st.lists(st.floats(-1e10, 1e10), min_size=2, max_size=3),
@@ -220,7 +220,7 @@ class TestSampling:
         with pytest.raises(DataError, match="empty sampling interval"):
             model.sample_many(rng, 10, lower=5.0)
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_truncated_draws_property(self, data):
         """Random truncated mixtures, with the lower sampling bound often

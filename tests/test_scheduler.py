@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from chargecast.errors import ConfigurationError, DataError, SolverError
-from chargecast.forecast import LoadProfile
+from chargecast.forecast import DAY_MINUTES, LoadProfile
 from chargecast.scheduler import (
     DEFAULT_TARIFF,
+    MAX_HORIZON_SLOTS,
     VERIFY_TOL,
     EssParams,
     SchedulePlan,
@@ -37,6 +38,24 @@ def hourly_tariff(prices):
     windows = [(60.0 * i, 60.0 * (i + 1), p) for i, p in enumerate(prices)]
     windows.append((60.0 * len(prices), 1440.0, prices[-1]))
     return TariffSchedule(tuple(windows))
+
+
+def _reference_slot_prices(tariff: TariffSchedule, slot_minutes, n_slots) -> np.ndarray:
+    """Per-slot prices by a loop over slots and windows: the first window that
+    holds the whole slot, the day wrapping at 1440 minutes."""
+    prices = np.empty(n_slots)
+    for i in range(n_slots):
+        t0 = (i * slot_minutes) % DAY_MINUTES
+        t1 = t0 + slot_minutes
+        for start, end, price in tariff.windows:
+            if start <= t0 and t1 <= end:
+                prices[i] = price
+                break
+        else:
+            raise DataError(
+                f"slot starting at minute {i * slot_minutes} straddles a tariff boundary"
+            )
+    return prices
 
 
 def baseline_cost(p_ev: LoadProfile, tariff: TariffSchedule) -> float:
@@ -166,6 +185,40 @@ class TestTariff:
         with pytest.raises(DataError, match="straddles"):
             DEFAULT_TARIFF.slot_prices(50, 12)
 
+    @pytest.mark.parametrize("windows", [
+        ((0.0, 2000.0, 0.5), (2000.0, 1440.0, 0.6)),
+        ((0.0, 600.0, 0.5), (600.0, 600.0, 9.0), (600.0, 1440.0, 0.6)),
+    ], ids=["backward", "zero_width"])
+    def test_window_must_run_forward(self, windows):
+        with pytest.raises(ConfigurationError, match="run forward"):
+            TariffSchedule(windows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), grain=st.sampled_from([1, 5, 15, 60, 120]),
+           slot=st.sampled_from([1, 5, 15, 60, 90, 1440]) | st.integers(1, 1500)
+           | st.sampled_from([0.5, 7.5, 22.5, 97.5]))
+    def test_slot_prices_match_the_reference_loop(self, data, grain, slot):
+        """Any forward partition of the day on integer minutes and any slot
+        length price the same, bit for bit, as the loop over slots and
+        windows, or raise its error."""
+        cuts = data.draw(st.sets(st.integers(1, 1440 // grain - 1), max_size=7), label="cuts")
+        bounds = [0, *sorted(grain * c for c in cuts), 1440]
+        prices = data.draw(st.lists(st.floats(0.01, 5.0), min_size=len(bounds) - 1,
+                                    max_size=len(bounds) - 1), label="prices")
+        windows = data.draw(st.permutations(list(zip(bounds, bounds[1:], prices))),
+                            label="windows")
+        tariff = TariffSchedule(tuple(windows))
+        n_slots = data.draw(st.integers(0, int(3 * 1440 / slot) + 3), label="n_slots")
+        try:
+            expected = _reference_slot_prices(tariff, slot, n_slots)
+        except DataError as error:
+            with pytest.raises(DataError) as info:
+                tariff.slot_prices(slot, n_slots)
+            assert str(info.value) == str(error)
+        else:
+            got = tariff.slot_prices(slot, n_slots)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 class TestBaselineCost:
     def test_flat_load_day(self):
@@ -270,7 +323,7 @@ class TestSolveSchedule:
             plan = solve_schedule(p_ev, tariff, ess)
             assert plan.cost_with_ess <= plan.cost_baseline + 1e-9
 
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         data=st.data(),
         n=st.integers(1, 6),
@@ -299,7 +352,7 @@ class TestSolveSchedule:
         assert lp.cost_with_ess <= bf.cost_with_ess + 1e-6
         verify_plan(lp, ess)
 
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
         n=st.integers(1, 60),
@@ -466,6 +519,24 @@ class TestMultiDay:
                              (plan.day_costs_baseline, plan.p_ev_kw)]:
             assert costs == [float(np.sum(power[sl] * plan.price[sl]) * plan.dt_hours)
                              for sl in day_slices]
+
+    @pytest.mark.parametrize("n_days", [1, 3, 14])
+    def test_prices_are_one_day_tiled(self, n_days):
+        """Pricing the whole horizon repeats one day's prices, bit for bit."""
+        days = [profile(np.full(96, 100.0), 15)] * n_days
+        plan = multi_day_schedule(days, DEFAULT_TARIFF, EssParams())
+        one_day = _reference_slot_prices(DEFAULT_TARIFF, 15, 96)
+        assert plan.price.tobytes() == np.tile(one_day, n_days).tobytes()
+
+    def test_horizon_is_bounded_in_slots(self):
+        """3,660 days of 15 minutes schedule; a day more, or 366 days of one
+        minute, are a configuration error."""
+        plan = multi_day_schedule([profile(np.full(96, 100.0), 15)] * 3660, DEFAULT_TARIFF,
+                                  EssParams())
+        assert plan.n_slots == MAX_HORIZON_SLOTS == 3660 * 96
+        for days in [[profile(np.zeros(96), 15)] * 3661, [profile(np.zeros(1440), 1)] * 366]:
+            with pytest.raises(ConfigurationError, match=f"horizon_days {len(days)} of"):
+                multi_day_schedule(days, DEFAULT_TARIFF, EssParams())
 
     def test_slot_solve_has_no_days(self):
         plan = solve_schedule_slots(np.full(96, 100.0), DEFAULT_TARIFF.slot_prices(15, 96), 0.25,

@@ -833,7 +833,7 @@ def _hhmm(minute: int) -> str:
     return f"{minute // 60:02d}{minute % 60:02d}"
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(vehicle_days=_VEHICLE_DAYS)
 def test_parse_chains_features_property(vehicle_days):
     diag = IngestDiagnostics()
@@ -930,7 +930,7 @@ def _messy_survey(draw) -> str:
 
 
 # No shrink phase: shrinking a failing survey text took about 5 minutes.
-@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+@settings(max_examples=100, deadline=None,
           phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(text=_messy_survey(), chunk_rows=st.sampled_from([1, 2, 3, 8192]))
 def test_columnar_ingest_matches_reference(text, chunk_rows):
