@@ -107,9 +107,9 @@ def _coerce(value, default, name: str):
 
 
 def _section(data: dict, name: str, cls):
-    """A validated ``cls`` from section ``name`` of ``data``, one key per
-    dataclass field. A field that is also a top-level key (the fleet's
-    ``seed``) is read from the top level instead."""
+    """A ``cls`` from section ``name`` of ``data``, one key per dataclass
+    field, which checks itself when built. A field that is also a top-level
+    key (the fleet's ``seed``) is read from the top level instead."""
     defaults = {f.name: f.default for f in fields(cls)}
     section = _require_mapping(data.get(name, {}), name, defaults.keys() - _TOP_LEVEL_KEYS)
     values = {}
@@ -117,9 +117,7 @@ def _section(data: dict, name: str, cls):
         source, label = (data, key) if key in _TOP_LEVEL_KEYS else (section, f"{name}.{key}")
         if key in source:
             values[key] = _coerce(source[key], default, label)
-    obj = cls(**values)
-    obj.validate()
-    return obj
+    return cls(**values)
 
 
 def _section_echo(obj) -> dict:
@@ -152,12 +150,8 @@ def parse_config_dict(data: dict) -> PipelineConfig:
     fleet = _section(data, "fleet", FleetConfig)
     ess = _section(data, "ess", EssParams)
 
-    tariff = DEFAULT_TARIFF
-    if "tariff" in data:
-        windows = _coerce(data["tariff"], DEFAULT_TARIFF.windows, "tariff")
-        if any(len(w) != 3 for w in windows):
-            raise ConfigurationError("tariff rows must be [start_min, end_min, price]")
-        tariff = TariffSchedule(windows)
+    tariff = TariffSchedule(_coerce(data.get("tariff", DEFAULT_TARIFF.windows),
+                                    DEFAULT_TARIFF.windows, "tariff"))
 
     horizon_days = _coerce(data.get("horizon_days", 3), 3, "horizon_days")
     if not 1 <= horizon_days <= MAX_HORIZON_SLOTS:  # a day has a slot; the scheduler bounds slots

@@ -54,9 +54,9 @@ _MIN_VELOCITY_KMH = 1.0   # lower sampling bound of every velocity draw
 _MAX_N_EV = 1_000_000     # about 4 s of simulation at the case study's 0.04 s per 10,000 EVs
 
 
-@dataclass
+@dataclass(frozen=True)
 class FleetConfig:
-    """Inputs of the fleet simulation.
+    """Inputs of the fleet simulation, checked once when built.
 
     ``q_pro`` weights the five site-class load curves into the station
     composite (share of each site function in the station's service area).
@@ -73,15 +73,15 @@ class FleetConfig:
     slot_minutes: int = 15
     seed: int = 20170
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 <= self.n_ev <= _MAX_N_EV:
             raise ConfigurationError(f"n_ev must be in [0, {_MAX_N_EV}]")
-        if self.p_charging_kw <= 0:
-            raise ConfigurationError("p_charging_kw must be > 0")
-        if self.c_ev_kwh <= 0:
-            raise ConfigurationError("c_ev_kwh must be > 0")
-        if self.u_kwh_per_km <= 0:
-            raise ConfigurationError("u_kwh_per_km must be > 0")
+        if not 0 < self.p_charging_kw < math.inf:
+            raise ConfigurationError("p_charging_kw must be > 0 and finite")
+        if not 0 < self.c_ev_kwh < math.inf:
+            raise ConfigurationError("c_ev_kwh must be > 0 and finite")
+        if not 0 < self.u_kwh_per_km < math.inf:
+            raise ConfigurationError("u_kwh_per_km must be > 0 and finite")
         if not 0.0 <= self.p_own <= 1.0:
             raise ConfigurationError("p_own must be in [0, 1]")
         if len(self.q_pro) != len(SITE_CLASSES):
@@ -92,8 +92,8 @@ class FleetConfig:
             raise ConfigurationError("soc_reserve must be in [0, 1)")
         if self.slot_minutes <= 0 or 1440 % self.slot_minutes != 0:
             raise ConfigurationError("slot_minutes must divide 1440")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        if not 0 <= self.seed < math.inf:
+            raise ConfigurationError("seed must be >= 0 and finite")
 
 
 @dataclass
@@ -458,7 +458,7 @@ def run_forecast(
     threads: int = 1,
 ) -> ForecastResult:
     """Simulate the fleet over 48 h and report the final 24 h load bundle.
-    ``models`` is not checked again: a ``ModelSet`` checks itself when built.
+    Neither ``config`` nor ``models`` is checked again: each checked itself when built.
 
     The vehicles run in batches of ``_BATCH_BLOCKS`` blocks. A larger batch
     repeats the per-batch work (each model's pick, each type's RNG calls, the
@@ -469,8 +469,6 @@ def run_forecast(
     compatibility and ignored: the vectorized batches run in the calling
     thread, because a thread pool over blocks measured no gain.
     """
-    config.validate()
-
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
     total_power = np.zeros((len(SITE_CLASSES), n_slots))

@@ -36,24 +36,25 @@ MAX_HORIZON_SLOTS = 3660 * 96
 class TariffSchedule:
     """Daily time-of-use price windows: (start_min, end_min, price_per_kwh).
 
-    Each window must run forward (start below end), and the windows must
-    tile [0, 1440) exactly; the schedule repeats for multi-day horizons.
+    Each window must run forward (start below end), the windows must tile
+    [0, 1440) exactly, and each price must be positive and finite; the
+    schedule repeats for multi-day horizons.
     """
 
     windows: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
+        if not self.windows or any(len(w) != 3 for w in self.windows):
+            raise ConfigurationError("tariff needs one or more [start_min, end_min, price] rows")
         ordered = tuple(sorted(self.windows, key=lambda w: w[0]))
-        if not ordered:
-            raise ConfigurationError("tariff needs at least one window")
         starts, ends, prices = zip(*ordered)
         if not all(start < end for start, end in zip(starts, ends)):
             raise ConfigurationError("tariff windows must run forward: each start below its end")
         gaps = [end for end, start in zip((0.0, *ends), (*starts, DAY_MINUTES)) if end != start]
         if gaps:
             raise ConfigurationError(f"tariff windows do not tile [0, 1440) at minute {gaps[0]}")
-        if not all(price > 0 for price in prices):
-            raise ConfigurationError("tariff prices must be positive")
+        if not all(0 < price < np.inf for price in prices):
+            raise ConfigurationError("tariff prices must be positive and finite")
         object.__setattr__(self, "windows", ordered)
 
     def slot_prices(self, slot_minutes: float, n_slots: int) -> np.ndarray:
@@ -80,10 +81,10 @@ DEFAULT_TARIFF = TariffSchedule((
 ))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EssParams:
-    """Station storage parameters; the fields are the config file's ``ess``
-    keys."""
+    """Station storage parameters, checked once when built; the fields are
+    the config file's ``ess`` keys."""
 
     c_ess_kwh: float = 5445.0
     p_charge_max_kw: float = 545.0
@@ -92,11 +93,11 @@ class EssParams:
     require_terminal_soc: bool = True
     allow_export: bool = False
 
-    def validate(self) -> None:
-        if self.c_ess_kwh < 0:
-            raise ConfigurationError("c_ess_kwh must be >= 0")
-        if self.p_charge_max_kw < 0 or self.p_discharge_max_kw < 0:
-            raise ConfigurationError("ESS power limits must be >= 0")
+    def __post_init__(self):
+        if not 0 <= self.c_ess_kwh < np.inf:
+            raise ConfigurationError("c_ess_kwh must be >= 0 and finite")
+        if not (0 <= self.p_charge_max_kw < np.inf and 0 <= self.p_discharge_max_kw < np.inf):
+            raise ConfigurationError("ESS power limits must be >= 0 and finite")
         if not 0.0 <= self.soc_init <= 1.0:
             raise ConfigurationError("soc_init must be in [0, 1]")
 
@@ -250,8 +251,8 @@ def solve_schedule_slots(
     dt_hours: float,
     ess: EssParams,
 ) -> SchedulePlan:
-    """Cheapest ESS schedule on an explicit slot grid (exact DP)."""
-    ess.validate()
+    """Cheapest ESS schedule on an explicit slot grid (exact DP); the store
+    stays idle unless it lowers the bill. ``ess`` is not checked again."""
     p_ev = np.asarray(p_ev_kw, dtype=float)
     prices = np.asarray(prices, dtype=float)
     n = len(p_ev)
@@ -266,18 +267,18 @@ def solve_schedule_slots(
     if not (dt_hours > 0 and np.isfinite(dt_hours)):
         raise DataError(f"slot length must be positive and finite, got {dt_hours!r} h")
 
-    p_ess = np.zeros(n)  # exact zeros without storage, where the DP can give -0.0
-    if ess.c_ess_kwh > 0 and (ess.p_charge_max_kw > 0 or ess.p_discharge_max_kw > 0):
-        lb = np.full(n, -ess.p_discharge_max_kw)
-        if not ess.allow_export:
-            lb = np.maximum(lb, -p_ev)
-        ub = np.full(n, ess.p_charge_max_kw)
-        e_init = ess.soc_init * ess.c_ess_kwh
-        energy = _cheapest_energy(
-            prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
-        )
-        p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
+    lb = np.full(n, -ess.p_discharge_max_kw)
+    if not ess.allow_export:
+        lb = np.maximum(lb, -p_ev)
+    ub = np.full(n, ess.p_charge_max_kw)
+    e_init = ess.soc_init * ess.c_ess_kwh
+    energy = _cheapest_energy(
+        prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
+    )
+    p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
     plan = _make_plan(p_ev, prices, p_ess, dt_hours, ess)
+    if not plan.cost_with_ess < plan.cost_baseline:  # a DP that cannot save may bill a hair more
+        plan = _make_plan(p_ev, prices, np.zeros(n), dt_hours, ess)
     verify_plan(plan, ess)
     return plan
 

@@ -68,9 +68,9 @@ class ChainType:
 
     def __post_init__(self):
         if not 1 <= len(self.midway) <= 2:
-            raise ValueError("chain type must have 1 or 2 midway sites")
+            raise ConfigurationError("chain type must have 1 or 2 midway sites")
         if any(s is SiteClass.H for s in self.midway):
-            raise ValueError("H cannot be a midway site")
+            raise ConfigurationError("H cannot be a midway site")
 
     @property
     def n_trips(self) -> int:

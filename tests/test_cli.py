@@ -466,11 +466,18 @@ class TestScheduleCommand:
         assert summary["saving_fraction"] == 0.0
 
     def test_flat_tariff_no_saving(self, tmp_path, fixture_csv_path):
-        summary = self.run_all(
-            tmp_path, fixture_csv_path,
-            fleet={"n_ev": 800, "q_pro": Q_DEFAULT}, tariff=[[0, 1440, 0.7]],
-        )
-        assert abs(summary["saving_fraction"]) <= 1e-9
+        # On both inputs the storage DP bills a hair more than the baseline:
+        # the store stays idle instead, and the bill is the baseline's.
+        for n_ev, price in [(800, 0.7), (300, 0.5)]:
+            run_dir = tmp_path / f"{n_ev}"
+            run_dir.mkdir()
+            summary = self.run_all(
+                run_dir, fixture_csv_path,
+                fleet={"n_ev": n_ev, "q_pro": Q_DEFAULT}, tariff=[[0, 1440, price]],
+            )
+            assert summary["saving_fraction"] == 0.0
+            assert summary["cost_with_ess"] == summary["cost_baseline"]
+            assert summary["per_day"]["with_ess"] == summary["per_day"]["baseline"]
 
     def test_schedule_csv_columns(self, tmp_path, fixture_csv_path):
         self.run_all(tmp_path, fixture_csv_path)

@@ -1,8 +1,9 @@
 """Config schema: the fleet and ess sections are the dataclass fields."""
 
 import json
+import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ def test_section_keys_are_the_dataclass_fields(name, cls):
 
 
 def test_new_dataclass_field_is_a_config_key(monkeypatch):
-    @dataclass
+    @dataclass(frozen=True)
     class WiderEss(EssParams):
         reserve_kwh: float = 0.0
 
@@ -100,3 +101,47 @@ optional_path = st.none() | st.text(alphabet="ab/._-", max_size=8)
 def test_echo_round_trips_property(fleet, ess, paths, top):
     config = parse_config_dict({"fleet": fleet, "ess": ess, "paths": paths, **top})
     assert echo_round_trip(config) == config.echo()
+
+
+finite_positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+finite_nonnegative = st.floats(0.0, allow_infinity=False)
+_IN_RANGE = {
+    FleetConfig: {
+        "p_own": st.floats(0.0, 1.0),
+        "n_ev": st.integers(0, 10**6),
+        "p_charging_kw": finite_positive,
+        "c_ev_kwh": finite_positive,
+        "u_kwh_per_km": finite_positive,
+        "q_pro": st.tuples(*[st.floats(0.0, 1.0)] * 5),
+        "soc_reserve": st.floats(0.0, 1.0, exclude_max=True),
+        "slot_minutes": st.sampled_from([d for d in range(1, 1441) if 1440 % d == 0]),
+        "seed": st.integers(0, 2**64),
+    },
+    EssParams: {
+        "c_ess_kwh": finite_nonnegative,
+        "p_charge_max_kw": finite_nonnegative,
+        "p_discharge_max_kw": finite_nonnegative,
+        "soc_init": st.floats(0.0, 1.0),
+        "require_terminal_soc": st.booleans(),
+        "allow_export": st.booleans(),
+    },
+}
+
+
+@settings(max_examples=200)
+@given(data=st.data(), cls=st.sampled_from([FleetConfig, EssParams]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_parameters_check_themselves_when_built(data, cls, bad):
+    """In-range finite values build; a non-finite number in any numeric field
+    (or ``q_pro`` entry) fails when built; a built object takes no assignment."""
+    params = cls(**data.draw(st.fixed_dictionaries(_IN_RANGE[cls]), label="values"))
+    numeric = [f.name for f in fields(cls) if f.type != "bool"]
+    name = data.draw(st.sampled_from(numeric), label="field")
+    value = bad
+    if name == "q_pro":
+        value = list(params.q_pro)
+        value[data.draw(st.integers(0, 4), label="entry")] = bad
+    with pytest.raises(ConfigurationError):
+        replace(params, **{name: value})
+    with pytest.raises(FrozenInstanceError):
+        setattr(params, name, getattr(params, name))

@@ -538,6 +538,11 @@ class TestRunForecast:
         with pytest.raises(ConfigurationError):
             run_forecast(FleetConfig(slot_minutes=7), fixture_models)
 
+    def test_nan_charging_power_is_configuration_error(self, fixture_models):
+        # It once gave 0 events and a zero load curve.
+        with pytest.raises(ConfigurationError, match="p_charging_kw"):
+            run_forecast(FleetConfig(n_ev=300, p_charging_kw=math.nan), fixture_models)
+
     def test_overflowing_fleet_value_is_data_error(self, fixture_models):
         # A trip's energy overflows, where numpy would only warn.
         with pytest.raises(DataError, match="too large"):

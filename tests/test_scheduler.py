@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,7 +103,6 @@ def brute_force_schedule(
     max_slots: int = 8,
 ) -> SchedulePlan:
     """Exhaustive oracle over a discrete ESS power grid (small instances only)."""
-    ess.validate()
     n = len(p_ev.power_kw)
     if n > max_slots:
         raise ConfigurationError(f"brute force limited to {max_slots} slots, got {n}")
@@ -180,6 +180,15 @@ class TestTariff:
     def test_nonpositive_price_rejected(self):
         with pytest.raises(ConfigurationError):
             TariffSchedule(((0.0, 1440.0, 0.0),))
+
+    @pytest.mark.parametrize("windows", [
+        ((0.0, 1440.0),),
+        ((0.0, 1440.0, 0.5, 9.0),),
+        ((0.0, 1440.0, np.inf),),
+    ], ids=["short_row", "long_row", "infinite_price"])
+    def test_malformed_row_is_configuration_error(self, windows):
+        with pytest.raises(ConfigurationError, match="tariff"):
+            TariffSchedule(windows)
 
     def test_straddling_slot_is_grid_mismatch(self):
         with pytest.raises(DataError, match="straddles"):
@@ -272,6 +281,15 @@ class TestSolveSchedule:
         plan = solve_schedule(p_ev, flat, EssParams())
         assert abs(plan.cost_with_ess - plan.cost_baseline) <= 1e-9 * plan.cost_baseline
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_charge_max_kw", np.inf), ("c_ess_kwh", np.inf), ("c_ess_kwh", np.nan),
+    ])
+    def test_non_finite_storage_is_configuration_error(self, field, value):
+        # Each once gave a plan, with a bill above the baseline, NaN or idle.
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_schedule_slots([10.0] * 4, [0.5, 1.0, 0.5, 1.0], 1.0,
+                                 EssParams(**{field: value}))
+
     def test_infeasible_soc_init(self):
         p_ev, tariff, _ = self.three_slot_instance()
         with pytest.raises(ConfigurationError):
@@ -319,9 +337,19 @@ class TestSolveSchedule:
         rng = np.random.default_rng(77)
         for _ in range(25):
             p_ev, tariff, ess, _ = random_instance(rng)
-            ess.require_terminal_soc = True
-            plan = solve_schedule(p_ev, tariff, ess)
-            assert plan.cost_with_ess <= plan.cost_baseline + 1e-9
+            plan = solve_schedule(p_ev, tariff, replace(ess, require_terminal_soc=True))
+            assert plan.cost_with_ess <= plan.cost_baseline
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flat=st.booleans(), no_storage=st.booleans(),
+           allow_export=st.booleans())
+    def test_plan_never_bills_more_than_idle(self, seed, flat, no_storage, allow_export):
+        p_ev, tariff, ess, _ = random_instance(np.random.default_rng(seed))
+        if flat:
+            tariff = TariffSchedule(((0.0, 1440.0, tariff.windows[0][2]),))
+        ess = replace(ess, allow_export=allow_export, c_ess_kwh=0.0 if no_storage else ess.c_ess_kwh)
+        plan = solve_schedule(p_ev, tariff, ess)
+        assert plan.cost_with_ess <= plan.cost_baseline
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -234,6 +234,13 @@ class TestParseRecords:
 # build_chains
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("midway", [(), (SiteClass.H,), (SiteClass.W,) * 3],
+                         ids=["no_site", "home", "three_sites"])
+def test_bad_chain_type_is_configuration_error(midway):
+    with pytest.raises(ConfigurationError):
+        ChainType(midway)
+
+
 class TestBuildChains:
     def test_simple_commute_chain(self):
         trips = table(
