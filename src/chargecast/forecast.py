@@ -50,13 +50,14 @@ DAY_MINUTES = 1440.0
 HORIZON_MINUTES = 2880.0  # two simulated days
 _VEHICLE_BLOCK = 256      # fixed RNG-stream and reduction granularity
 _BATCH_BLOCKS = 5         # blocks simulated with one set of array operations
-_MIN_VELOCITY_KMH = 1.0   # lower sampling bound of every velocity draw
+_MIN_VELOCITY_KMH = 1.0   # lower end of every velocity model's support
 _MAX_N_EV = 1_000_000     # about 4 s of simulation at the case study's 0.04 s per 10,000 EVs
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Inputs of the fleet simulation, checked once when built.
+    """Inputs of the fleet simulation, checked once when built: ``n_ev``,
+    ``slot_minutes`` and ``seed`` are integers (Python or numpy, not bool).
 
     ``q_pro`` weights the five site-class load curves into the station
     composite (share of each site function in the station's service area).
@@ -74,6 +75,10 @@ class FleetConfig:
     seed: int = 20170
 
     def __post_init__(self):
+        for name in ("n_ev", "slot_minutes", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int | np.integer):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.n_ev <= _MAX_N_EV:
             raise ConfigurationError(f"n_ev must be in [0, {_MAX_N_EV}]")
         if not 0 < self.p_charging_kw < math.inf:
@@ -92,8 +97,8 @@ class FleetConfig:
             raise ConfigurationError("soc_reserve must be in [0, 1)")
         if self.slot_minutes <= 0 or 1440 % self.slot_minutes != 0:
             raise ConfigurationError("slot_minutes must divide 1440")
-        if not 0 <= self.seed < math.inf:
-            raise ConfigurationError("seed must be >= 0 and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass
@@ -163,6 +168,8 @@ def _feature_support(feature: str, index: int, max_value: float) -> tuple[float,
         # itself ran past midnight.
         hi = DAY_MINUTES * math.ceil(max(max_value, 1.0) / DAY_MINUTES)
         return (0.0, hi)
+    if feature == FEATURE_VELOCITY:
+        return (_MIN_VELOCITY_KMH, math.inf)
     return (0.0, math.inf)
 
 
@@ -209,11 +216,12 @@ class ModelSet:
 
     def save(self, path: str | Path) -> None:
         """Write the bandwidth and support (``null`` for an infinite end) of
-        each model under its :func:`sample_key`. The samples and proportions
-        are the dataset manifest's: a reader rebuilds a model as
-        ``KdeModel(samples[key], bandwidth, support)``. The file is valid only
-        with the manifest this run read: the ``paths.dataset_dir`` that
-        ``forecast/summary.json`` echoes, else ``<out>/ingest``."""
+        each model under its :func:`sample_key`; the support is the interval
+        every draw lies in. The samples and proportions are the dataset
+        manifest's: a reader rebuilds a model as ``KdeModel(samples[key],
+        bandwidth, support)``, which draws as the forecast does. The file is
+        valid only with the manifest this run read: the ``paths.dataset_dir``
+        that ``forecast/summary.json`` echoes, else ``<out>/ingest``."""
         models = {}
         for key, model in self.models.items():
             support = [float(v) if math.isfinite(v) else None for v in model.support]
@@ -270,9 +278,8 @@ def _draw_batch_chains(rngs: list, ctype: np.ndarray, models: ModelSet) -> tuple
         centre, scale, p = np.empty((3, len(keys), chains.size))
         lo, hi = np.empty((2, len(keys), 1))
         for j, (feature, index) in enumerate(keys):
-            lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
             model = models.get(CHAIN_TYPES[k], feature, index)
-            centre[j], scale[j], p[j], lo[j], hi[j] = model.pick(uniforms[2 * j:2 * j + 2], lower)
+            centre[j], scale[j], p[j], lo[j], hi[j] = model.pick(uniforms[2 * j:2 * j + 2])
         del uniforms  # freed before ndtri's temporaries are made
         draws = invert(centre, scale, p, lo, hi)
         for (feature, index), row in zip(keys, draws):
@@ -293,9 +300,10 @@ def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _Ba
        for owners too, so that ``p_own`` does not shift later draws), then
        ``3 b`` chain-type uniforms: day 0 of every vehicle, day 1, lookahead;
     2. per chain type present, in enumeration order, per model in draw order
-       (trip-1 end time, each trip's length and velocity, sampled above
-       1 km/h, then each midway dwell): a kernel-pick uniform per chain of
-       the type, in the order of step 1, then a placement uniform per chain.
+       (trip-1 end time, each trip's length and velocity, then each midway
+       dwell; each drawn inside its model's support): a kernel-pick uniform
+       per chain of the type, in the order of step 1, then a placement
+       uniform per chain.
     """
     rngs = [_block_rng(config.seed, k) for k in blocks]
     step1 = np.hstack([rng.random((5, min(_VEHICLE_BLOCK, config.n_ev - k * _VEHICLE_BLOCK)))

@@ -3,7 +3,7 @@
 A fitted model is a mixture of Gaussian kernels centred on the data points.
 Supports may be half-open or closed intervals. Sampling is exact and
 vectorized: each draw picks a kernel with probability proportional to its
-mass inside the bounds (tables built once per model and lower bound, with
+mass inside the support (a table each model builds when it is built, with
 ``math.erfc``) and inverts that kernel's truncated normal CDF with
 ``ndtri``, so no draw is rejected, redrawn or clamped. ``pick`` makes the
 picks and ``invert`` turns them into draws in the buffer of their
@@ -130,19 +130,25 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 @dataclass
 class KdeModel:
-    """Gaussian KDE over one feature, truncated to ``support``.
+    """Gaussian KDE over one feature, truncated to ``support``, which holds
+    every draw. It checks itself and builds its sampling table when built.
 
     Attributes:
-        samples: the data points (kernel centres), finite and inside support.
+        samples: the data points (kernel centres), finite; a centre outside
+            ``support`` counts with its mass inside it.
         bandwidth: kernel standard deviation, finite and > 0.
-        support: closed interval (lo, hi); either end may be infinite.
+        support: closed interval (lo, hi) with some of the density's mass;
+            either end may be infinite.
     """
 
     samples: np.ndarray
     bandwidth: float
     support: tuple[float, float] = UNBOUNDED
-    # Kernel tables by sampling lower bound, built on first use.
-    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # (p_lo, width, scale, cdf): each kernel's probability at lo, its signed
+    # mass inside [lo, hi], and bandwidth; the cumulative mass, ending at 1.0.
+    # Kernels centred below lo have upper-tail probabilities (a negated
+    # ``scale``), which keep full precision far from the centre.
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -155,49 +161,31 @@ class KdeModel:
         lo, hi = self.support
         if not lo < hi:
             raise DataError(f"empty support interval: {self.support}")
-        if self.samples.min() < lo or self.samples.max() > hi:
-            raise DataError("sample outside declared support")
+        scale = np.where(self.samples < lo, -self.bandwidth, self.bandwidth)
+        p_lo = _ndtr(lo, self.samples, scale)
+        width = _ndtr(hi, self.samples, scale) - p_lo
+        cum = np.cumsum(np.abs(width))
+        if not cum[-1] > 0:
+            raise DataError(f"density has no mass inside [{lo}, {hi}]")
+        self._table = (p_lo, width, scale, cum / cum[-1])
 
-    def _table(self, lo: float):
-        """``(p_lo, width, scale, cdf)`` for draws inside [lo, hi]: each
-        kernel's probability at lo, its signed mass inside [lo, hi], and
-        bandwidth; the cumulative mass, ending at 1.0. Kernels centred below
-        lo have upper-tail probabilities (a negated ``scale``), which keep
-        full precision far from the centre."""
-        table = self._tables.get(lo)
-        if table is None:
-            hi = self.support[1]
-            if not lo < hi:
-                raise DataError(f"empty sampling interval [{lo}, {hi}]")
-            scale = np.where(self.samples < lo, -self.bandwidth, self.bandwidth)
-            p_lo = _ndtr(lo, self.samples, scale)
-            width = _ndtr(hi, self.samples, scale) - p_lo
-            cum = np.cumsum(np.abs(width))
-            if not cum[-1] > 0:
-                raise DataError(f"density has no mass inside [{lo}, {hi}]")
-            table = self._tables[lo] = (p_lo, width, scale, cum / cum[-1])
-        return table
-
-    def pick(self, uniforms: np.ndarray, lower: float = -math.inf):
-        """``(centre, scale, p, lo, hi)`` of draws inside [lo, hi] =
-        [max(support lo, lower), support hi], for ``invert``: one draw per
-        column of the ``(2, count)`` ``uniforms``. Row 0 picks kernels with
-        probability proportional to their mass inside [lo, hi]; row 1 places
-        ``p`` uniformly between each kernel's probabilities at lo and hi."""
-        lo = max(self.support[0], lower)
-        p_lo, width, scale, cdf = self._table(lo)
+    def pick(self, uniforms: np.ndarray):
+        """``(centre, scale, p, lo, hi)`` of draws inside the support [lo, hi],
+        for ``invert``: one draw per column of the ``(2, count)``
+        ``uniforms``. Row 0 picks kernels with probability proportional to
+        their mass inside [lo, hi]; row 1 places ``p`` uniformly between each
+        kernel's probabilities at lo and hi."""
+        p_lo, width, scale, cdf = self._table
         # cdf ends at exactly 1.0 and uniforms are < 1, so every pick is a
         # kernel with positive mass.
         k = cdf.searchsorted(uniforms[0], side="right")
         p = p_lo[k] + uniforms[1] * width[k]
-        return self.samples[k], scale[k], p, lo, self.support[1]
+        return self.samples[k], scale[k], p, *self.support
 
-    def sample_many(
-        self, rng: np.random.Generator, count: int, lower: float = -math.inf
-    ) -> np.ndarray:
-        """``count`` independent draws from the density, optionally also
-        truncated below at ``lower``: ``pick`` of the next ``(2, count)`` uniforms."""
-        return invert(*self.pick(rng.random((2, count)), lower))
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` independent draws from the density: ``pick`` of the next
+        ``(2, count)`` uniforms."""
+        return invert(*self.pick(rng.random((2, count))))
 
 
 @contextmanager

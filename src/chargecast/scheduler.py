@@ -83,8 +83,8 @@ DEFAULT_TARIFF = TariffSchedule((
 
 @dataclass(frozen=True)
 class EssParams:
-    """Station storage parameters, checked once when built; the fields are
-    the config file's ``ess`` keys."""
+    """Station storage parameters, checked once when built (the two flags
+    are bools); the fields are the config file's ``ess`` keys."""
 
     c_ess_kwh: float = 5445.0
     p_charge_max_kw: float = 545.0
@@ -94,6 +94,10 @@ class EssParams:
     allow_export: bool = False
 
     def __post_init__(self):
+        for name in ("require_terminal_soc", "allow_export"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be true or false, got {value!r}")
         if not 0 <= self.c_ess_kwh < np.inf:
             raise ConfigurationError("c_ess_kwh must be >= 0 and finite")
         if not (0 <= self.p_charge_max_kw < np.inf and 0 <= self.p_discharge_max_kw < np.inf):

@@ -6,6 +6,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,17 +106,25 @@ def test_echo_round_trips_property(fleet, ess, paths, top):
 
 finite_positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 finite_nonnegative = st.floats(0.0, allow_infinity=False)
+
+
+def integers(lo, hi):
+    """Python ints in [lo, hi], or numpy int64s where they fit."""
+    return st.integers(lo, hi) | st.integers(lo, min(hi, 2**63 - 1)).map(np.int64)
+
+
 _IN_RANGE = {
     FleetConfig: {
         "p_own": st.floats(0.0, 1.0),
-        "n_ev": st.integers(0, 10**6),
+        "n_ev": integers(0, 10**6),
         "p_charging_kw": finite_positive,
         "c_ev_kwh": finite_positive,
         "u_kwh_per_km": finite_positive,
         "q_pro": st.tuples(*[st.floats(0.0, 1.0)] * 5),
         "soc_reserve": st.floats(0.0, 1.0, exclude_max=True),
-        "slot_minutes": st.sampled_from([d for d in range(1, 1441) if 1440 % d == 0]),
-        "seed": st.integers(0, 2**64),
+        "slot_minutes": st.sampled_from([d for d in range(1, 1441) if 1440 % d == 0]).flatmap(
+            lambda d: st.sampled_from([d, np.int64(d)])),
+        "seed": integers(0, 2**64),
     },
     EssParams: {
         "c_ess_kwh": finite_nonnegative,
@@ -126,22 +135,28 @@ _IN_RANGE = {
         "allow_export": st.booleans(),
     },
 }
+# Values of the wrong type for an int or a bool field, beside the non-finite ones.
+_WRONG_TYPE = {"int": [300.5, 1.5, 7.5, 15.0, True], "bool": ["false", "true", 0, 1, None]}
 
 
 @settings(max_examples=200)
 @given(data=st.data(), cls=st.sampled_from([FleetConfig, EssParams]),
        bad=st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_parameters_check_themselves_when_built(data, cls, bad):
-    """In-range finite values build; a non-finite number in any numeric field
-    (or ``q_pro`` entry) fails when built; a built object takes no assignment."""
+    """In-range finite values build, with Python or numpy integers; a
+    non-finite number in any field (or ``q_pro`` entry), a float or bool in
+    an integer field and a non-bool in a bool field fail when built; a built
+    object takes no assignment."""
     params = cls(**data.draw(st.fixed_dictionaries(_IN_RANGE[cls]), label="values"))
-    numeric = [f.name for f in fields(cls) if f.type != "bool"]
-    name = data.draw(st.sampled_from(numeric), label="field")
-    value = bad
+    field = data.draw(st.sampled_from(fields(cls)), label="field")
+    name = field.name
+    values = [bad, *_WRONG_TYPE.get(field.type, [])]
     if name == "q_pro":
         value = list(params.q_pro)
         value[data.draw(st.integers(0, 4), label="entry")] = bad
-    with pytest.raises(ConfigurationError):
-        replace(params, **{name: value})
+        values = [value]
+    for value in values:
+        with pytest.raises(ConfigurationError):
+            replace(params, **{name: value})
     with pytest.raises(FrozenInstanceError):
         setattr(params, name, getattr(params, name))

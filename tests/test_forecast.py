@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -13,7 +14,6 @@ from chargecast.errors import ConfigurationError, DataError
 from chargecast.forecast import (
     _BATCH_BLOCKS,
     _MIDWAY_SITE,
-    _MIN_VELOCITY_KMH,
     _N_TRIPS,
     _VEHICLE_BLOCK,
     DAY_MINUTES,
@@ -41,9 +41,11 @@ from chargecast.survey import (
     SiteClass,
     chain_type_from_label,
     feature_keys,
+    sample_key,
 )
-from conftest import point_model_set
+from conftest import point_model_set, rebuilt_models
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 Q_DEFAULT = (0.04, 0.1, 0.2, 0.1, 0.1)
 
 
@@ -87,9 +89,8 @@ def _draw_chains(rng, ctype, type_models):
     for k in np.unique(ctype):
         chains = np.flatnonzero(ctype == k)
         for (feature, index), model in type_models[k].items():
-            lower = _MIN_VELOCITY_KMH if feature == FEATURE_VELOCITY else -math.inf
             targets.append((rows[feature][index - 1], chains))
-            picks.append(model.pick(rng.random((2, chains.size)), lower))
+            picks.append(model.pick(rng.random((2, chains.size))))
     centre, scale, p, lo, hi = zip(*picks)
     sizes = [c.size for c in centre]
     draws = invert(np.concatenate(centre), np.concatenate(scale), np.concatenate(p),
@@ -504,7 +505,7 @@ class TestRunForecast:
                 for t in range(CHAIN_TYPES[k].n_trips):
                     lengths[t, chains] = fitted[FEATURE_LENGTH, t + 1].sample_many(rng, chains.size)
                     velocity[t, chains] = fitted[FEATURE_VELOCITY, t + 1].sample_many(
-                        rng, chains.size, lower=_MIN_VELOCITY_KMH
+                        rng, chains.size
                     )
                 for j in range(CHAIN_TYPES[k].n_trips - 1):
                     dwells[j, chains] = fitted[FEATURE_DWELL, j + 1].sample_many(rng, chains.size)
@@ -527,10 +528,33 @@ class TestRunForecast:
 
     def test_pick_stream_is_sample_many_stream(self, fixture_models):
         """``sample_many`` feeds ``pick`` its next 2 * count uniforms."""
-        model = next(iter(fixture_models.models.values()))
-        draws = model.sample_many(np.random.default_rng(8), 50, lower=1.0)
+        model = next(m for key, m in fixture_models.models.items() if key[1] == FEATURE_VELOCITY)
+        draws = model.sample_many(np.random.default_rng(8), 50)
         uniforms = np.random.default_rng(8).random((2, 50))
-        assert np.array_equal(draws, invert(*model.pick(uniforms, 1.0)))
+        assert np.array_equal(draws, invert(*model.pick(uniforms)))
+
+    def test_committed_artifacts_rebuild_the_forecast_draws(self, fixture_models):
+        """The committed case study's manifest and ``models.json`` are enough
+        to sample: every model rebuilt from them picks and inverts, for the
+        same uniforms, the draws the forecast makes from the fitted models,
+        bit for bit. Each velocity model's support starts at 1 km/h."""
+        case = REPO_ROOT / "out" / "case_study"
+        _, rebuilt = rebuilt_models(case / "ingest", case / "forecast" / "models.json")
+        assert list(rebuilt) == [sample_key(*key) for key in fixture_models.models]
+        for key in fixture_models.models:
+            if key[1] == FEATURE_VELOCITY:
+                assert rebuilt[sample_key(*key)].support[0] == 1.0
+        type_models = {
+            k: {key: rebuilt[sample_key(CHAIN_TYPES[k], *key)] for key in fitted}
+            for k, fitted in per_type_models(fixture_models).items()
+        }
+        # 30 vehicles in one block: 90 chains, 15 of every type in use.
+        ctype = np.random.default_rng(3).permutation(np.repeat(sorted(type_models), 15))
+        got = _draw_batch_chains([np.random.default_rng(9)], ctype, fixture_models)
+        want = _draw_chains(np.random.default_rng(9), ctype, type_models)
+        for forecast, artifacts in zip(got, want):
+            assert np.array_equal(forecast, artifacts)
+        assert got[2][0].min() >= 1.0
 
     def test_invalid_config_rejected(self, fixture_models):
         with pytest.raises(ConfigurationError):

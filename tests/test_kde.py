@@ -25,6 +25,7 @@ from chargecast.kde import (
 from chargecast.survey import (
     CHAIN_TYPES,
     FEATURE_END_TIME,
+    FEATURE_VELOCITY,
     ChainFeatureDataset,
     chain_type_proportions,
     feature_keys,
@@ -52,15 +53,15 @@ def pdf(model: KdeModel, x):
     return float(out) if out.ndim == 0 else out
 
 
-def cdf(model: KdeModel, x, lower: float = -math.inf):
-    """Cumulative distribution of ``model`` truncated to [max(lo, lower), hi],
-    the distribution ``sample_many(..., lower=lower)`` draws from.
+def cdf(model: KdeModel, x):
+    """Cumulative distribution of ``model`` truncated to its support [lo, hi],
+    the distribution ``sample_many`` draws from.
 
     The mass below ``x`` and the mass above it are each summed from kernel
     masses that keep their precision in the tails, so the upper tail is a
     complement (ndtr(-z)) rather than a difference from 1.
     """
-    lo, hi = max(model.support[0], lower), model.support[1]
+    lo, hi = model.support
     x = np.clip(np.asarray(x, dtype=float), lo, hi)
     s, h = model.samples, model.bandwidth
     z = (x[..., None] - s) / h
@@ -213,37 +214,34 @@ class TestSampling:
         assert kstest(draws, lambda x: cdf(model, x)).statistic < 0.01
 
     def test_no_mass_above_lower_bound_is_data_error(self):
-        model = KdeModel(np.array([0.0]), bandwidth=1e-3, support=(0.0, 5.0))
-        rng = np.random.default_rng(0)
+        """A support without mass fails when the model is built, not at its first draw."""
         with pytest.raises(DataError, match="no mass"):
-            model.sample_many(rng, 10, lower=1.0)  # 1000 bandwidths above the centre
-        with pytest.raises(DataError, match="empty sampling interval"):
-            model.sample_many(rng, 10, lower=5.0)
+            KdeModel(np.array([0.0]), bandwidth=1e-3, support=(1.0, 5.0))  # 1000 bandwidths
+        with pytest.raises(DataError, match="no mass"):
+            fit_kde([0.0, 0.0], support=(1.0, math.inf))  # bandwidth 0.01: 100 bandwidths
+        with pytest.raises(DataError, match="empty support interval"):
+            KdeModel(np.array([0.0]), bandwidth=1e-3, support=(5.0, 5.0))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_truncated_draws_property(self, data):
-        """Random truncated mixtures, with the lower sampling bound often
-        above some or all kernel centres: draws stay inside the bounds and
+        """Random truncated mixtures, with the support's lower end often
+        above some or all kernel centres: draws stay inside the support and
         follow the renormalized cdf (KS bound 0.04 for 4000 draws: p < 1e-5)."""
         n = data.draw(st.integers(1, 12), label="kernels")
         centres = np.array(data.draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n)))
         bandwidth = data.draw(st.floats(0.05, 30.0), label="bandwidth")
-        support = (
-            data.draw(st.sampled_from([-math.inf, 0.0]), label="lo"),
-            data.draw(st.sampled_from([math.inf, 100.0, 150.0]), label="hi"),
-        )
+        hi = data.draw(st.sampled_from([math.inf, 100.0, 150.0]), label="hi")
         # Up to 12 bandwidths above the highest centre, where the bounded
         # mass is below 1e-32 of the whole.
-        top = min(float(centres.max()) + 12.0 * bandwidth, support[1] - 1e-6)
-        lower = data.draw(st.floats(-20.0, top), label="lower")
+        top = min(float(centres.max()) + 12.0 * bandwidth, hi - 1e-6)
+        lo = data.draw(st.floats(-20.0, top), label="lo")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        model = KdeModel(centres, bandwidth, support)
+        model = KdeModel(centres, bandwidth, (lo, hi))
 
-        draws = model.sample_many(np.random.default_rng(seed), 4000, lower=lower)
-        lo = max(support[0], lower)
-        assert lo <= draws.min() and draws.max() <= support[1]
-        statistic = kstest(draws, lambda x: cdf(model, x, lower)).statistic
+        draws = model.sample_many(np.random.default_rng(seed), 4000)
+        assert lo <= draws.min() and draws.max() <= hi
+        statistic = kstest(draws, lambda x: cdf(model, x)).statistic
         assert statistic < 0.04
 
 
@@ -324,9 +322,16 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError, match="too large"):
             fit_kde(np.array([1e300, -1e300, 0.0, 2.0]))
 
-    def test_sample_outside_support_error(self):
-        with pytest.raises(DataError):
-            fit_kde([1.0, 5.0], support=(0.0, 4.0))
+    @pytest.mark.parametrize("samples, support", [
+        ([1.0, 5.0], (0.0, 4.0)), ([0.3, 0.5, 0.8, 2.0, 3.0], (1.0, math.inf)),
+    ], ids=["above_hi", "below_lo"])
+    def test_kernel_centred_outside_support_draws_inside(self, samples, support):
+        """A kernel centred outside the support is valid: its mass inside
+        counts, and every draw lies inside and follows the renormalized cdf."""
+        model = fit_kde(samples, support=support)
+        draws = model.sample_many(np.random.default_rng(4), 20_000)
+        assert support[0] <= draws.min() and draws.max() <= support[1]
+        assert kstest(draws, lambda x: cdf(model, x)).statistic < 0.02
 
     def test_nonpositive_bandwidth_error(self):
         with pytest.raises(DataError):
@@ -375,4 +380,5 @@ class TestValidationAndSerialization:
         assert list(doc["models"]) == [sample_key(*key) for key in fixture_models.models]
         for key, model in fixture_models.models.items():
             hi = 1440.0 if key[1:] == (FEATURE_END_TIME, 1) else None
-            assert doc["models"][sample_key(*key)] == {"bandwidth": model.bandwidth, "support": [0.0, hi]}
+            lo = 1.0 if key[1] == FEATURE_VELOCITY else 0.0
+            assert doc["models"][sample_key(*key)] == {"bandwidth": model.bandwidth, "support": [lo, hi]}
