@@ -10,6 +10,8 @@ This is Bellman's warehouse problem (1956) with per-slot power limits, and
 ``solve_schedule_slots`` solves it exactly by a convex dynamic program (see
 ``_cheapest_energy``). The tests cross-check its cost against an
 enumeration oracle on small instances and against a HiGHS linear program.
+A ``SchedulePlan`` is built from the schedule and its inputs and computes
+its own bill from them; no bill can be handed to it.
 When the days of a horizon tile the same prices, there are many optimal
 schedules: only the total cost is pinned, and the per-day split of it is
 whichever optimum the DP returns.
@@ -108,59 +110,45 @@ class EssParams:
 
 @dataclass
 class SchedulePlan:
-    """A solved (or candidate) ESS schedule with its cost accounting.
+    """An ESS schedule with the bill it implies, computed when it is built.
 
-    ``p_ess_kw`` is signed: positive charging, negative discharging.
-    ``soc_ess[i]`` is the state of charge after slot i's ESS power has been
-    applied. Only ``multi_day_schedule``, which is handed the days, fills the
-    per-day bills; a plan of ``solve_schedule_slots`` alone leaves them empty.
+    A plan is built from what decides it: slot prices, EV load, the signed
+    ESS power ``p_ess_kw`` (positive charging, negative discharging), the
+    slot length and the store it plans for. The station draw ``p_ch_kw``,
+    ``soc_ess`` (the state of charge after slot i's ESS power has been
+    applied) and the bill follow from those. Only ``multi_day_schedule``,
+    which is handed the days, fills the per-day bills; a plan of
+    ``solve_schedule_slots`` alone leaves them empty.
     """
 
     price: np.ndarray
     p_ev_kw: np.ndarray
     p_ess_kw: np.ndarray
-    p_ch_kw: np.ndarray
-    soc_ess: np.ndarray
     dt_hours: float
-    cost_with_ess: float
-    cost_baseline: float
-    saving_fraction: float
+    ess: EssParams
+    p_ch_kw: np.ndarray = field(init=False)
+    soc_ess: np.ndarray = field(init=False)
+    cost_with_ess: float = field(init=False)
+    cost_baseline: float = field(init=False)
+    saving_fraction: float = field(init=False)
     day_costs_with_ess: list[float] = field(default_factory=list)
     day_costs_baseline: list[float] = field(default_factory=list)
+
+    @overflow_as_data_error("the bill overflows a float")
+    def __post_init__(self):
+        ess = self.ess
+        if ess.c_ess_kwh > 0:
+            self.soc_ess = ess.soc_init + self.dt_hours * np.cumsum(self.p_ess_kw) / ess.c_ess_kwh
+        else:
+            self.soc_ess = np.full(len(self.p_ess_kw), ess.soc_init)
+        self.p_ch_kw = self.p_ev_kw + self.p_ess_kw
+        cost = self.cost_with_ess = float(np.sum(self.p_ch_kw * self.price) * self.dt_hours)
+        baseline = self.cost_baseline = float(np.sum(self.p_ev_kw * self.price) * self.dt_hours)
+        self.saving_fraction = (baseline - cost) / baseline if baseline > 0 else 0.0
 
     @property
     def n_slots(self) -> int:
         return len(self.p_ess_kw)
-
-
-@overflow_as_data_error("the bill overflows a float")
-def _make_plan(
-    p_ev: np.ndarray,
-    prices: np.ndarray,
-    p_ess: np.ndarray,
-    dt_hours: float,
-    ess: EssParams,
-) -> SchedulePlan:
-    if ess.c_ess_kwh > 0:
-        soc = ess.soc_init + dt_hours * np.cumsum(p_ess) / ess.c_ess_kwh
-    else:
-        soc = np.full(len(p_ess), ess.soc_init)
-    p_ch = p_ev + p_ess
-    cost = float(np.sum(p_ch * prices) * dt_hours)
-    baseline = float(np.sum(p_ev * prices) * dt_hours)
-    saving = (baseline - cost) / baseline if baseline > 0 else 0.0
-
-    return SchedulePlan(
-        price=prices,
-        p_ev_kw=p_ev,
-        p_ess_kw=p_ess,
-        p_ch_kw=p_ch,
-        soc_ess=soc,
-        dt_hours=dt_hours,
-        cost_with_ess=cost,
-        cost_baseline=baseline,
-        saving_fraction=saving,
-    )
 
 
 def verify_plan(plan: SchedulePlan, ess: EssParams) -> None:
@@ -280,9 +268,9 @@ def solve_schedule_slots(
         prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
     )
     p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
-    plan = _make_plan(p_ev, prices, p_ess, dt_hours, ess)
+    plan = SchedulePlan(prices, p_ev, p_ess, dt_hours, ess)
     if not plan.cost_with_ess < plan.cost_baseline:  # a DP that cannot save may bill a hair more
-        plan = _make_plan(p_ev, prices, np.zeros(n), dt_hours, ess)
+        plan = SchedulePlan(prices, p_ev, np.zeros(n), dt_hours, ess)
     verify_plan(plan, ess)
     return plan
 

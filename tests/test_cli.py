@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from chargecast import __main__ as entry
 from chargecast.cli import main, read_load_curve, write_schedule_csv
+from chargecast.config import load_config
 from chargecast.forecast import station_composite
-from chargecast.scheduler import DEFAULT_TARIFF, EssParams, solve_schedule_slots
+from chargecast.scheduler import DEFAULT_TARIFF, EssParams, SchedulePlan, solve_schedule_slots
 from chargecast.survey import sample_key
 from conftest import FIXTURE_CHAIN_COUNTS, rebuilt_models
 
@@ -352,6 +353,32 @@ def test_mutated_manifest_or_config_forecast_exits_0_2_or_3(inputs):
         (tmp / "config.json").write_text(config, encoding="utf-8")
         argv = ["forecast", "--config", str(tmp / "config.json"), "--out", str(tmp / "out")]
         _assert_exits_0_2_or_3(argv, tmp / "out/forecast", "summary.json")
+
+
+_LOAD_HEADER = "slot_start_min,load_H_kW,load_W_kW,load_SE_kW,load_SR_kW,load_O_kW,load_station_kW\n"
+_UNKNOWN_TYPE_MANIFEST = json.dumps({**_MANIFEST, "counts": {**_MANIFEST["counts"], "H-Q-H": 1}})
+
+
+@pytest.mark.parametrize("argv, config, files, code, error", [
+    (["ingest"], {"paths": {"input_csv": None}}, {}, 2, "ConfigurationError"),
+    (["ingest"], {"paths": {"input_csv": "missing.csv"}}, {}, 3, "DataError"),
+    (["schedule", "--load", "missing.csv"], {}, {}, 3, "DataError"),
+    (["schedule", "--load", "curve.csv"], {}, {"curve.csv": _LOAD_HEADER}, 3, "DataError"),
+    (["ingest"], [], {}, 2, "ConfigurationError"),
+    (["ingest"], {"threads": 0}, {}, 2, "ConfigurationError"),
+    (["ingest"], {"column_map": []}, {}, 2, "ConfigurationError"),
+    (["forecast"], {}, {"out/ingest/manifest.json": _UNKNOWN_TYPE_MANIFEST}, 3, "DataError"),
+], ids=["no_input_csv", "missing_input_csv", "missing_load_curve", "header_only_load_curve",
+        "list_config", "zero_threads", "list_column_map", "unknown_chain_type"])
+def test_bad_input_exits_with_its_typed_code(tmp_path, monkeypatch, capsys, argv, config, files,
+                                             code, error):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main([argv[0], "--config", "config.json", *argv[1:]]) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 class TestForecastCommand:
@@ -868,6 +895,23 @@ class TestGoldenCaseStudy:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["pipeline", "--config", "configs/case_study.json", "--out", str(out)]) == 0
         self.assert_golden(out)
+
+    def test_committed_schedule_rebuilds_its_own_bill(self):
+        """A plan built from the committed schedule's powers gives back its draw,
+        SOC and bill, bit for bit, with the per-day split summed as
+        ``multi_day_schedule`` sums it."""
+        rows = (_CASE_STUDY / "schedule/schedule.csv").read_text().splitlines()[1:]
+        _, price, p_ev, p_ess, p_ch, soc = np.array([[float(c) for c in r.split(",")] for r in rows]).T
+        summary = json.loads((_CASE_STUDY / "schedule/summary.json").read_text(encoding="utf-8"))
+        ess = load_config(REPO_ROOT / "configs/case_study.json").ess
+        plan = SchedulePlan(price, p_ev, p_ess, 0.25, ess)
+        assert plan.p_ch_kw.tobytes() == p_ch.tobytes()
+        assert plan.soc_ess.tobytes() == soc.tobytes()
+        bill = ["cost_with_ess", "cost_baseline", "saving_fraction"]
+        assert [getattr(plan, key) for key in bill] == [summary[key] for key in bill]
+        for key, power in [("with_ess", plan.p_ch_kw), ("baseline", plan.p_ev_kw)]:
+            per_day = (power * plan.price).reshape(3, -1).sum(axis=1) * plan.dt_hours
+            assert per_day.tolist() == summary["per_day"][key]
 
     def test_python_m_chargecast_reproduces_committed_artifacts(self, tmp_path):
         """``python -m chargecast`` writes the committed bytes, and on Linux its

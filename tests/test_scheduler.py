@@ -20,7 +20,6 @@ from chargecast.scheduler import (
     EssParams,
     SchedulePlan,
     TariffSchedule,
-    _make_plan,
     multi_day_schedule,
     solve_schedule_slots,
     verify_plan,
@@ -133,7 +132,7 @@ def brute_force_schedule(
     costs = (grid + load) @ (prices * dt)
     costs[~feasible] = np.inf
     best = grid[int(np.argmin(costs))]
-    return _make_plan(load, prices, best, dt, ess)
+    return SchedulePlan(prices, load, best, dt, ess)
 
 
 def random_instance(rng):
@@ -459,6 +458,25 @@ class TestVerifyPlan:
         plan = solve_schedule(profile([10.0, 10.0]), hourly_tariff([0.5, 0.5]), ess)
         plan.soc_ess[-1] = 0.9
         with pytest.raises(SolverError, match="recursion"):
+            verify_plan(plan, ess)
+
+    @pytest.mark.parametrize("ess, p_ev, p_ess, draw_offset, message", [
+        (EssParams(c_ess_kwh=100.0, p_discharge_max_kw=5.0), [10.0, 10.0], [-10.0, 0.0], 0.0,
+         "discharging power exceeds its limit"),
+        (EssParams(c_ess_kwh=100.0), [0.0, 10.0], [-5.0, 0.0], 0.0,
+         "negative while export is disabled"),
+        (EssParams(c_ess_kwh=100.0), [10.0, 10.0], [0.0, 0.0], 1.0,
+         "does not equal EV load plus ESS power"),
+        (EssParams(c_ess_kwh=100.0), [10.0, 10.0], [60.0, 0.0], 0.0, r"out of \[0, 1\]"),
+        (EssParams(c_ess_kwh=100.0), [10.0, 10.0], [-10.0, 0.0], 0.0, "below its floor"),
+        (EssParams(c_ess_kwh=0.0), [10.0, 10.0], [5.0, 0.0], 0.0, "must stay idle"),
+    ], ids=["discharge_limit", "negative_draw", "draw_mismatch", "soc_out_of_range",
+            "terminal_soc", "zero_capacity_not_idle"])
+    def test_each_check_rejects_its_plan(self, ess, p_ev, p_ess, draw_offset, message):
+        """A plan built within every other check fails this one, with its message."""
+        plan = SchedulePlan(np.array([0.5, 1.0]), np.array(p_ev), np.array(p_ess), 1.0, ess)
+        plan.p_ch_kw[0] += draw_offset
+        with pytest.raises(SolverError, match=message):
             verify_plan(plan, ess)
 
 
