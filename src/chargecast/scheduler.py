@@ -10,8 +10,8 @@ This is Bellman's warehouse problem (1956) with per-slot power limits, and
 ``solve_schedule_slots`` solves it exactly by a convex dynamic program (see
 ``_cheapest_energy``). The tests cross-check its cost against an
 enumeration oracle on small instances and against a HiGHS linear program.
-A ``SchedulePlan`` is built from the schedule and its inputs and computes
-its own bill from them; no bill can be handed to it.
+A ``SchedulePlan`` checks the schedule and the inputs it is built from and
+computes its own bill from them; no bill can be handed to it.
 When the days of a horizon tile the same prices, there are many optimal
 schedules: only the total cost is pinned, and the per-day split of it is
 whichever optimum the DP returns.
@@ -114,7 +114,8 @@ class SchedulePlan:
 
     A plan is built from what decides it: slot prices, EV load, the signed
     ESS power ``p_ess_kw`` (positive charging, negative discharging), the
-    slot length and the store it plans for. The station draw ``p_ch_kw``,
+    slot length and the store it plans for. The arrays may be sequences;
+    bad inputs are a DataError, raised first. The station draw ``p_ch_kw``,
     ``soc_ess`` (the state of charge after slot i's ESS power has been
     applied) and the bill follow from those. Only ``multi_day_schedule``,
     which is handed the days, fills the per-day bills; a plan of
@@ -136,14 +137,28 @@ class SchedulePlan:
 
     @overflow_as_data_error("the bill overflows a float")
     def __post_init__(self):
-        ess = self.ess
+        self.price, self.p_ev_kw, self.p_ess_kw = prices, p_ev, p_ess = [
+            np.asarray(x, dtype=float) for x in (self.price, self.p_ev_kw, self.p_ess_kw)]
+        ess, dt_hours = self.ess, self.dt_hours
+        if not len(p_ess):
+            raise DataError("load profile has no slots")
+        if not len(prices) == len(p_ev) == len(p_ess):
+            raise DataError("price vector and load profile lengths differ")
+        if not np.all((p_ev >= 0) & np.isfinite(p_ev)):
+            raise DataError("EV load must be finite and nonnegative")
+        if not np.all((prices > 0) & np.isfinite(prices)):
+            raise DataError("slot prices must be positive and finite")
+        if not (dt_hours > 0 and np.isfinite(dt_hours)):
+            raise DataError(f"slot length must be positive and finite, got {dt_hours!r} h")
+        if not np.all(np.isfinite(p_ess)):
+            raise DataError("ESS power must be finite")
         if ess.c_ess_kwh > 0:
-            self.soc_ess = ess.soc_init + self.dt_hours * np.cumsum(self.p_ess_kw) / ess.c_ess_kwh
+            self.soc_ess = ess.soc_init + dt_hours * np.cumsum(p_ess) / ess.c_ess_kwh
         else:
-            self.soc_ess = np.full(len(self.p_ess_kw), ess.soc_init)
-        self.p_ch_kw = self.p_ev_kw + self.p_ess_kw
-        cost = self.cost_with_ess = float(np.sum(self.p_ch_kw * self.price) * self.dt_hours)
-        baseline = self.cost_baseline = float(np.sum(self.p_ev_kw * self.price) * self.dt_hours)
+            self.soc_ess = np.full(len(p_ess), ess.soc_init)
+        self.p_ch_kw = p_ev + p_ess
+        cost = self.cost_with_ess = float(np.sum(self.p_ch_kw * prices) * dt_hours)
+        baseline = self.cost_baseline = float(np.sum(p_ev * prices) * dt_hours)
         self.saving_fraction = (baseline - cost) / baseline if baseline > 0 else 0.0
 
     @property
@@ -155,32 +170,32 @@ def verify_plan(plan: SchedulePlan, ess: EssParams) -> None:
     """Check every feasibility condition of a plan; SolverError on failure.
 
     Power and SOC bounds are checked to ``VERIFY_TOL`` (scaled by the power
-    limits for the power checks); the stored-energy recursion is re-derived
-    from the ESS powers and compared slot by slot.
+    limits for the power checks), the stored-energy recursion is re-derived
+    from the ESS powers slot by slot, and a NaN fails every check it meets.
     """
     power_scale = max(1.0, ess.p_charge_max_kw, ess.p_discharge_max_kw)
     p_tol = VERIFY_TOL * power_scale
 
-    if np.any(plan.p_ess_kw > ess.p_charge_max_kw + p_tol):
+    if not np.all(plan.p_ess_kw <= ess.p_charge_max_kw + p_tol):
         raise SolverError("ESS charging power exceeds its limit")
-    if np.any(plan.p_ess_kw < -ess.p_discharge_max_kw - p_tol):
+    if not np.all(plan.p_ess_kw >= -ess.p_discharge_max_kw - p_tol):
         raise SolverError("ESS discharging power exceeds its limit")
     ev_tol = VERIFY_TOL * np.max(np.abs(plan.p_ev_kw), initial=1.0)
-    if not ess.allow_export and np.any(plan.p_ch_kw < -max(p_tol, ev_tol)):
+    if not (ess.allow_export or np.all(plan.p_ch_kw >= -max(p_tol, ev_tol))):
         raise SolverError("station draw is negative while export is disabled")
-    if np.max(np.abs(plan.p_ch_kw - (plan.p_ev_kw + plan.p_ess_kw))) > p_tol:
+    if not np.max(np.abs(plan.p_ch_kw - (plan.p_ev_kw + plan.p_ess_kw))) <= p_tol:
         raise SolverError("station draw does not equal EV load plus ESS power")
 
     if ess.c_ess_kwh > 0:
         soc_expected = ess.soc_init + plan.dt_hours * np.cumsum(plan.p_ess_kw) / ess.c_ess_kwh
-        if np.max(np.abs(plan.soc_ess - soc_expected)) > VERIFY_TOL:
+        if not np.max(np.abs(plan.soc_ess - soc_expected)) <= VERIFY_TOL:
             raise SolverError("SOC recursion mismatch")
-        if np.any(plan.soc_ess < -VERIFY_TOL) or np.any(plan.soc_ess > 1.0 + VERIFY_TOL):
+        if not np.all((plan.soc_ess >= -VERIFY_TOL) & (plan.soc_ess <= 1.0 + VERIFY_TOL)):
             raise SolverError("ESS state of charge out of [0, 1]")
-        if ess.require_terminal_soc and plan.soc_ess[-1] < ess.soc_init - VERIFY_TOL:
+        if ess.require_terminal_soc and not plan.soc_ess[-1] >= ess.soc_init - VERIFY_TOL:
             raise SolverError("terminal state of charge below its floor")
     else:
-        if np.any(np.abs(plan.p_ess_kw) > p_tol):
+        if not np.all(np.abs(plan.p_ess_kw) <= p_tol):
             raise SolverError("zero-capacity ESS must stay idle")
 
 
@@ -243,34 +258,22 @@ def solve_schedule_slots(
     dt_hours: float,
     ess: EssParams,
 ) -> SchedulePlan:
-    """Cheapest ESS schedule on an explicit slot grid (exact DP); the store
-    stays idle unless it lowers the bill. ``ess`` is not checked again."""
-    p_ev = np.asarray(p_ev_kw, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    n = len(p_ev)
-    if n == 0:
-        raise DataError("load profile has no slots")
-    if len(prices) != n:
-        raise DataError("price vector and load profile lengths differ")
-    if not np.all((p_ev >= 0) & np.isfinite(p_ev)):
-        raise DataError("EV load must be finite and nonnegative")
-    if not np.all((prices > 0) & np.isfinite(prices)):
-        raise DataError("slot prices must be positive and finite")
-    if not (dt_hours > 0 and np.isfinite(dt_hours)):
-        raise DataError(f"slot length must be positive and finite, got {dt_hours!r} h")
-
-    lb = np.full(n, -ess.p_discharge_max_kw)
+    """Cheapest ESS schedule on a slot grid (exact DP), or the idle plan,
+    built first to check the inputs, if the DP's plan does not bill less."""
+    idle = SchedulePlan(prices, p_ev_kw, np.zeros(len(p_ev_kw)), dt_hours, ess)
+    p_ev, prices = idle.p_ev_kw, idle.price
+    lb = np.full(len(p_ev), -ess.p_discharge_max_kw)
     if not ess.allow_export:
         lb = np.maximum(lb, -p_ev)
-    ub = np.full(n, ess.p_charge_max_kw)
+    ub = np.full(len(p_ev), ess.p_charge_max_kw)
     e_init = ess.soc_init * ess.c_ess_kwh
     energy = _cheapest_energy(
         prices, dt_hours * lb, dt_hours * ub, ess.c_ess_kwh, e_init, ess.require_terminal_soc
     )
     p_ess = np.clip(np.diff(energy, prepend=e_init) / dt_hours, lb, ub)
     plan = SchedulePlan(prices, p_ev, p_ess, dt_hours, ess)
-    if not plan.cost_with_ess < plan.cost_baseline:  # a DP that cannot save may bill a hair more
-        plan = SchedulePlan(prices, p_ev, np.zeros(n), dt_hours, ess)
+    if not plan.cost_with_ess < idle.cost_with_ess:  # a DP that cannot save may bill a hair more
+        plan = idle
     verify_plan(plan, ess)
     return plan
 

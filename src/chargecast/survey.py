@@ -530,8 +530,9 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
 
     A manifest that is not JSON, lacks ``counts`` or ``samples``, names an
     unknown chain type, holds an array that is not one of a counted type's
-    :func:`feature_keys` or that is not a flat list of finite numbers, or
-    lacks one of those arrays is a DataError naming the file.
+    :func:`feature_keys` or not a flat list of finite numbers, or lacks one
+    of them or one number per counted chain (``velocity_kmh #k``: one per
+    positive ``length_km #k``) is a DataError naming the file and array.
     """
     path = Path(in_dir) / _MANIFEST_NAME
     if not path.is_file():
@@ -557,10 +558,15 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
             if not np.isfinite(array).all():
                 raise ValueError(f"sample array {name} has a non-finite value")
             samples[key] = array
-        for ctype in counts:
+        for ctype, count in counts.items():
             for feature, index in feature_keys(ctype):
-                if (ctype, feature, index) not in samples:
-                    raise ValueError(f"no sample array {sample_key(ctype, feature, index)}")
+                key = (ctype, feature, index)
+                if key not in samples:
+                    raise ValueError(f"no sample array {sample_key(*key)}")
+                size = (count if feature != FEATURE_VELOCITY  # one velocity per trip that moved
+                        else np.count_nonzero(samples[ctype, FEATURE_LENGTH, index] > 0))
+                if len(samples[key]) != size:
+                    raise ValueError(f"sample array {sample_key(*key)} does not hold {size} numbers")
     except (ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed dataset manifest {path}: {exc}") from None
     return ChainFeatureDataset(counts=counts, samples=samples)

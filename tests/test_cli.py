@@ -30,6 +30,7 @@ from conftest import FIXTURE_CHAIN_COUNTS, rebuilt_models
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
 REPO_ROOT = Path(__file__).resolve().parents[1]
 _ARRAY = "H-W-H__length_km__1"
+_VELOCITY_2 = "H-W-H__velocity_kmh__2"
 
 
 def _edit(change):
@@ -368,8 +369,9 @@ _UNKNOWN_TYPE_MANIFEST = json.dumps({**_MANIFEST, "counts": {**_MANIFEST["counts
     (["ingest"], {"threads": 0}, {}, 2, "ConfigurationError"),
     (["ingest"], {"column_map": []}, {}, 2, "ConfigurationError"),
     (["forecast"], {}, {"out/ingest/manifest.json": _UNKNOWN_TYPE_MANIFEST}, 3, "DataError"),
+    (["ingest"], {"fleet": {"q_pro": [0.1] * 4}}, {}, 2, "ConfigurationError"),
 ], ids=["no_input_csv", "missing_input_csv", "missing_load_curve", "header_only_load_curve",
-        "list_config", "zero_threads", "list_column_map", "unknown_chain_type"])
+        "list_config", "zero_threads", "list_column_map", "unknown_chain_type", "four_q_pro"])
 def test_bad_input_exits_with_its_typed_code(tmp_path, monkeypatch, capsys, argv, config, files,
                                              code, error):
     monkeypatch.chdir(tmp_path)
@@ -439,10 +441,15 @@ class TestForecastCommand:
         _edit(lambda m: m["samples"].update({"H-W-H__end_time_min__2": [1.0]})),
         _edit(lambda m: m["samples"].update({"H-W-H__dwell_min__2": [1.0]})),
         _edit(lambda m: m["samples"].update({"H-W-W-H__length_km__1": [1.0]})),
+        _edit(lambda m: m["samples"].update({_ARRAY: m["samples"][_ARRAY][:3]})),
+        _edit(lambda m: m["samples"].update({_VELOCITY_2: m["samples"][_VELOCITY_2] * 3})),
+        _edit(lambda m: m["samples"][_ARRAY].__setitem__(0, 0.0)),
     ], ids=[
         "missing_array", "non_numeric_value", "null_value", "not_json", "no_counts",
         "no_samples", "unknown_label", "non_finite_value", "huge_integer", "string_count",
         "not_an_object", "end_time_2", "dwell_past_last_midway", "uncounted_type",
+        "fewer_samples_than_chains", "more_velocities_than_chains",
+        "velocity_of_a_zero_length_trip",
     ])
     def test_malformed_manifest_is_data_error(self, tmp_path, fixture_csv_path, capsys, corrupt):
         config = write_config(tmp_path, fixture_csv_path)
@@ -464,8 +471,9 @@ class TestForecastCommand:
         assert main(["ingest", "--config", str(config)]) == 0
         if sample is not None:
             manifest = tmp_path / "out/ingest/manifest.json"
-            append = _edit(lambda m: m["samples"][_ARRAY].append(sample))
-            manifest.write_text(append(manifest.read_text()))
+            # In place of a positive length, so that the arrays still line up.
+            replace = _edit(lambda m: m["samples"][_ARRAY].__setitem__(0, sample))
+            manifest.write_text(replace(manifest.read_text()))
         capsys.readouterr()
         assert main(["forecast", "--config", str(config)]) == 3
         error = json.loads(capsys.readouterr().err)

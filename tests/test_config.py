@@ -139,16 +139,18 @@ _IN_RANGE = {
 _WRONG_TYPE = {"int": [300.5, 1.5, 7.5, 15.0, True], "bool": ["false", "true", 0, 1, None]}
 
 
-@settings(max_examples=200)
-@given(data=st.data(), cls=st.sampled_from([FleetConfig, EssParams]),
-       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_parameters_check_themselves_when_built(data, cls, bad):
+_FIELDS = [(cls, f) for cls in (FleetConfig, EssParams) for f in fields(cls)]
+
+
+@pytest.mark.parametrize("cls, field", _FIELDS, ids=[f"{c.__name__}.{f.name}" for c, f in _FIELDS])
+@settings(max_examples=40)
+@given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_parameters_check_themselves_when_built(cls, field, data, bad):
     """In-range finite values build, with Python or numpy integers; a
-    non-finite number in any field (or ``q_pro`` entry), a float or bool in
+    non-finite number in every field (or ``q_pro`` entry), a float or bool in
     an integer field and a non-bool in a bool field fail when built; a built
     object takes no assignment."""
     params = cls(**data.draw(st.fixed_dictionaries(_IN_RANGE[cls]), label="values"))
-    field = data.draw(st.sampled_from(fields(cls)), label="field")
     name = field.name
     values = [bad, *_WRONG_TYPE.get(field.type, [])]
     if name == "q_pro":
@@ -160,3 +162,8 @@ def test_parameters_check_themselves_when_built(data, cls, bad):
             replace(params, **{name: value})
     with pytest.raises(FrozenInstanceError):
         setattr(params, name, getattr(params, name))
+
+
+def test_q_pro_needs_one_weight_per_site_class():
+    with pytest.raises(ConfigurationError, match="one weight per site class"):
+        FleetConfig(q_pro=(0.1,) * 4)

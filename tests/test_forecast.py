@@ -339,6 +339,8 @@ class TestSimulateVehicle:
                                    if key[0] == CHAIN_TYPES[0] and key[1:] != (FEATURE_DWELL, 1)})
         with pytest.raises(ConfigurationError, match="no positive mass"):
             ModelSet(np.zeros(len(CHAIN_TYPES)), {})
+        with pytest.raises(ConfigurationError, match="full chain-type enumeration"):
+            ModelSet(np.ones(3), {})
 
 
 class TestAccumulateLoads:

@@ -337,6 +337,10 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError):
             KdeModel(np.array([1.0]), bandwidth=0.0)
 
+    def test_no_sample_error(self):
+        with pytest.raises(DataError, match="requires at least one sample"):
+            KdeModel(np.array([]), 1.0)
+
     @pytest.mark.parametrize("samples, bandwidth", [
         ([1.0, math.nan], 0.5), ([1.0, math.inf], 0.5), ([1.0], math.inf),
     ], ids=["nan_sample", "inf_sample", "inf_bandwidth"])

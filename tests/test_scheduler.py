@@ -460,6 +460,15 @@ class TestVerifyPlan:
         with pytest.raises(SolverError, match="recursion"):
             verify_plan(plan, ess)
 
+    @pytest.mark.parametrize("array", ["p_ess_kw", "soc_ess", "p_ch_kw"])
+    def test_nan_fails(self, array):
+        """A NaN compares false with every bound, so each check fails on it."""
+        ess = EssParams(c_ess_kwh=100.0)
+        plan = solve_schedule(profile([10.0, 10.0]), hourly_tariff([0.5, 1.0]), ess)
+        getattr(plan, array)[0] = np.nan
+        with pytest.raises(SolverError):
+            verify_plan(plan, ess)
+
     @pytest.mark.parametrize("ess, p_ev, p_ess, draw_offset, message", [
         (EssParams(c_ess_kwh=100.0, p_discharge_max_kw=5.0), [10.0, 10.0], [-10.0, 0.0], 0.0,
          "discharging power exceeds its limit"),
@@ -478,6 +487,44 @@ class TestVerifyPlan:
         plan.p_ch_kw[0] += draw_offset
         with pytest.raises(SolverError, match=message):
             verify_plan(plan, ess)
+
+
+class TestSchedulePlan:
+    ESS = EssParams(c_ess_kwh=100.0)
+
+    def test_sequences_build_the_array_plan(self):
+        """Lists build the plan that float arrays build, bit for bit."""
+        listed = SchedulePlan([0.5, 1.0], [10.0, 10.0], [1.0, 0.0], 1.0, self.ESS)
+        arrays = SchedulePlan(np.array([0.5, 1.0]), np.array([10.0, 10.0]), np.array([1.0, 0.0]),
+                              1.0, self.ESS)
+        for name in ["price", "p_ev_kw", "p_ess_kw", "p_ch_kw", "soc_ess"]:
+            got, expected = getattr(listed, name), getattr(arrays, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        for name in ["cost_with_ess", "cost_baseline", "saving_fraction"]:
+            assert getattr(listed, name) == getattr(arrays, name), name
+
+    @pytest.mark.parametrize("price, p_ev, p_ess, dt_hours, message", [
+        ([], [], [], 1.0, "no slots"),
+        ([0.5], [10.0, 10.0], [0.0, 0.0], 1.0, "lengths differ"),
+        ([0.5, 1.0], [10.0, 10.0], [0.0], 1.0, "lengths differ"),
+        ([0.5, 1.0], [10.0, -1.0], [0.0, 0.0], 1.0, "EV load must be finite"),
+        ([0.5, np.inf], [10.0, 10.0], [0.0, 0.0], 1.0, "prices must be positive"),
+        ([0.5, 1.0], [10.0, 10.0], [0.0, 0.0], -1.0, "slot length"),
+        ([0.5, 1.0], [10.0, 10.0], [np.nan, 0.0], 1.0, "ESS power must be finite"),
+        ([0.5, 1.0], [10.0, 10.0], [0.0, np.inf], 1.0, "ESS power must be finite"),
+        ([0.5, 1.0], [10.0, 10.0], [0.0, -np.inf], 1.0, "ESS power must be finite"),
+    ], ids=["no_slots", "short_prices", "short_ess_power", "negative_load", "infinite_price",
+            "negative_slot_length", "nan_ess_power", "inf_ess_power", "minus_inf_ess_power"])
+    def test_bad_input_is_data_error(self, price, p_ev, p_ess, dt_hours, message):
+        """Every builder of a plan gets the same checks, each raising before any bill."""
+        with pytest.raises(DataError, match=message) as info:
+            SchedulePlan(price, p_ev, p_ess, dt_hours, self.ESS)
+        assert info.value.exit_code == 3
+
+    def test_solver_lengths_differ_is_data_error(self):
+        with pytest.raises(DataError, match="lengths differ") as info:
+            solve_schedule_slots([10.0, 10.0, 10.0], [0.5, 1.0], 1.0, self.ESS)
+        assert info.value.exit_code == 3
 
 
 class TestBruteForce:
@@ -613,3 +660,7 @@ class TestMultiDay:
     def test_partial_day_rejected(self):
         with pytest.raises(DataError):
             multi_day_schedule([profile(np.zeros(10), 15)], DEFAULT_TARIFF, EssParams())
+
+    def test_no_days_rejected(self):
+        with pytest.raises(DataError, match="need at least one day of load"):
+            multi_day_schedule([], DEFAULT_TARIFF, EssParams())

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -538,6 +539,25 @@ class TestDatasetSerialization:
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_dataset(tmp_path / "nope")
+
+    @pytest.mark.parametrize("name, edit", [
+        ("H-W-H__length_km__1", lambda values: values[:3]),
+        ("H-W-H__velocity_kmh__2", lambda values: values * 3),
+        ("H-W-H__velocity_kmh__1", lambda values: values[1:]),
+    ], ids=["short_length", "long_velocity", "short_velocity"])
+    def test_arrays_must_line_up_with_the_counts(self, fixture_ingest, tmp_path, name, edit):
+        """Each array holds one number per counted chain, and ``velocity_kmh #k``
+        one per positive ``length_km #k``; a manifest that breaks this names
+        its file and the array."""
+        _, _, dataset, _ = fixture_ingest
+        path = save_dataset(dataset, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["samples"][name] = edit(manifest["samples"][name])
+        path.write_text(json.dumps(manifest))
+        message = re.escape(f"{path}: sample array {name} does not hold")
+        with pytest.raises(DataError, match=message) as info:
+            load_dataset(tmp_path)
+        assert info.value.exit_code == 3
 
 
 # ---------------------------------------------------------------------------
