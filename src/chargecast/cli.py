@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, seed_override=args.seed, out_override=args.out,
                              threads_override=args.threads)
         if getattr(args, "load", None):
-            config.load_curve = Path(args.load)
+            config = replace(config, load_curve=Path(args.load))
         args.run(config)
     except Exception as exc:  # a ChargecastError carries its exit code; anything else is internal
         code = exc.exit_code if isinstance(exc, ChargecastError) else 4

@@ -5,19 +5,22 @@ The bundled defaults reproduce the case-study setup (10000-vehicle fleet,
 tariff), so a config file only needs the paths section to run end to end.
 The ``fleet`` and ``ess`` sections are the fields of :class:`FleetConfig`
 and :class:`EssParams`, read, converted and echoed from the dataclasses
-themselves. Every check runs before any stage writes a file: at load time,
-and the tariff's fit to the forecast grid first thing in ``pipeline``.
+themselves. The configuration's own checks run when it is built, and the
+tariff's fit to the forecast grid and the horizon's slot bound first thing in
+``pipeline``: all before any stage writes a file. Checks on the data (the
+survey, the fitted densities, the load curve) run as a stage reads it, so a
+later stage can fail after an earlier one has written its artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .forecast import FleetConfig
+from .forecast import FleetConfig, require_integers
 from .scheduler import DEFAULT_TARIFF, MAX_HORIZON_SLOTS, EssParams, TariffSchedule
 from .survey import DEFAULT_COLUMN_MAP, DEFAULT_DESTINATION_MAP, SiteClass
 
@@ -32,8 +35,9 @@ _KIND = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The run's inputs, checked once when built, ``replace`` included."""
     input_csv: Path | None
     out_dir: Path
     dataset_dir: Path | None
@@ -46,6 +50,13 @@ class PipelineConfig:
     horizon_days: int = 3
     currency: str = "¥"
     threads: int = 1  # accepted for compatibility; the forecast ignores it
+
+    def __post_init__(self):
+        require_integers(horizon_days=self.horizon_days, threads=self.threads)
+        if not 1 <= self.horizon_days <= MAX_HORIZON_SLOTS:  # a day has a slot; the scheduler bounds slots
+            raise ConfigurationError(f"horizon_days must be in [1, {MAX_HORIZON_SLOTS}]")
+        if self.threads < 1:
+            raise ConfigurationError("threads must be >= 1")
 
     @property
     def seed(self) -> int:
@@ -153,13 +164,6 @@ def parse_config_dict(data: dict) -> PipelineConfig:
     tariff = TariffSchedule(_coerce(data.get("tariff", DEFAULT_TARIFF.windows),
                                     DEFAULT_TARIFF.windows, "tariff"))
 
-    horizon_days = _coerce(data.get("horizon_days", 3), 3, "horizon_days")
-    if not 1 <= horizon_days <= MAX_HORIZON_SLOTS:  # a day has a slot; the scheduler bounds slots
-        raise ConfigurationError(f"horizon_days must be in [1, {MAX_HORIZON_SLOTS}]")
-    threads = _coerce(data.get("threads", 1), 1, "threads")
-    if threads < 1:
-        raise ConfigurationError("threads must be >= 1")
-
     column_map = data.get("column_map", {})
     if not isinstance(column_map, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in column_map.items()
@@ -177,9 +181,8 @@ def parse_config_dict(data: dict) -> PipelineConfig:
         fleet=fleet,
         ess=ess,
         tariff=tariff,
-        horizon_days=horizon_days,
-        currency=_coerce(data.get("currency", "¥"), "¥", "currency"),
-        threads=threads,
+        **{f.name: _coerce(data[f.name], f.default, f.name) for f in fields(PipelineConfig)
+           if f.default is not MISSING and f.name in data},  # horizon_days, currency, threads
     )
 
 

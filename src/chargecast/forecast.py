@@ -54,6 +54,12 @@ _MIN_VELOCITY_KMH = 1.0   # lower end of every velocity model's support
 _MAX_N_EV = 1_000_000     # about 4 s of simulation at the case study's 0.04 s per 10,000 EVs
 
 
+def require_integers(**values) -> None:
+    for name, value in values.items():  # Python or numpy integers; a bool is not a count
+        if isinstance(value, bool) or not isinstance(value, int | np.integer):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Inputs of the fleet simulation, checked once when built: ``n_ev``,
@@ -75,10 +81,7 @@ class FleetConfig:
     seed: int = 20170
 
     def __post_init__(self):
-        for name in ("n_ev", "slot_minutes", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int | np.integer):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        require_integers(n_ev=self.n_ev, slot_minutes=self.slot_minutes, seed=self.seed)
         if not 0 <= self.n_ev <= _MAX_N_EV:
             raise ConfigurationError(f"n_ev must be in [0, {_MAX_N_EV}]")
         if not 0 < self.p_charging_kw < math.inf:
@@ -197,13 +200,12 @@ class ModelSet:
             if count <= 0:
                 continue
             for feature, index in feature_keys(ctype):
-                samples = dataset.samples.get((ctype, feature, index))
-                if samples is None or len(samples) == 0:
-                    raise DataError(
-                        f"dataset lacks samples for {ctype.label} {feature} #{index}"
-                    )
-                support = _feature_support(feature, index, float(np.max(samples)))
-                models[(ctype, feature, index)] = fit_kde(samples, support)
+                samples = dataset.samples.get((ctype, feature, index), ())
+                try:  # an empty array reaches fit_kde, which rejects it
+                    support = _feature_support(feature, index, np.max(samples, initial=0.0))
+                    models[(ctype, feature, index)] = fit_kde(samples, support)
+                except DataError as exc:
+                    raise DataError(f"{ctype.label} {feature} #{index}: {exc}") from None
         return cls(proportions, models)
 
     def get(self, ctype: ChainType, feature: str, index: int) -> KdeModel:

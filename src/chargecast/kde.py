@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -134,9 +135,9 @@ class KdeModel:
     every draw. It checks itself and builds its sampling table when built.
 
     Attributes:
-        samples: the data points (kernel centres), finite; a centre outside
-            ``support`` counts with its mass inside it.
-        bandwidth: kernel standard deviation, finite and > 0.
+        samples: the data points (kernel centres), one-dimensional and finite;
+            a centre outside ``support`` counts with its mass inside it.
+        bandwidth: kernel standard deviation, a real number, finite and > 0.
         support: closed interval (lo, hi) with some of the density's mass;
             either end may be infinite.
     """
@@ -152,12 +153,14 @@ class KdeModel:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
+        if self.samples.ndim != 1:
+            raise DataError("KdeModel samples must be one-dimensional")
         if self.samples.size == 0:
             raise DataError("KdeModel requires at least one sample")
         if not np.isfinite(self.samples).all():
             raise DataError("KdeModel samples must be finite")
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
-            raise DataError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if not (isinstance(self.bandwidth, Real) and 0 < self.bandwidth < math.inf):
+            raise DataError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
         lo, hi = self.support
         if not lo < hi:
             raise DataError(f"empty support interval: {self.support}")

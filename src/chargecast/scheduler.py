@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -114,12 +115,12 @@ class SchedulePlan:
 
     A plan is built from what decides it: slot prices, EV load, the signed
     ESS power ``p_ess_kw`` (positive charging, negative discharging), the
-    slot length and the store it plans for. The arrays may be sequences;
-    bad inputs are a DataError, raised first. The station draw ``p_ch_kw``,
-    ``soc_ess`` (the state of charge after slot i's ESS power has been
-    applied) and the bill follow from those. Only ``multi_day_schedule``,
-    which is handed the days, fills the per-day bills; a plan of
-    ``solve_schedule_slots`` alone leaves them empty.
+    slot length (a real number) and the store it plans for. The arrays may
+    be sequences, but one-dimensional; bad inputs are a DataError, raised
+    first. The station draw ``p_ch_kw``, ``soc_ess`` (the state of charge
+    after slot i's ESS power has been applied) and the bill follow from
+    those. Only ``multi_day_schedule``, which is handed the days, fills the
+    per-day bills; a plan of ``solve_schedule_slots`` alone leaves them empty.
     """
 
     price: np.ndarray
@@ -140,6 +141,8 @@ class SchedulePlan:
         self.price, self.p_ev_kw, self.p_ess_kw = prices, p_ev, p_ess = [
             np.asarray(x, dtype=float) for x in (self.price, self.p_ev_kw, self.p_ess_kw)]
         ess, dt_hours = self.ess, self.dt_hours
+        if not prices.ndim == p_ev.ndim == p_ess.ndim == 1:
+            raise DataError("price vector and load profile must be one-dimensional")
         if not len(p_ess):
             raise DataError("load profile has no slots")
         if not len(prices) == len(p_ev) == len(p_ess):
@@ -148,7 +151,7 @@ class SchedulePlan:
             raise DataError("EV load must be finite and nonnegative")
         if not np.all((prices > 0) & np.isfinite(prices)):
             raise DataError("slot prices must be positive and finite")
-        if not (dt_hours > 0 and np.isfinite(dt_hours)):
+        if not (isinstance(dt_hours, Real) and 0 < dt_hours < np.inf):
             raise DataError(f"slot length must be positive and finite, got {dt_hours!r} h")
         if not np.all(np.isfinite(p_ess)):
             raise DataError("ESS power must be finite")
@@ -260,7 +263,7 @@ def solve_schedule_slots(
 ) -> SchedulePlan:
     """Cheapest ESS schedule on a slot grid (exact DP), or the idle plan,
     built first to check the inputs, if the DP's plan does not bill less."""
-    idle = SchedulePlan(prices, p_ev_kw, np.zeros(len(p_ev_kw)), dt_hours, ess)
+    idle = SchedulePlan(prices, p_ev_kw, np.zeros(np.shape(p_ev_kw)), dt_hours, ess)
     p_ev, prices = idle.p_ev_kw, idle.price
     lb = np.full(len(p_ev), -ess.p_discharge_max_kw)
     if not ess.allow_export:

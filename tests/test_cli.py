@@ -631,6 +631,18 @@ class TestPipelineCommand:
             draws = rebuilt[sample_key(*key)].sample_many(np.random.default_rng(5), 200)
             assert np.array_equal(draws, model.sample_many(np.random.default_rng(5), 200)), key
 
+    def test_fit_error_names_its_model(self, tmp_path, fixture_csv_path, capsys):
+        """The only H-O-W-H chain's first trip averages 0.016 km/h, so its
+        velocity density has no mass above the 1 km/h support."""
+        survey = tmp_path / "survey.csv"
+        survey.write_text(fixture_csv_path.read_text() + "H9999,1,1,0900,1000,60,0.01,20\n"
+                          "H9999,1,1,1000,1030,30,5,3\nH9999,1,1,1700,1730,30,5,1\n")
+        config = write_config(tmp_path, survey, fleet={"n_ev": 300})
+        assert main(["pipeline", "--config", str(config)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DataError"
+        assert error["message"].startswith("H-O-W-H velocity_kmh #1: ")
+
     def test_rerun_byte_identical_artifacts(self, tmp_path, fixture_csv_path):
         config = write_config(tmp_path, fixture_csv_path)
         assert main(["pipeline", "--config", str(config)]) == 0

@@ -51,6 +51,22 @@ def test_case_study_echo_round_trips():
     assert echo_round_trip(config) == config.echo()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon_days", 0), ("horizon_days", 10**9), ("horizon_days", 2.5), ("horizon_days", True),
+    ("threads", 0), ("threads", 1.5),
+])
+def test_pipeline_config_checks_itself_when_built(field, value):
+    """A library caller's ``replace`` gets the checks a config file gets, and
+    a built config takes no assignment."""
+    config = load_config(REPO_ROOT / "configs" / "case_study.json")
+    with pytest.raises(ConfigurationError, match=field):
+        replace(config, **{field: value})
+    assert getattr(replace(config, **{field: np.int64(2)}), field) == 2
+    for name in [f.name for f in fields(config)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+
+
 def test_readme_configuration_table_lists_every_key():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]

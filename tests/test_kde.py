@@ -348,6 +348,17 @@ class TestValidationAndSerialization:
         with pytest.raises(DataError):
             KdeModel(np.array(samples), bandwidth=bandwidth, support=(0.0, math.inf))
 
+    @pytest.mark.parametrize("samples, bandwidth, message", [
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5, "one-dimensional"),
+        (np.array(1.0), 0.5, "one-dimensional"),
+        ([1.0, 2.0], "0.5", "bandwidth"),
+        ([1.0, 2.0], None, "bandwidth"),
+    ], ids=["two_dimensional_samples", "scalar_sample", "string_bandwidth", "no_bandwidth"])
+    def test_bad_model_input_is_data_error(self, samples, bandwidth, message):
+        with pytest.raises(DataError, match=message) as info:
+            KdeModel(samples, bandwidth, (0.0, math.inf))
+        assert info.value.exit_code == 3
+
     @staticmethod
     def _save_and_rebuild(tmp_path, dataset: ChainFeatureDataset, models: ModelSet):
         """Write ``dataset`` and ``models`` as the pipeline does, then rebuild

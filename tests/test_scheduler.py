@@ -513,8 +513,13 @@ class TestSchedulePlan:
         ([0.5, 1.0], [10.0, 10.0], [np.nan, 0.0], 1.0, "ESS power must be finite"),
         ([0.5, 1.0], [10.0, 10.0], [0.0, np.inf], 1.0, "ESS power must be finite"),
         ([0.5, 1.0], [10.0, 10.0], [0.0, -np.inf], 1.0, "ESS power must be finite"),
+        ([[0.5, 1.0]], [[10.0, 10.0]], [[1.0, 0.0]], 1.0, "one-dimensional"),
+        (0.5, 10.0, 0.0, 1.0, "one-dimensional"),
+        ([0.5], [1.0], [0.0], "1", "slot length must be positive and finite"),
+        ([0.5], [1.0], [0.0], None, "slot length must be positive and finite"),
     ], ids=["no_slots", "short_prices", "short_ess_power", "negative_load", "infinite_price",
-            "negative_slot_length", "nan_ess_power", "inf_ess_power", "minus_inf_ess_power"])
+            "negative_slot_length", "nan_ess_power", "inf_ess_power", "minus_inf_ess_power",
+            "nested_lists", "scalars", "string_slot_length", "no_slot_length"])
     def test_bad_input_is_data_error(self, price, p_ev, p_ess, dt_hours, message):
         """Every builder of a plan gets the same checks, each raising before any bill."""
         with pytest.raises(DataError, match=message) as info:
@@ -524,6 +529,13 @@ class TestSchedulePlan:
     def test_solver_lengths_differ_is_data_error(self):
         with pytest.raises(DataError, match="lengths differ") as info:
             solve_schedule_slots([10.0, 10.0, 10.0], [0.5, 1.0], 1.0, self.ESS)
+        assert info.value.exit_code == 3
+
+    @pytest.mark.parametrize("p_ev, price", [(10.0, [0.5]), ([[10.0, 10.0]], [[0.5, 1.0]])],
+                             ids=["scalar_load", "nested_lists"])
+    def test_solver_input_that_is_not_one_dimensional_is_data_error(self, p_ev, price):
+        with pytest.raises(DataError, match="one-dimensional") as info:
+            solve_schedule_slots(p_ev, price, 1.0, self.ESS)
         assert info.value.exit_code == 3
 
 
