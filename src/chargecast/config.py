@@ -20,7 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .forecast import FleetConfig, require_integers
+from .forecast import FleetConfig, store_integers
 from .scheduler import DEFAULT_TARIFF, MAX_HORIZON_SLOTS, EssParams, TariffSchedule
 from .survey import DEFAULT_COLUMN_MAP, DEFAULT_DESTINATION_MAP, SiteClass
 
@@ -52,7 +52,7 @@ class PipelineConfig:
     threads: int = 1  # accepted for compatibility; the forecast ignores it
 
     def __post_init__(self):
-        require_integers(horizon_days=self.horizon_days, threads=self.threads)
+        store_integers(self, "horizon_days", "threads")
         if not 1 <= self.horizon_days <= MAX_HORIZON_SLOTS:  # a day has a slot; the scheduler bounds slots
             raise ConfigurationError(f"horizon_days must be in [1, {MAX_HORIZON_SLOTS}]")
         if self.threads < 1:

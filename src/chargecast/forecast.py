@@ -54,16 +54,22 @@ _MIN_VELOCITY_KMH = 1.0   # lower end of every velocity model's support
 _MAX_N_EV = 1_000_000     # about 4 s of simulation at the case study's 0.04 s per 10,000 EVs
 
 
-def require_integers(**values) -> None:
-    for name, value in values.items():  # Python or numpy integers; a bool is not a count
+def store_integers(config, *names: str) -> None:
+    """Check that each named field of the frozen ``config`` is an integer
+    (Python or numpy; a bool is not a count) and store it as a Python int,
+    which JSON writes."""
+    for name in names:
+        value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, int | np.integer):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)
 class FleetConfig:
     """Inputs of the fleet simulation, checked once when built: ``n_ev``,
-    ``slot_minutes`` and ``seed`` are integers (Python or numpy, not bool).
+    ``slot_minutes`` and ``seed`` are integers (Python or numpy, not bool),
+    stored as Python ints.
 
     ``q_pro`` weights the five site-class load curves into the station
     composite (share of each site function in the station's service area).
@@ -81,7 +87,7 @@ class FleetConfig:
     seed: int = 20170
 
     def __post_init__(self):
-        require_integers(n_ev=self.n_ev, slot_minutes=self.slot_minutes, seed=self.seed)
+        store_integers(self, "n_ev", "slot_minutes", "seed")
         if not 0 <= self.n_ev <= _MAX_N_EV:
             raise ConfigurationError(f"n_ev must be in [0, {_MAX_N_EV}]")
         if not 0 < self.p_charging_kw < math.inf:

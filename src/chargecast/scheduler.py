@@ -138,8 +138,11 @@ class SchedulePlan:
 
     @overflow_as_data_error("the bill overflows a float")
     def __post_init__(self):
-        self.price, self.p_ev_kw, self.p_ess_kw = prices, p_ev, p_ess = [
-            np.asarray(x, dtype=float) for x in (self.price, self.p_ev_kw, self.p_ess_kw)]
+        try:
+            self.price, self.p_ev_kw, self.p_ess_kw = prices, p_ev, p_ess = [
+                np.asarray(x, dtype=float) for x in (self.price, self.p_ev_kw, self.p_ess_kw)]
+        except (ValueError, TypeError) as exc:  # a ragged nesting, a cell that is no number
+            raise DataError(f"price vector and load profile must be arrays of numbers: {exc}") from None
         ess, dt_hours = self.ess, self.dt_hours
         if not prices.ndim == p_ev.ndim == p_ess.ndim == 1:
             raise DataError("price vector and load profile must be one-dimensional")

@@ -20,10 +20,11 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -209,7 +210,7 @@ class IngestDiagnostics:
 
 
 #: Survey rows converted per step: parsing never holds every raw row at once.
-CHUNK_ROWS = 8192
+CHUNK_ROWS = 2048
 
 # Reject reasons in the order they are checked; code 0 accepts the row.
 _REJECT_REASONS = ("", "unparseable_field", "nonpositive_duration", "negative_length",
@@ -239,6 +240,20 @@ def _convert(convert, rows: list[list], cell: int) -> tuple[list, list[int]]:
     return values, failed
 
 
+_ID_DTYPE = np.dtypes.StringDType()
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _ids(values: list[str]) -> np.ndarray:
+    """Stripped IDs as a StringDType column, which sorts as ``str`` does and
+    keeps a trailing NUL. It holds UTF-8 only, so an ID with a lone surrogate
+    reads as blank, which rejects its row."""
+    try:
+        return np.array(values, _ID_DTYPE)
+    except UnicodeEncodeError:
+        return np.array(["" if _SURROGATE.search(v) else v for v in values], _ID_DTYPE)
+
+
 def _minutes(hhmm: list[int]) -> np.ndarray:
     """HHMM integers (0830 or 830) to minutes since midnight, NaN if no clock time."""
     value = np.array([v if 0 <= v < 2400 else -1 for v in hhmm], dtype=np.int64)
@@ -257,10 +272,14 @@ def parse_records(
     Miles become km (exact factor 1.609344) and HHMM times minutes since
     midnight. An invalid row is counted in ``diagnostics`` with its line
     number under the first of ``_REJECT_REASONS`` it fails (a missing cell,
-    blank ID, or non-finite number or velocity is an ``unparseable_field``).
-    The cyclic garbage collector is paused meanwhile, since the rows and key
-    tuples form no cycles and reference counting frees them; the caller's
-    collector state is restored on return.
+    blank ID, ID with a lone surrogate, or non-finite number or velocity is an
+    ``unparseable_field``). Each chunk keeps only numpy columns of its
+    accepted rows: the IDs as strings and the travel days as int64 codes,
+    through a dict of the distinct days, since a day may exceed int64. After
+    the last chunk, stable sorts number the vehicle-days in key order. The
+    cyclic garbage collector is paused meanwhile, since the rows form no
+    cycles and reference counting frees them; the caller's collector state
+    is restored on return.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -280,9 +299,10 @@ def parse_records(
                                      + ", ".join(sorted(missing)))
         position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
 
-        vehicle_days: dict[tuple[str, str, int], int] = {}  # key -> its first accepted row
-        # Per chunk, the accepted rows' first vehicle-day rows and TripTable columns.
-        parts = [(np.empty(0, np.int64), *[np.empty(0)] * 4, np.empty(0, np.int64))]
+        day_code: dict[int, int] = {}  # travel day -> its int64 code
+        # Per chunk, the accepted rows' keys (IDs, day codes) and TripTable columns.
+        parts = [(np.empty(0, _ID_DTYPE), np.empty(0, _ID_DTYPE), np.empty(0, np.int64),
+                  *[np.empty(0)] * 4, np.empty(0, np.int64))]
         accepted = 0
         # Non-blank rows numbered as csv.DictReader numbers them: by the
         # reader's line after the row, which its fieldnames property re-reads.
@@ -291,6 +311,7 @@ def parse_records(
             rows, lines = zip(*chunk)
             converted = [_convert(f, rows, position[columns[name]]) for name, f in _CONVERSIONS.items()]
             household, vehicle, day, start, end, duration, miles, code = (c for c, _ in converted)
+            household, vehicle = _ids(household), _ids(vehicle)
             failed = np.zeros(len(rows), bool)
             failed[[i for _, bad in converted for i in bad]] = True
             start, end, duration = _minutes(start), _minutes(end), np.array(duration)
@@ -300,8 +321,7 @@ def parse_records(
                 reason = np.select([
                     failed | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
                     | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
-                    | ~np.fromiter(map(bool, household), bool, len(rows))
-                    | ~np.fromiter(map(bool, vehicle), bool, len(rows)),
+                    | (household == "") | (vehicle == ""),
                     duration <= 0,
                     length_km < 0,
                     # Equal clock times put a positive duration nowhere on the day.
@@ -315,21 +335,34 @@ def parse_records(
             diag.reject_reasons.update(names)  # a new reason enters at its first row
             diag.rejected_rows.extend(zip(np.take(lines, rejected).tolist(), names))
             keep = reason == 0
-            first = list(map(vehicle_days.setdefault, compress(zip(household, vehicle, day), keep),
-                             count(accepted)))
+            day = list(compress(day, keep))
+            for new in dict.fromkeys(day).keys() - day_code.keys():
+                day_code[new] = len(day_code)
+            day = np.fromiter(map(day_code.get, day), np.int64, len(day))
             site = list(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)))
-            parts.append((np.array(first, np.int64), start[keep], end[keep], duration[keep],
+            parts.append((household[keep], vehicle[keep], day, start[keep], end[keep], duration[keep],
                           length_km[keep], np.array(site, np.int64)))
-            accepted += len(first)
+            accepted += len(day)
             # Free this chunk's rows and columns before the next one is read.
             del chunk, rows, lines, converted, household, vehicle, day, start, end, duration, miles, code
         diag.rows_accepted += accepted
 
-        first, *table = map(np.concatenate, zip(*parts))
-        # Number the vehicle-days in key order through each one's first row.
-        number = np.zeros(accepted, np.int64)
-        number[[vehicle_days[key] for key in sorted(vehicle_days)]] = np.arange(len(vehicle_days))
-        return TripTable(number[first], *table)
+        household, vehicle, day, *table = map(np.concatenate, zip(*parts))
+        del parts
+        # Number the vehicle-days in key order: stable sorts by the day's
+        # rank, then the vehicle, then the household, and a count of key changes.
+        rank = np.empty(len(day_code), np.int64)
+        rank[[day_code[d] for d in sorted(day_code)]] = np.arange(len(day_code))
+        order = np.argsort(rank[day], kind="stable")
+        for key in (vehicle, household):
+            order = order[np.argsort(key[order], kind="stable")]
+        changed = np.zeros(accepted, bool)
+        for key in (household, vehicle, day):
+            key = key[order]
+            changed[1:] |= key[1:] != key[:-1]
+        number = np.empty(accepted, np.int64)
+        number[order] = np.cumsum(changed)
+        return TripTable(number, *table)
     finally:
         if collecting:
             gc.enable()
@@ -476,6 +509,10 @@ def chain_type_proportions(dataset: ChainFeatureDataset) -> np.ndarray:
 
 _MANIFEST_NAME = "manifest.json"
 
+# Sample values written per step: a step's floats and their reprs are the only
+# Python objects the manifest's arrays make.
+_WRITE_VALUES = 1024
+
 
 def sample_key(chain_type: ChainType, feature: str, index: int) -> str:
     """Name of one sample array, in the ingest manifest and in ``models.json``."""
@@ -512,15 +549,19 @@ def save_dataset(
     if provenance is not None:
         manifest["provenance"] = provenance
     # json.dump(indent=2)'s text, with each array streamed in place of the
-    # empty "samples" object as json writes it: a finite float as its repr.
+    # empty "samples" object as json writes it: a finite float as its repr,
+    # _WRITE_VALUES at a time.
     head, samples, tail = json.dumps(manifest, indent=2).partition('\n  "samples": {}')
     order = sorted(dataset.samples, key=lambda k: (CHAIN_TYPE_INDEX[k[0]], k[1], k[2]))
     with open(out / _MANIFEST_NAME, "w") as fh:
         fh.write(head + samples[:-1])
         for n, key in enumerate(order):
-            values = dataset.samples[key].tolist()
+            values = dataset.samples[key]
             fh.write(f'{"," if n else ""}\n    "{sample_key(*key)}": ')
-            fh.write("[\n      " + ",\n      ".join(map(repr, values)) + "\n    ]" if values else "[]")
+            for at in range(0, len(values), _WRITE_VALUES):
+                text = ",\n      ".join(map(repr, values[at:at + _WRITE_VALUES].tolist()))
+                fh.write(("," if at else "[") + "\n      " + text)
+            fh.write("\n    ]" if len(values) else "[]")
         fh.write(("\n  }" if order else "}") + tail)
     return out / _MANIFEST_NAME
 

@@ -67,6 +67,16 @@ def test_pipeline_config_checks_itself_when_built(field, value):
             setattr(config, name, getattr(config, name))
 
 
+def test_numpy_integers_are_stored_as_python_ints():
+    """A config built from numpy integers echoes JSON."""
+    config = load_config(REPO_ROOT / "configs" / "case_study.json")
+    fleet = replace(config.fleet, n_ev=np.int64(300), slot_minutes=np.int16(15), seed=np.uint64(7))
+    config = replace(config, horizon_days=np.int64(2), threads=np.int32(1), fleet=fleet)
+    for value in (config.horizon_days, config.threads, fleet.n_ev, fleet.slot_minutes, fleet.seed):
+        assert type(value) is int
+    assert echo_round_trip(config) == config.echo()
+
+
 def test_readme_configuration_table_lists_every_key():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]

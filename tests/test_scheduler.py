@@ -515,11 +515,14 @@ class TestSchedulePlan:
         ([0.5, 1.0], [10.0, 10.0], [0.0, -np.inf], 1.0, "ESS power must be finite"),
         ([[0.5, 1.0]], [[10.0, 10.0]], [[1.0, 0.0]], 1.0, "one-dimensional"),
         (0.5, 10.0, 0.0, 1.0, "one-dimensional"),
+        ([[0.5, 1.0], [1.0]], [1.0, 1.0], [0.0, 0.0], 1.0, "arrays of numbers"),
+        (["x"], [1.0], [0.0], 1.0, "arrays of numbers"),
         ([0.5], [1.0], [0.0], "1", "slot length must be positive and finite"),
         ([0.5], [1.0], [0.0], None, "slot length must be positive and finite"),
     ], ids=["no_slots", "short_prices", "short_ess_power", "negative_load", "infinite_price",
             "negative_slot_length", "nan_ess_power", "inf_ess_power", "minus_inf_ess_power",
-            "nested_lists", "scalars", "string_slot_length", "no_slot_length"])
+            "nested_lists", "scalars", "ragged_lists", "not_a_number", "string_slot_length",
+            "no_slot_length"])
     def test_bad_input_is_data_error(self, price, p_ev, p_ess, dt_hours, message):
         """Every builder of a plan gets the same checks, each raising before any bill."""
         with pytest.raises(DataError, match=message) as info:
