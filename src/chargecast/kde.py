@@ -3,13 +3,15 @@
 A fitted model is a mixture of Gaussian kernels centred on the data points.
 Supports may be half-open or closed intervals. Sampling is exact and
 vectorized: each draw picks a kernel with probability proportional to its
-mass inside the support (a table each model builds when it is built, with
-``math.erfc``) and inverts that kernel's truncated normal CDF with
-``ndtri``, so no draw is rejected, redrawn or clamped. ``pick`` makes the
-picks and ``invert`` turns them into draws in the buffer of their
-probabilities, with an in-place ``ndtri``, so that a batch of draws holds
-few temporaries. All randomness comes from caller-provided uniforms or
-Generators, so sampling is reproducible.
+mass inside the support (a table of three arrays each model builds when it
+is built, with ``math.erfc``) and inverts that kernel's truncated normal CDF
+with ``ndtri``, so no draw is rejected, redrawn or clamped. ``pick`` makes
+the picks, each with its kernel's signed scale (negative for a kernel
+centred below the support, whose draws come from its upper tail), and
+``invert`` turns them into draws in the buffer of their probabilities, with
+an in-place ``ndtri``, so that a batch of draws holds few temporaries. All
+randomness comes from caller-provided uniforms or Generators, so sampling is
+reproducible.
 """
 
 from __future__ import annotations
@@ -145,10 +147,10 @@ class KdeModel:
     samples: np.ndarray
     bandwidth: float
     support: tuple[float, float] = UNBOUNDED
-    # (p_lo, width, scale, cdf): each kernel's probability at lo, its signed
-    # mass inside [lo, hi], and bandwidth; the cumulative mass, ending at 1.0.
-    # Kernels centred below lo have upper-tail probabilities (a negated
-    # ``scale``), which keep full precision far from the centre.
+    # (p_lo, width, cdf): each kernel's probability at lo and its signed
+    # mass inside [lo, hi]; the cumulative mass, ending at 1.0. A kernel
+    # centred below lo has upper-tail probabilities (a negated bandwidth as
+    # its scale), which keep full precision far from the centre.
     _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -167,10 +169,11 @@ class KdeModel:
         scale = np.where(self.samples < lo, -self.bandwidth, self.bandwidth)
         p_lo = _ndtr(lo, self.samples, scale)
         width = _ndtr(hi, self.samples, scale) - p_lo
-        cum = np.cumsum(np.abs(width))
-        if not cum[-1] > 0:
+        cdf = np.cumsum(np.abs(width))
+        if not cdf[-1] > 0:
             raise DataError(f"density has no mass inside [{lo}, {hi}]")
-        self._table = (p_lo, width, scale, cum / cum[-1])
+        cdf /= cdf[-1]
+        self._table = (p_lo, width, cdf)
 
     def pick(self, uniforms: np.ndarray):
         """``(centre, scale, p, lo, hi)`` of draws inside the support [lo, hi],
@@ -178,12 +181,13 @@ class KdeModel:
         ``uniforms``. Row 0 picks kernels with probability proportional to
         their mass inside [lo, hi]; row 1 places ``p`` uniformly between each
         kernel's probabilities at lo and hi."""
-        p_lo, width, scale, cdf = self._table
+        p_lo, width, cdf = self._table
         # cdf ends at exactly 1.0 and uniforms are < 1, so every pick is a
         # kernel with positive mass.
         k = cdf.searchsorted(uniforms[0], side="right")
         p = p_lo[k] + uniforms[1] * width[k]
-        return self.samples[k], scale[k], p, *self.support
+        centre, (lo, hi) = self.samples[k], self.support
+        return centre, np.where(centre < lo, -self.bandwidth, self.bandwidth), p, lo, hi
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` independent draws from the density: ``pick`` of the next

@@ -261,6 +261,15 @@ def _minutes(hhmm: list[int]) -> np.ndarray:
     return np.where((value >= 0) & (minutes < 60), hours * 60.0 + minutes, np.nan)
 
 
+def _rank(key: np.ndarray) -> np.ndarray:
+    """Each value's int64 rank among the distinct values of ``key``, in sorted order."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    rank = np.empty(len(key), np.int64)
+    rank[order] = np.cumsum(np.append(False, ordered[1:] != ordered[:-1]))
+    return rank
+
+
 def parse_records(
     csv_stream: TextIO,
     column_map: dict[str, str] | None = None,
@@ -273,11 +282,14 @@ def parse_records(
     midnight. An invalid row is counted in ``diagnostics`` with its line
     number under the first of ``_REJECT_REASONS`` it fails (a missing cell,
     blank ID, ID with a lone surrogate, or non-finite number or velocity is an
-    ``unparseable_field``). Each chunk keeps only numpy columns of its
-    accepted rows: the IDs as strings and the travel days as int64 codes,
-    through a dict of the distinct days, since a day may exceed int64. After
-    the last chunk, stable sorts number the vehicle-days in key order. The
-    cyclic garbage collector is paused meanwhile, since the rows form no
+    ``unparseable_field``). Each chunk writes its accepted rows into numpy
+    columns that grow in place: the IDs as strings and the travel days as
+    int64 codes, through a dict of the distinct days, since a day may exceed
+    int64. It keeps its rejects as arrays of line numbers and reason codes,
+    which enter ``diagnostics`` after the last chunk, so that no Python
+    object a chunk makes outlives it. Then each key becomes an int64 rank
+    (one stable argsort per ID column) and one lexsort of the ranks numbers
+    the vehicle-days in key order. The cyclic garbage collector is paused meanwhile, since the rows form no
     cycles and reference counting frees them; the caller's collector state
     is restored on return.
     """
@@ -300,9 +312,12 @@ def parse_records(
         position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
 
         day_code: dict[int, int] = {}  # travel day -> its int64 code
-        # Per chunk, the accepted rows' keys (IDs, day codes) and TripTable columns.
-        parts = [(np.empty(0, _ID_DTYPE), np.empty(0, _ID_DTYPE), np.empty(0, np.int64),
-                  *[np.empty(0)] * 4, np.empty(0, np.int64))]
+        # The accepted rows' keys (IDs, day codes) and TripTable columns, each
+        # grown in place by a quarter when full; and per chunk, the rejected
+        # rows' line numbers and reason codes.
+        kept = [np.empty(0, _ID_DTYPE), np.empty(0, _ID_DTYPE), np.empty(0, np.int64),
+                *(np.empty(0) for _ in range(4)), np.empty(0, np.int64)]
+        rejects = [(np.empty(0, np.int64), np.empty(0, np.int64))]
         accepted = 0
         # Non-blank rows numbered as csv.DictReader numbers them: by the
         # reader's line after the row, which its fieldnames property re-reads.
@@ -331,38 +346,45 @@ def parse_records(
                 ], range(1, len(_REJECT_REASONS)))
             diag.rows_total += len(rows)
             rejected = np.flatnonzero(reason)
-            names = np.take(_REJECT_REASONS, reason[rejected]).tolist()
-            diag.reject_reasons.update(names)  # a new reason enters at its first row
-            diag.rejected_rows.extend(zip(np.take(lines, rejected).tolist(), names))
+            rejects.append((np.take(lines, rejected), reason[rejected]))
             keep = reason == 0
             day = list(compress(day, keep))
-            for new in dict.fromkeys(day).keys() - day_code.keys():
-                day_code[new] = len(day_code)
+            for new in dict.fromkeys(day):
+                day_code.setdefault(new, len(day_code))
             day = np.fromiter(map(day_code.get, day), np.int64, len(day))
-            site = list(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)))
-            parts.append((household[keep], vehicle[keep], day, start[keep], end[keep], duration[keep],
-                          length_km[keep], np.array(site, np.int64)))
-            accepted += len(day)
+            site = np.fromiter(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)),
+                               np.int64, len(day))
+            filled = accepted + len(day)
+            if filled > len(kept[0]):
+                for column in kept:
+                    column.resize(filled + filled // 4, refcheck=False)
+            for column, values in zip(kept, (household[keep], vehicle[keep], day, start[keep],
+                                             end[keep], duration[keep], length_km[keep], site)):
+                column[accepted:filled] = values
+            accepted = filled
             # Free this chunk's rows and columns before the next one is read.
             del chunk, rows, lines, converted, household, vehicle, day, start, end, duration, miles, code
         diag.rows_accepted += accepted
+        lines, codes = map(np.concatenate, zip(*rejects))
+        names = np.take(_REJECT_REASONS, codes).tolist()
+        diag.reject_reasons.update(names)  # a new reason enters at its first row
+        diag.rejected_rows.extend(zip(lines.tolist(), names))
 
-        household, vehicle, day, *table = map(np.concatenate, zip(*parts))
-        del parts
-        # Number the vehicle-days in key order: stable sorts by the day's
-        # rank, then the vehicle, then the household, and a count of key changes.
+        for column in kept:
+            column.resize(accepted, refcheck=False)
+        # Number the vehicle-days in key order: one integer lexsort of the
+        # keys' ranks, and a count of key changes. Each key is dropped once ranked.
         rank = np.empty(len(day_code), np.int64)
         rank[[day_code[d] for d in sorted(day_code)]] = np.arange(len(day_code))
-        order = np.argsort(rank[day], kind="stable")
-        for key in (vehicle, household):
-            order = order[np.argsort(key[order], kind="stable")]
+        keys = [rank[kept.pop(2)], _rank(kept.pop(1)), _rank(kept.pop(0))]
+        order = np.lexsort(keys)
         changed = np.zeros(accepted, bool)
-        for key in (household, vehicle, day):
-            key = key[order]
+        while keys:
+            key = keys.pop()[order]
             changed[1:] |= key[1:] != key[:-1]
         number = np.empty(accepted, np.int64)
         number[order] = np.cumsum(changed)
-        return TripTable(number, *table)
+        return TripTable(number, *kept)
     finally:
         if collecting:
             gc.enable()
@@ -388,7 +410,8 @@ def build_chains(
     its clock order. The day's first trip is taken to depart from home (the
     survey schema carries destinations only). Each arrival at H closes a
     segment; segments of 1 trip, of 4+ trips, with overlapping trips, or
-    that never return home are dropped and counted.
+    that never return home are dropped and counted. Each trip-length
+    temporary is dropped, or overwritten in place, once it is used.
     """
     diag = diagnostics if diagnostics is not None else IngestDiagnostics()
     n = len(trips)
@@ -399,9 +422,15 @@ def build_chains(
     # Clock times are unwrapped onto a monotone axis: a trip crossing
     # midnight pushes every later time of the same day forward by 24 h.
     crossing = end < start
-    crossed = np.cumsum(crossing) - crossing
-    offset = 1440.0 * (crossed - crossed[new_day][np.cumsum(new_day) - 1])
-    start, end = start + offset, end + offset + 1440.0 * crossing
+    crossed = np.cumsum(crossing)
+    crossed -= crossing
+    crossed -= crossed[new_day][np.cumsum(new_day) - 1]
+    offset = 1440.0 * crossed
+    del crossed
+    start += offset
+    end += offset
+    end += 1440.0 * crossing
+    del offset, crossing
 
     # A segment starts a day or follows an arrival home.
     home = site == SiteClass.H.index
@@ -409,20 +438,24 @@ def build_chains(
     first = np.flatnonzero(opens)
     size = np.diff(np.append(first, n))
     gap = np.concatenate(([0.0], start[1:] - end[:-1]))  # dwell before each trip
+    del start
     reason = np.select([~home[first + size - 1], size < 2, size > 3,
                         np.logical_or.reduceat((gap < 0) & ~opens, first)], [4, 1, 2, 3], 0)
     diag.drop_reasons.update(np.take(_DROP_REASONS, reason[reason > 0]).tolist())
-
     first, size = first[reason == 0], size[reason == 0]
+    del home, opens, reason
     diag.chains_emitted += len(first)
     at = np.minimum(first[:, None] + np.arange(3), n - 1)  # a 2-trip chain's pad is masked
-    used = np.arange(3) < size[:, None]
+    unused = np.arange(3) >= size[:, None]
+    del first, size
     # CHAIN_TYPES holds the 4 simple types, then the 16 complex ones, in
     # midway order W, SE, SR, O: site indices 1..4, and H (0) ends a chain.
     first_stop, second_stop = site[at[:, 0]] - 1, site[at[:, 1]] - 1
     chain_type = np.where(second_stop < 0, first_stop, 4 + 4 * first_stop + second_stop)
-    return ChainTable(trips, chain_type, np.where(used, order[at], -1), np.where(used, end[at], np.nan),
-                      np.where(used[:, 1:], gap[at[:, 1:]], np.nan))
+    del site, first_stop, second_stop
+    trip, end_time, dwell = order[at], end[at], gap[at[:, 1:]]
+    trip[unused], end_time[unused], dwell[unused[:, 1:]] = -1, np.nan, np.nan
+    return ChainTable(trips, chain_type, trip, end_time, dwell)
 
 
 # ---------------------------------------------------------------------------

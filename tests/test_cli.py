@@ -933,6 +933,28 @@ class TestGoldenCaseStudy:
             per_day = (power * plan.price).reshape(3, -1).sum(axis=1) * plan.dt_hours
             assert per_day.tolist() == summary["per_day"][key]
 
+    def test_baseline_simd_dispatch_reproduces_committed_artifacts(self, tmp_path):
+        """With every SIMD loop that numpy dispatches on this CPU disabled, so
+        that its ufuncs run their baseline loops (``np.log`` then differs in
+        the last ulp of some values), the pipeline writes the committed bytes."""
+        dispatched = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+        if not dispatched:
+            pytest.skip("numpy dispatches no SIMD loop beyond its baseline on this CPU")
+        out = tmp_path / "case_study"
+        code = ("import sys, numpy as np\n"
+                "from chargecast.cli import main\n"
+                "assert 'found' not in np.show_config(mode='dicts')['SIMD Extensions']\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        run = subprocess.run(
+            [sys.executable, "-c", code, "pipeline", "--config", "configs/case_study.json",
+             "--out", str(out)],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+                 "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)},
+        )
+        assert run.returncode == 0, run.stderr
+        self.assert_golden(out)
+
     def test_python_m_chargecast_reproduces_committed_artifacts(self, tmp_path):
         """``python -m chargecast`` writes the committed bytes, and on Linux its
         process ends with one thread: OpenBLAS started no worker."""

@@ -1,7 +1,9 @@
 """Density fitting and sampling: bandwidths, truncation, reproducibility."""
 
+import hashlib
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +214,30 @@ class TestSampling:
         )
         draws = model.sample_many(np.random.default_rng(2), 100_000)
         assert kstest(draws, lambda x: cdf(model, x)).statistic < 0.01
+
+    def test_draws_of_kernels_centred_below_lo_are_pinned(self):
+        """A kernel centred below lo picks the upper-tail branch (a negated
+        scale). No golden holds one, so its draws are pinned here, bit for bit."""
+        model = KdeModel(np.array([-3.0, 0.5, 2.0]), bandwidth=2.0, support=(0.0, math.inf))
+        centre, scale, *_ = model.pick(np.random.default_rng(2026).random((2, 1000)))
+        assert (scale < 0).sum() == (centre < 0).sum() == 36
+        draws = model.sample_many(np.random.default_rng(2026), 1000)
+        assert draws.min() >= 0.0
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "f8780160c4f581fc89f0c352b8994050804c59ebba4dfbd7f79cab5086301ee2")
+
+    def test_fitted_model_keeps_three_arrays_beyond_its_samples(self):
+        """The sampling table is each kernel's probability at lo, its mass
+        inside the support and the cumulative mass: no per-kernel scale."""
+        samples = np.random.default_rng(3).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            model = fit_kde(samples, support=(0.0, math.inf))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(model.samples, samples)
+        assert kept <= 3 * samples.nbytes + 65_536
 
     def test_no_mass_above_lower_bound_is_data_error(self):
         """A support without mass fails when the model is built, not at its first draw."""
