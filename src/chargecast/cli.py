@@ -138,7 +138,7 @@ def cmd_ingest(config: PipelineConfig) -> ChainFeatureDataset:
     return dataset
 
 
-def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = None) -> Path:
+def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = None) -> None:
     """Fit and simulate from ``dataset``, or else from the manifest under
     ``paths.dataset_dir`` (by default the ingest output directory)."""
     if dataset is None:
@@ -155,12 +155,11 @@ def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = N
         f"forecast: {result.n_events} charge events, "
         f"station energy {result.bundle.station.energy_kwh():.1f} kWh -> {curve_path}"
     )
-    return curve_path
 
 
-def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> None:
-    curve_path = load_csv or config.load_curve or (config.out_dir / "forecast" / "load_curve.csv")
-    starts, site, station, slot_minutes = read_load_curve(Path(curve_path))
+def cmd_schedule(config: PipelineConfig) -> None:
+    curve_path = config.load_curve or (config.out_dir / "forecast" / "load_curve.csv")
+    starts, site, station, slot_minutes = read_load_curve(curve_path)
 
     day = LoadProfile(starts, station, slot_minutes)
     plan = multi_day_schedule([day] * config.horizon_days, config.tariff, config.ess)
@@ -187,13 +186,15 @@ def cmd_schedule(config: PipelineConfig, load_csv: Path | None = None) -> None:
 
 def cmd_pipeline(config: PipelineConfig) -> None:
     """Each stage consumes what the previous one just produced, never the
-    standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``.
-    Forecast takes ingest's dataset in memory: the arrays and count order
-    ``load_dataset`` would read back from the manifest just written."""
+    standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``, so
+    the stages run and echo a config without them. Forecast takes ingest's
+    dataset in memory, as ``load_dataset`` would read it back."""
     # Too many slots or a tariff boundary inside a forecast slot fails here, before any writes.
     check_horizon(config.horizon_days, config.fleet.slot_minutes)
     config.tariff.slot_prices(config.fleet.slot_minutes, 1440 // config.fleet.slot_minutes)
-    cmd_schedule(config, load_csv=cmd_forecast(config, dataset=cmd_ingest(config)))
+    config = replace(config, dataset_dir=None, load_curve=None)
+    cmd_forecast(config, dataset=cmd_ingest(config))
+    cmd_schedule(config)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, seed_override=args.seed, out_override=args.out,
                              threads_override=args.threads)
         if getattr(args, "load", None):
-            config = replace(config, load_curve=Path(args.load))
+            config = replace(config, load_curve=args.load)
         args.run(config)
     except Exception as exc:  # a ChargecastError carries its exit code; anything else is internal
         code = exc.exit_code if isinstance(exc, ChargecastError) else 4

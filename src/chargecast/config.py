@@ -4,23 +4,26 @@ The bundled defaults reproduce the case-study setup (10000-vehicle fleet,
 60 kW quick charging, 5445 kWh storage, Guangzhou-style peak-valley
 tariff), so a config file only needs the paths section to run end to end.
 The ``fleet`` and ``ess`` sections are the fields of :class:`FleetConfig`
-and :class:`EssParams`, read, converted and echoed from the dataclasses
-themselves. The configuration's own checks run when it is built, and the
-tariff's fit to the forecast grid and the horizon's slot bound first thing in
-``pipeline``: all before any stage writes a file. Checks on the data (the
-survey, the fitted densities, the load curve) run as a stage reads it, so a
-later stage can fail after an earlier one has written its artifacts.
+and :class:`EssParams`, read and echoed from the dataclasses themselves,
+which convert each field to the type of its default by one rule
+(:func:`~chargecast.forecast.convert_like`); this module adds JSON's ``300.0``
+for an integer and the section labels of the messages. The configuration's
+own checks run when it is built, and the tariff's fit to the forecast grid
+and the horizon's slot bound first thing in ``pipeline``: all before any
+stage writes a file. Checks on the data (the survey, the fitted densities,
+the load curve) run as a stage reads it, so a later stage can fail after an
+earlier one has written its artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .forecast import FleetConfig, store_integers
+from .forecast import FleetConfig, convert_fields, convert_like
 from .scheduler import DEFAULT_TARIFF, MAX_HORIZON_SLOTS, EssParams, TariffSchedule
 from .survey import DEFAULT_COLUMN_MAP, DEFAULT_DESTINATION_MAP, SiteClass
 
@@ -28,16 +31,14 @@ _TOP_LEVEL_KEYS = {
     "paths", "column_map", "destination_map", "fleet", "ess", "tariff",
     "horizon_days", "seed", "currency", "threads",
 }
-_PATH_KEYS = {"input_csv", "out_dir", "dataset_dir", "load_curve"}
-_KIND = {
-    bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
-    tuple: "a list",
-}
+_PATH_KEYS = ("input_csv", "out_dir", "dataset_dir", "load_curve")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The run's inputs, checked once when built, ``replace`` included."""
+    """The run's inputs, checked once when built, ``replace`` included. A field
+    with a default takes its type (``convert_like``); a path, a ``str`` or
+    ``os.PathLike``, becomes a ``Path``, and ``None`` or ``""`` an absent one."""
     input_csv: Path | None
     out_dir: Path
     dataset_dir: Path | None
@@ -52,7 +53,12 @@ class PipelineConfig:
     threads: int = 1  # accepted for compatibility; the forecast ignores it
 
     def __post_init__(self):
-        store_integers(self, "horizon_days", "threads")
+        convert_fields(self)
+        for name in _PATH_KEYS:
+            path = getattr(self, name)
+            if not isinstance(path, str | os.PathLike) and (path is not None or name == "out_dir"):
+                raise ConfigurationError(f"{name} must be a str or os.PathLike, got {path!r}")
+            object.__setattr__(self, name, Path(path) if path or name == "out_dir" else None)
         if not 1 <= self.horizon_days <= MAX_HORIZON_SLOTS:  # a day has a slot; the scheduler bounds slots
             raise ConfigurationError(f"horizon_days must be in [1, {MAX_HORIZON_SLOTS}]")
         if self.threads < 1:
@@ -65,12 +71,8 @@ class PipelineConfig:
     def echo(self) -> dict:
         """Resolved configuration for artifact provenance."""
         return {
-            "paths": {
-                "input_csv": str(self.input_csv) if self.input_csv else None,
-                "out_dir": str(self.out_dir),
-                "dataset_dir": str(self.dataset_dir) if self.dataset_dir else None,
-                "load_curve": str(self.load_curve) if self.load_curve else None,
-            },
+            "paths": {key: None if getattr(self, key) is None else str(getattr(self, key))
+                      for key in _PATH_KEYS},
             "column_map": dict(self.column_map),
             "destination_map": {str(k): v.value for k, v in self.destination_map.items()},
             "fleet": _section_echo(self.fleet),
@@ -89,32 +91,15 @@ def _require_mapping(value, name: str, known_keys: set[str] | None = None) -> di
     if known_keys is not None:
         unknown = set(value) - known_keys
         if unknown:
-            raise ConfigurationError(
-                f"unknown {name} key(s): {', '.join(sorted(unknown))}"
-            )
+            raise ConfigurationError(f"unknown {name} key(s): {', '.join(sorted(unknown))}")
     return value
 
 
 def _coerce(value, default, name: str):
-    """``value`` as the type of ``default``, with no lossy conversion: a bool
-    takes only true/false, an int an integral number, a float any finite
-    number, a tuple a list of its first element's type."""
-    kind = type(default)
-    if kind is tuple:
-        if isinstance(value, list | tuple):
-            return tuple(_coerce(v, default[0], f"{name}[{i}]") for i, v in enumerate(value))
-    elif kind is bool or isinstance(value, bool):
-        # bool subclasses int: true/false is never a number, nor 1 a bool.
-        if type(value) is kind:
-            return value
-    elif kind is int and isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-    elif isinstance(value, (int, float) if kind is float else kind):
-        # JSON's NaN and Infinity fail this, and so does an integer too large for a float.
-        if kind is not float or abs(value) <= sys.float_info.max:
-            return kind(value)
-    raise ConfigurationError(f"{name} must be {_KIND[kind]}, got {value!r}")
+    """:func:`convert_like`, which also takes JSON's integral number (``300.0``) for an int."""
+    if type(default) is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return convert_like(value, default, name)
 
 
 def _section(data: dict, name: str, cls):
@@ -137,11 +122,9 @@ def _section_echo(obj) -> dict:
 
 def parse_config_dict(data: dict) -> PipelineConfig:
     """Build and fully validate a PipelineConfig from a plain dict."""
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    _require_mapping(data, "config", _TOP_LEVEL_KEYS)
 
-    paths = _require_mapping(data.get("paths", {}), "paths", _PATH_KEYS)
+    paths = _require_mapping(data.get("paths", {}), "paths", set(_PATH_KEYS))
     for key, value in paths.items():
         if value is not None and not isinstance(value, str):
             raise ConfigurationError(f"paths.{key} must be a string or null, got {value!r}")
@@ -160,9 +143,7 @@ def parse_config_dict(data: dict) -> PipelineConfig:
 
     fleet = _section(data, "fleet", FleetConfig)
     ess = _section(data, "ess", EssParams)
-
-    tariff = TariffSchedule(_coerce(data.get("tariff", DEFAULT_TARIFF.windows),
-                                    DEFAULT_TARIFF.windows, "tariff"))
+    tariff = TariffSchedule(data.get("tariff", DEFAULT_TARIFF.windows))
 
     column_map = data.get("column_map", {})
     if not isinstance(column_map, dict) or not all(
@@ -172,10 +153,10 @@ def parse_config_dict(data: dict) -> PipelineConfig:
     _require_mapping(column_map, "column_map", set(DEFAULT_COLUMN_MAP))
 
     return PipelineConfig(
-        input_csv=Path(paths["input_csv"]) if paths.get("input_csv") else None,
-        out_dir=Path("out" if paths.get("out_dir") is None else paths["out_dir"]),
-        dataset_dir=Path(paths["dataset_dir"]) if paths.get("dataset_dir") else None,
-        load_curve=Path(paths["load_curve"]) if paths.get("load_curve") else None,
+        input_csv=paths.get("input_csv"),
+        out_dir="out" if paths.get("out_dir") is None else paths["out_dir"],
+        dataset_dir=paths.get("dataset_dir"),
+        load_curve=paths.get("load_curve"),
         column_map=dict(column_map),
         destination_map=dest_map,
         fleet=fleet,

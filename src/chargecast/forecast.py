@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -54,22 +55,43 @@ _MIN_VELOCITY_KMH = 1.0   # lower end of every velocity model's support
 _MAX_N_EV = 1_000_000     # about 4 s of simulation at the case study's 0.04 s per 10,000 EVs
 
 
-def store_integers(config, *names: str) -> None:
-    """Check that each named field of the frozen ``config`` is an integer
-    (Python or numpy; a bool is not a count) and store it as a Python int,
-    which JSON writes."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int | np.integer):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(config, name, int(value))
+_KIND = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+         tuple: "a list"}
+
+
+def convert_like(value, default, name: str):
+    """``value`` as the type of ``default``, or else ``ConfigurationError``: a bool takes only a
+    bool, an int a Python or numpy integer, a float a Python or numpy integer or float that a float
+    holds finitely, a tuple a list, tuple or array of its first element's type, a str a str."""
+    kind = type(default)
+    if kind is tuple and isinstance(value, list | tuple | np.ndarray) and getattr(value, "ndim", 1):
+        return tuple(convert_like(v, default[0], f"{name}[{i}]") for i, v in enumerate(value))
+    if kind is bool or isinstance(value, bool | np.bool_):
+        if type(value) is kind:  # bool subclasses int: true/false is never a number, nor 1 a bool
+            return value
+    elif kind is int and isinstance(value, int | np.integer):
+        return int(value)
+    elif kind is float and isinstance(value, int | float | np.integer | np.floating):
+        number = float(value) if isinstance(value, np.generic) else value  # float16 < max overflows
+        if abs(number) <= sys.float_info.max:  # not NaN, ±inf or an integer too large for a float
+            return float(number)
+    elif isinstance(value, kind):
+        return kind(value)
+    raise ConfigurationError(f"{name} must be {_KIND[kind]}, got {value!r}")
+
+
+def convert_fields(config) -> None:
+    """Convert each field of the frozen dataclass ``config`` that has a default, in place."""
+    for f in fields(config):
+        if f.default is not MISSING:
+            value = convert_like(getattr(config, f.name), f.default, f.name)
+            object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Inputs of the fleet simulation, checked once when built: ``n_ev``,
-    ``slot_minutes`` and ``seed`` are integers (Python or numpy, not bool),
-    stored as Python ints.
+    """Inputs of the fleet simulation, checked once when built; each field
+    takes the type of its default (:func:`convert_like`).
 
     ``q_pro`` weights the five site-class load curves into the station
     composite (share of each site function in the station's service area).
@@ -87,15 +109,12 @@ class FleetConfig:
     seed: int = 20170
 
     def __post_init__(self):
-        store_integers(self, "n_ev", "slot_minutes", "seed")
+        convert_fields(self)
         if not 0 <= self.n_ev <= _MAX_N_EV:
             raise ConfigurationError(f"n_ev must be in [0, {_MAX_N_EV}]")
-        if not 0 < self.p_charging_kw < math.inf:
-            raise ConfigurationError("p_charging_kw must be > 0 and finite")
-        if not 0 < self.c_ev_kwh < math.inf:
-            raise ConfigurationError("c_ev_kwh must be > 0 and finite")
-        if not 0 < self.u_kwh_per_km < math.inf:
-            raise ConfigurationError("u_kwh_per_km must be > 0 and finite")
+        for name in ("p_charging_kw", "c_ev_kwh", "u_kwh_per_km"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be > 0 and finite")
         if not 0.0 <= self.p_own <= 1.0:
             raise ConfigurationError("p_own must be in [0, 1]")
         if len(self.q_pro) != len(SITE_CLASSES):

@@ -26,7 +26,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DataError, SolverError
-from .forecast import DAY_MINUTES, LoadProfile
+from .forecast import DAY_MINUTES, LoadProfile, convert_fields, convert_like
 from .kde import overflow_as_data_error
 
 #: Feasibility tolerance of the post-solve verification pass.
@@ -39,24 +39,25 @@ MAX_HORIZON_SLOTS = 3660 * 96
 class TariffSchedule:
     """Daily time-of-use price windows: (start_min, end_min, price_per_kwh).
 
-    Each window must run forward (start below end), the windows must tile
-    [0, 1440) exactly, and each price must be positive and finite; the
-    schedule repeats for multi-day horizons.
+    Each window is three floats (:func:`convert_like`) and must run forward,
+    the windows must tile [0, 1440) exactly, and each price must be
+    positive; the schedule repeats for multi-day horizons.
     """
 
     windows: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        if not self.windows or any(len(w) != 3 for w in self.windows):
+        windows = convert_like(self.windows, ((0.0,),), "tariff")
+        if not windows or any(len(w) != 3 for w in windows):
             raise ConfigurationError("tariff needs one or more [start_min, end_min, price] rows")
-        ordered = tuple(sorted(self.windows, key=lambda w: w[0]))
+        ordered = tuple(sorted(windows, key=lambda w: w[0]))
         starts, ends, prices = zip(*ordered)
         if not all(start < end for start, end in zip(starts, ends)):
             raise ConfigurationError("tariff windows must run forward: each start below its end")
         gaps = [end for end, start in zip((0.0, *ends), (*starts, DAY_MINUTES)) if end != start]
         if gaps:
             raise ConfigurationError(f"tariff windows do not tile [0, 1440) at minute {gaps[0]}")
-        if not all(0 < price < np.inf for price in prices):
+        if not all(price > 0 for price in prices):
             raise ConfigurationError("tariff prices must be positive and finite")
         object.__setattr__(self, "windows", ordered)
 
@@ -86,8 +87,8 @@ DEFAULT_TARIFF = TariffSchedule((
 
 @dataclass(frozen=True)
 class EssParams:
-    """Station storage parameters, checked once when built (the two flags
-    are bools); the fields are the config file's ``ess`` keys."""
+    """Station storage parameters, checked once when built; each field takes the
+    type of its default (:func:`convert_like`) and is a config file ``ess`` key."""
 
     c_ess_kwh: float = 5445.0
     p_charge_max_kw: float = 545.0
@@ -97,13 +98,10 @@ class EssParams:
     allow_export: bool = False
 
     def __post_init__(self):
-        for name in ("require_terminal_soc", "allow_export"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be true or false, got {value!r}")
-        if not 0 <= self.c_ess_kwh < np.inf:
+        convert_fields(self)
+        if self.c_ess_kwh < 0:
             raise ConfigurationError("c_ess_kwh must be >= 0 and finite")
-        if not (0 <= self.p_charge_max_kw < np.inf and 0 <= self.p_discharge_max_kw < np.inf):
+        if min(self.p_charge_max_kw, self.p_discharge_max_kw) < 0:
             raise ConfigurationError("ESS power limits must be >= 0 and finite")
         if not 0.0 <= self.soc_init <= 1.0:
             raise ConfigurationError("soc_init must be in [0, 1]")

@@ -289,9 +289,9 @@ def parse_records(
     which enter ``diagnostics`` after the last chunk, so that no Python
     object a chunk makes outlives it. Then each key becomes an int64 rank
     (one stable argsort per ID column) and one lexsort of the ranks numbers
-    the vehicle-days in key order. The cyclic garbage collector is paused meanwhile, since the rows form no
-    cycles and reference counting frees them; the caller's collector state
-    is restored on return.
+    the vehicle-days in key order. The cyclic garbage collector is paused
+    meanwhile, since the rows form no cycles and reference counting frees
+    them; the caller's collector state is restored on return.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -863,6 +863,11 @@ class TestPipelineCommand:
             assert (tmp_path / "chained" / artifact).read_bytes() == (
                 tmp_path / "out" / artifact
             ).read_bytes(), artifact
+        # The echoes name the inputs the run read: none of the decoys.
+        for artifact in ["ingest/manifest.json", "forecast/summary.json", "schedule/summary.json"]:
+            document = json.loads((tmp_path / "chained" / artifact).read_text())
+            paths = document.get("provenance", document)["config"]["paths"]
+            assert paths["dataset_dir"] is None and paths["load_curve"] is None, artifact
 
     def test_in_memory_hand_off_matches_separate_stages(self, tmp_path, fixture_csv_path):
         # The stages read ingest's manifest back; the pipeline hands the

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargecast import config as config_module
-from chargecast.config import load_config, parse_config_dict
+from chargecast.config import PipelineConfig, load_config, parse_config_dict
 from chargecast.errors import ConfigurationError
 from chargecast.forecast import FleetConfig
 from chargecast.scheduler import EssParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+_CASE_STUDY = REPO_ROOT / "configs" / "case_study.json"
 
 
 def echo_round_trip(config):
@@ -161,8 +162,14 @@ _IN_RANGE = {
         "allow_export": st.booleans(),
     },
 }
-# Values of the wrong type for an int or a bool field, beside the non-finite ones.
-_WRONG_TYPE = {"int": [300.5, 1.5, 7.5, 15.0, True], "bool": ["false", "true", 0, 1, None]}
+# Values of the wrong type for each kind of field, beside the non-finite ones.
+_WRONG_TYPE = {
+    "int": [300.5, 1.5, 7.5, 15.0, True],
+    "bool": ["false", "true", 0, 1, None],
+    "float": ["0.5", None, True],
+    "tuple[float, ...]": ["0.04, 0.1, 0.2, 0.1, 0.1", None],
+    "str": [None, 5, b"\xa5"],
+}
 
 
 _FIELDS = [(cls, f) for cls in (FleetConfig, EssParams) for f in fields(cls)]
@@ -174,15 +181,15 @@ _FIELDS = [(cls, f) for cls in (FleetConfig, EssParams) for f in fields(cls)]
 def test_parameters_check_themselves_when_built(cls, field, data, bad):
     """In-range finite values build, with Python or numpy integers; a
     non-finite number in every field (or ``q_pro`` entry), a float or bool in
-    an integer field and a non-bool in a bool field fail when built; a built
+    an integer field, a non-bool in a bool field, a string, None or bool in a
+    float field and a string ``q_pro`` or entry fail when built; a built
     object takes no assignment."""
     params = cls(**data.draw(st.fixed_dictionaries(_IN_RANGE[cls]), label="values"))
     name = field.name
-    values = [bad, *_WRONG_TYPE.get(field.type, [])]
+    values = [bad, *_WRONG_TYPE[field.type]]
     if name == "q_pro":
-        value = list(params.q_pro)
-        value[data.draw(st.integers(0, 4), label="entry")] = bad
-        values = [value]
+        i = data.draw(st.integers(0, 4), label="entry")
+        values += [[*params.q_pro[:i], wrong, *params.q_pro[i + 1:]] for wrong in (bad, "0.1")]
     for value in values:
         with pytest.raises(ConfigurationError):
             replace(params, **{name: value})
@@ -193,3 +200,130 @@ def test_parameters_check_themselves_when_built(cls, field, data, bad):
 def test_q_pro_needs_one_weight_per_site_class():
     with pytest.raises(ConfigurationError, match="one weight per site class"):
         FleetConfig(q_pro=(0.1,) * 4)
+
+
+def test_every_parameter_field_is_converted_by_its_default():
+    """A field without a default would skip the shared type rule: only
+    PipelineConfig's paths (which it converts itself), maps and sections
+    have none."""
+    for cls in (FleetConfig, EssParams):
+        assert all(f.default is not MISSING for f in fields(cls)), cls
+    no_default = {f.name for f in fields(PipelineConfig) if f.default is MISSING}
+    assert no_default == {
+        *config_module._PATH_KEYS, "column_map", "destination_map", "fleet", "ess", "tariff",
+    }
+
+
+_DAY_DIVISORS = [d for d in range(1, 1441) if 1440 % d == 0]
+_NUMPY_FLOATS = [np.float16, np.float32, np.float64]
+_NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def numpy_floats(lo, hi=None, **kwargs):
+    """A float in [lo, hi], as a numpy scalar of a width that holds it exactly."""
+    return st.sampled_from(_NUMPY_FLOATS).flatmap(lambda kind: st.floats(
+        lo, hi, width=np.finfo(kind).bits, allow_infinity=False, **kwargs).map(kind))
+
+
+def numpy_ints(values):
+    """Each of the integers ``values`` draws, as a numpy scalar of a width that holds it."""
+    def widths(value):
+        return [k for k in _NUMPY_INTS if np.iinfo(k).min <= value <= np.iinfo(k).max]
+    return values.flatmap(lambda value: st.sampled_from(widths(value)).map(lambda k: k(value)))
+
+
+_NUMPY_VALUES = {
+    FleetConfig: {
+        "p_own": numpy_floats(0.0, 1.0),
+        "n_ev": numpy_ints(st.integers(0, 10**6)),
+        "p_charging_kw": numpy_floats(0.0, exclude_min=True),
+        "c_ev_kwh": numpy_floats(0.0, exclude_min=True),
+        "u_kwh_per_km": numpy_floats(0.0, exclude_min=True),
+        "q_pro": st.sampled_from(_NUMPY_FLOATS).flatmap(lambda kind: st.lists(
+            st.floats(0.0, 1.0, width=np.finfo(kind).bits), min_size=5, max_size=5,
+        ).map(lambda qs: np.array(qs, dtype=kind))),
+        "soc_reserve": numpy_floats(0.0, 1.0, exclude_max=True),
+        "slot_minutes": numpy_ints(st.sampled_from(_DAY_DIVISORS)),
+        "seed": numpy_ints(st.integers(0, 2**64 - 1)),
+    },
+    EssParams: {
+        "c_ess_kwh": numpy_floats(0.0),
+        "p_charge_max_kw": numpy_floats(0.0),
+        "p_discharge_max_kw": numpy_floats(0.0),
+        "soc_init": numpy_floats(0.0, 1.0),
+        "require_terminal_soc": st.booleans(),  # a bool field takes only a Python bool
+        "allow_export": st.booleans(),
+    },
+}
+
+
+@settings(max_examples=100)
+@given(fleet=st.fixed_dictionaries(_NUMPY_VALUES[FleetConfig]),
+       ess=st.fixed_dictionaries(_NUMPY_VALUES[EssParams]))
+def test_numpy_scalars_are_stored_as_python_numbers(fleet, ess):
+    """Numpy scalars of any width build every parameter, stored as the
+    Python number of the same value: the config hashes and echoes JSON that
+    reads back to the same echo."""
+    config = replace(load_config(_CASE_STUDY), fleet=FleetConfig(**fleet), ess=EssParams(**ess))
+    for params, given_values in [(config.fleet, fleet), (config.ess, ess)]:
+        for f in fields(params):
+            stored, value = getattr(params, f.name), given_values[f.name]
+            if f.name == "q_pro":
+                assert all(type(q) is float for q in stored) and stored == tuple(value.tolist())
+            else:
+                assert type(stored) is type(f.default) and stored == value, f.name
+        hash(params)
+    assert echo_round_trip(config) == config.echo()
+
+
+def rebuilt(section, changes):
+    """The case-study config with ``changes`` to one section, or to the config itself."""
+    config = load_config(_CASE_STUDY)
+    if section == "config":
+        return replace(config, **changes)
+    return replace(config, **{section: replace(getattr(config, section), **changes)})
+
+
+@pytest.mark.parametrize("section, changes, stored", [
+    ("fleet", {"p_charging_kw": np.float32(60.0)}, 60.0),
+    ("ess", {"c_ess_kwh": np.float32(5445.0)}, 5445.0),
+    ("fleet", {"q_pro": [np.float32(0.5)] * 5}, (0.5,) * 5),
+    ("fleet", {"q_pro": [0.5] * 5}, (0.5,) * 5),
+    ("fleet", {"q_pro": np.full(5, 0.5)}, (0.5,) * 5),
+    ("config", {"out_dir": "x"}, Path("x")),
+])
+def test_library_values_are_converted(section, changes, stored):
+    """A value built in Python is stored as the value a config file gives,
+    so the config hashes and its echo reads back to itself."""
+    config = rebuilt(section, changes)
+    [(name, _)] = changes.items()
+    assert getattr(config if section == "config" else getattr(config, section), name) == stored
+    hash((config.fleet, config.ess, config.tariff))
+    assert echo_round_trip(config) == config.echo()
+
+
+@pytest.mark.parametrize("section, changes", [
+    ("fleet", {"p_own": "0.5"}),
+    ("fleet", {"p_own": True}),
+    ("ess", {"soc_init": "0.5"}),
+    *[("config", {"currency": value}) for value in _WRONG_TYPE["str"]],
+])
+def test_library_values_of_the_wrong_type_raise(section, changes):
+    with pytest.raises(ConfigurationError, match=next(iter(changes))):
+        rebuilt(section, changes)
+
+
+def test_pipeline_config_converts_its_paths():
+    """A path is stored as a Path from a str or os.PathLike, an optional one
+    as None from None or ""; any other value fails when built."""
+    config = load_config(_CASE_STUDY)
+    config = replace(config, out_dir="x", input_csv=Path("survey.csv"), dataset_dir="",
+                     load_curve=None)
+    assert (config.out_dir, config.input_csv) == (Path("x"), Path("survey.csv"))
+    assert config.dataset_dir is None and config.load_curve is None
+    assert replace(config, out_dir="").out_dir == Path("")
+    assert echo_round_trip(config) == config.echo()
+    for name, value in [("out_dir", None), ("out_dir", 5), ("input_csv", 5),
+                        ("dataset_dir", b"ingest"), ("load_curve", ["curve.csv"])]:
+        with pytest.raises(ConfigurationError, match=name):
+            replace(config, **{name: value})

@@ -184,10 +184,21 @@ class TestTariff:
         ((0.0, 1440.0),),
         ((0.0, 1440.0, 0.5, 9.0),),
         ((0.0, 1440.0, np.inf),),
-    ], ids=["short_row", "long_row", "infinite_price"])
+        ((0.0, 1440.0, "0.5"),),
+        ((0.0, 1440.0, True),),
+        ((False, 1440.0, 0.5),),
+    ], ids=["short_row", "long_row", "infinite_price", "string_price", "bool_price", "bool_start"])
     def test_malformed_row_is_configuration_error(self, windows):
         with pytest.raises(ConfigurationError, match="tariff"):
             TariffSchedule(windows)
+
+    def test_rows_are_stored_as_python_floats(self):
+        """Lists, arrays and numpy numbers build the tariff a config file gives."""
+        tariff = TariffSchedule(np.array(DEFAULT_TARIFF.windows))
+        assert tariff == DEFAULT_TARIFF and hash(tariff) == hash(DEFAULT_TARIFF)
+        assert all(type(cell) is float for row in tariff.windows for cell in row)
+        cells = [0, np.int16(1440), np.float32(0.5)]
+        assert TariffSchedule([cells]).windows == ((0.0, 1440.0, 0.5),)
 
     def test_straddling_slot_is_grid_mismatch(self):
         with pytest.raises(DataError, match="straddles"):
