@@ -3,24 +3,28 @@
 The bundled defaults reproduce the case-study setup (10000-vehicle fleet,
 60 kW quick charging, 5445 kWh storage, Guangzhou-style peak-valley
 tariff), so a config file only needs the paths section to run end to end.
-The ``fleet`` and ``ess`` sections are the fields of :class:`FleetConfig`
-and :class:`EssParams`, read and echoed from the dataclasses themselves,
-which convert each field to the type of its default by one rule
-(:func:`~chargecast.forecast.convert_like`); this module adds JSON's ``300.0``
-for an integer and the section labels of the messages. The configuration's
-own checks run when it is built, and the tariff's fit to the forecast grid
-and the horizon's slot bound first thing in ``pipeline``: all before any
-stage writes a file. Checks on the data (the survey, the fitted densities,
-the load curve) run as a stage reads it, so a later stage can fail after an
-earlier one has written its artifacts.
+:class:`PipelineConfig` and its sections check every field when they are
+built; :func:`parse_config_dict` only maps the JSON onto their fields (the
+``fleet`` and ``ess`` keys are those of :class:`FleetConfig` and
+:class:`EssParams`), adding JSON's ``300.0`` for an integer, the section
+labels of the messages and the ``"out"`` default of ``paths.out_dir``. The
+tariff's fit to the forecast grid and the horizon's slot bound are checked
+first thing in ``pipeline``: all before any stage writes a file. Checks on
+the data (the survey, the fitted densities, the load curve) run as a stage
+reads it, so a later stage can fail after an earlier one has written its
+artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .forecast import FleetConfig, convert_fields, convert_like
@@ -38,13 +42,15 @@ _PATH_KEYS = ("input_csv", "out_dir", "dataset_dir", "load_curve")
 class PipelineConfig:
     """The run's inputs, checked once when built, ``replace`` included. A field
     with a default takes its type (``convert_like``); a path, a ``str`` or
-    ``os.PathLike``, becomes a ``Path``, and ``None`` or ``""`` an absent one."""
+    ``os.PathLike``, becomes a ``Path``, and ``None`` or ``""`` an absent one; a
+    section must be of its class; each map is stored read-only, ``destination_map``
+    as ``{int: SiteClass}``. ``parse_config_dict`` only maps a config file onto it."""
     input_csv: Path | None
     out_dir: Path
     dataset_dir: Path | None
     load_curve: Path | None
-    column_map: dict[str, str]
-    destination_map: dict[int, SiteClass]
+    column_map: Mapping[str, str]
+    destination_map: Mapping[int, SiteClass]
     fleet: FleetConfig
     ess: EssParams
     tariff: TariffSchedule
@@ -63,6 +69,15 @@ class PipelineConfig:
             raise ConfigurationError(f"horizon_days must be in [1, {MAX_HORIZON_SLOTS}]")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
+        for name, cls in (("fleet", FleetConfig), ("ess", EssParams), ("tariff", TariffSchedule)):
+            if not isinstance(section := getattr(self, name), cls):
+                raise ConfigurationError(f"{name} must be a {cls.__name__}, got {section!r}")
+        columns = _require_mapping(self.column_map, "column_map", set(DEFAULT_COLUMN_MAP))
+        if not all(isinstance(column, str) for column in columns.values()):
+            raise ConfigurationError("column_map must map field names to column names")
+        sites = _require_mapping(self.destination_map, "destination_map").items()
+        object.__setattr__(self, "column_map", MappingProxyType(dict(columns)))
+        object.__setattr__(self, "destination_map", MappingProxyType(dict(map(_purpose, sites))))
 
     @property
     def seed(self) -> int:
@@ -85,14 +100,24 @@ class PipelineConfig:
         }
 
 
-def _require_mapping(value, name: str, known_keys: set[str] | None = None) -> dict:
-    if not isinstance(value, dict):
+def _require_mapping(value, name: str, known_keys: set[str] | None = None) -> Mapping:
+    if not isinstance(value, Mapping):
         raise ConfigurationError(f"config section {name!r} must be an object")
-    if known_keys is not None:
-        unknown = set(value) - known_keys
-        if unknown:
-            raise ConfigurationError(f"unknown {name} key(s): {', '.join(sorted(unknown))}")
+    if known_keys is not None and (unknown := set(value) - known_keys):
+        raise ConfigurationError(f"unknown {name} key(s): {', '.join(sorted(map(str, unknown)))}")
     return value
+
+
+def _purpose(entry) -> tuple[int, SiteClass]:
+    """A purpose code (an integer, or a string ``int()`` reads) and a ``SiteClass`` or its label."""
+    code, label = entry
+    try:
+        if isinstance(code, str | int | np.integer) and not isinstance(code, bool):
+            return int(code), SiteClass(label)
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"destination_map entry {code!r}: {label!r} is not a purpose code -> site class pair")
 
 
 def _coerce(value, default, name: str):
@@ -121,47 +146,19 @@ def _section_echo(obj) -> dict:
 
 
 def parse_config_dict(data: dict) -> PipelineConfig:
-    """Build and fully validate a PipelineConfig from a plain dict."""
+    """The PipelineConfig of a config file's JSON object, which checks itself when built."""
     _require_mapping(data, "config", _TOP_LEVEL_KEYS)
-
     paths = _require_mapping(data.get("paths", {}), "paths", set(_PATH_KEYS))
-    for key, value in paths.items():
-        if value is not None and not isinstance(value, str):
-            raise ConfigurationError(f"paths.{key} must be a string or null, got {value!r}")
-
-    dest_map = dict(DEFAULT_DESTINATION_MAP)
-    if "destination_map" in data:
-        dest_map = {}
-        for code, label in _require_mapping(data["destination_map"], "destination_map").items():
-            try:
-                dest_map[int(code)] = SiteClass(label)
-            except (ValueError, KeyError):
-                raise ConfigurationError(
-                    f"destination_map entry {code!r}: {label!r} is not a purpose code -> "
-                    f"site class pair"
-                ) from None
-
-    fleet = _section(data, "fleet", FleetConfig)
-    ess = _section(data, "ess", EssParams)
-    tariff = TariffSchedule(data.get("tariff", DEFAULT_TARIFF.windows))
-
-    column_map = data.get("column_map", {})
-    if not isinstance(column_map, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in column_map.items()
-    ):
-        raise ConfigurationError("column_map must map field names to column names")
-    _require_mapping(column_map, "column_map", set(DEFAULT_COLUMN_MAP))
-
     return PipelineConfig(
         input_csv=paths.get("input_csv"),
         out_dir="out" if paths.get("out_dir") is None else paths["out_dir"],
         dataset_dir=paths.get("dataset_dir"),
         load_curve=paths.get("load_curve"),
-        column_map=dict(column_map),
-        destination_map=dest_map,
-        fleet=fleet,
-        ess=ess,
-        tariff=tariff,
+        column_map=data.get("column_map", {}),
+        destination_map=data.get("destination_map", DEFAULT_DESTINATION_MAP),
+        fleet=_section(data, "fleet", FleetConfig),
+        ess=_section(data, "ess", EssParams),
+        tariff=TariffSchedule(data.get("tariff", DEFAULT_TARIFF.windows)),
         **{f.name: _coerce(data[f.name], f.default, f.name) for f in fields(PipelineConfig)
            if f.default is not MISSING and f.name in data},  # horizon_days, currency, threads
     )

@@ -91,12 +91,12 @@ def ndtri(p, out=None) -> np.ndarray:
 
 
 def _ndtr(bound: float, centres: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Normal cdf of ``(bound - centres) / scale`` by ``math.erfc``; at an
-    infinite bound every value is exactly 0 or 1."""
+    """Normal cdf of ``(bound - centres) / scale`` by ``math.erfc``, read through a
+    memoryview, not a list of floats; at an infinite bound every value is exactly 0 or 1."""
     z = (bound - centres) / scale
     if math.isinf(bound):
         return (z > 0).astype(float)
-    return 0.5 * np.fromiter(map(math.erfc, (-z * _SQRT1_2).tolist()), float, z.size)
+    return 0.5 * np.fromiter(map(math.erfc, memoryview(-z * _SQRT1_2)), float, z.size)
 
 
 def invert(centre, scale, p, lo, hi) -> np.ndarray:

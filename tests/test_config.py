@@ -16,6 +16,7 @@ from chargecast.config import PipelineConfig, load_config, parse_config_dict
 from chargecast.errors import ConfigurationError
 from chargecast.forecast import FleetConfig
 from chargecast.scheduler import EssParams
+from chargecast.survey import DEFAULT_COLUMN_MAP, SiteClass
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 _CASE_STUDY = REPO_ROOT / "configs" / "case_study.json"
@@ -327,3 +328,69 @@ def test_pipeline_config_converts_its_paths():
                         ("dataset_dir", b"ingest"), ("load_curve", ["curve.csv"])]:
         with pytest.raises(ConfigurationError, match=name):
             replace(config, **{name: value})
+
+
+@pytest.mark.parametrize("changes", [
+    {"tariff": None}, {"fleet": {}}, {"ess": None},
+    {"destination_map": {3: "WORK"}}, {"destination_map": {True: "W"}},
+    {"destination_map": {3.5: "W"}}, {"destination_map": {"x": "W"}},
+    {"column_map": {"vehicle": "VEHID"}}, {"column_map": {5: "VEHID", "x": "VEHID"}},
+    {"column_map": {"vehicle_id": 5}}, {"column_map": []},
+], ids=repr)
+def test_library_sections_and_maps_are_checked_when_built(changes):
+    """A section of the wrong class, a purpose code that is not an integer
+    (or a string of one) or a label that is not a site class, and a column
+    map with an unknown field (of any type) or a non-string column fail
+    when built, as they do in a config file, not when a stage first reads them."""
+    with pytest.raises(ConfigurationError, match=next(iter(changes))):
+        rebuilt("config", changes)
+
+
+def test_maps_are_stored_read_only():
+    """Purpose codes are stored as ints and their labels as site classes; a
+    built config's maps take no assignment."""
+    config = rebuilt("config", {"destination_map": {np.int16(3): "W", "4": SiteClass.H}})
+    assert dict(config.destination_map) == {3: SiteClass.W, 4: SiteClass.H}
+    assert config.echo()["destination_map"] == {"3": "W", "4": "H"}
+    assert echo_round_trip(config) == config.echo()
+    for mapping, key in [(config.destination_map, 3), (config.column_map, "vehicle_id")]:
+        with pytest.raises(TypeError):
+            mapping[key] = "junk"
+    assert replace(config, horizon_days=2).destination_map == config.destination_map
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+def test_every_pipeline_config_field_is_checked(name):
+    """A field added later cannot skip the checks: each refuses a value of no known type."""
+    with pytest.raises(ConfigurationError, match=name):
+        rebuilt("config", {name: object()})
+
+
+def built_maps(build):
+    """The two maps of the config ``build()`` returns, or None if it raises ConfigurationError."""
+    try:
+        config = build()
+    except ConfigurationError:
+        return None
+    return dict(config.column_map), dict(config.destination_map)
+
+
+_CODES = st.sampled_from(["1", "3", " 4", "-2", "03", "3.5", "x", "", "True"]) | st.text(max_size=3)
+_LABELS = st.sampled_from([*SiteClass.__members__, "WORK", "h", "", None, 3])
+
+
+@settings(max_examples=200)
+@given(
+    destination_map=st.dictionaries(_CODES, _LABELS, max_size=4) | st.sampled_from([[], None, "W"]),
+    column_map=st.dictionaries(
+        st.sampled_from([*DEFAULT_COLUMN_MAP, "vehicle", "HOUSEID"]),
+        st.text(max_size=4) | st.none() | st.integers(),
+        max_size=3,
+    ) | st.sampled_from([[], None, "VEHID"]),
+)
+def test_file_and_library_accept_the_same_maps(destination_map, column_map):
+    """A config file and a ``replace`` of a loaded config accept and reject
+    the same maps, and store the same maps when they accept."""
+    maps = {"destination_map": destination_map, "column_map": column_map}
+    from_file = built_maps(lambda: parse_config_dict(json.loads(json.dumps(maps))))
+    assert from_file == built_maps(lambda: replace(load_config(_CASE_STUDY), **maps))

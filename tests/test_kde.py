@@ -239,6 +239,19 @@ class TestSampling:
         assert np.shares_memory(model.samples, samples)
         assert kept <= 3 * samples.nbytes + 65_536
 
+    def test_fit_holds_no_python_float_per_kernel(self):
+        """Building the table passes the kernels to ``math.erfc`` one at a
+        time: the fit peaks at five arrays of the samples' size (4.0 MB for
+        100,000), not at a list of Python floats beside them (5.6 MB)."""
+        samples = np.random.default_rng(3).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            fit_kde(samples, support=(0.0, math.inf))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * samples.nbytes
+
     def test_no_mass_above_lower_bound_is_data_error(self):
         """A support without mass fails when the model is built, not at its first draw."""
         with pytest.raises(DataError, match="no mass"):
