@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -75,9 +76,14 @@ class PipelineConfig:
         columns = _require_mapping(self.column_map, "column_map", set(DEFAULT_COLUMN_MAP))
         if not all(isinstance(column, str) for column in columns.values()):
             raise ConfigurationError("column_map must map field names to column names")
-        sites = _require_mapping(self.destination_map, "destination_map").items()
+        purposes = _require_mapping(self.destination_map, "destination_map")
+        sites = dict(map(_purpose, purposes.items()))
+        if len(sites) < len(purposes):  # keys such as "3" and "03" that int() reads alike
+            codes = Counter(map(int, purposes))
+            same = ", ".join(repr(key) for key in purposes if codes[int(key)] > 1)
+            raise ConfigurationError(f"destination_map keys {same} name the same purpose code")
         object.__setattr__(self, "column_map", MappingProxyType(dict(columns)))
-        object.__setattr__(self, "destination_map", MappingProxyType(dict(map(_purpose, sites))))
+        object.__setattr__(self, "destination_map", MappingProxyType(sites))
 
     @property
     def seed(self) -> int:

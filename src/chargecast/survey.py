@@ -20,12 +20,10 @@ from __future__ import annotations
 import csv
 import gc
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, islice, product, repeat
-from operator import itemgetter
+from itertools import islice, product
 from pathlib import Path
 from typing import TextIO
 
@@ -216,49 +214,39 @@ CHUNK_ROWS = 2048
 _REJECT_REASONS = ("", "unparseable_field", "nonpositive_duration", "negative_length",
                    "zero_clock_duration", "end_before_start")
 
-# How each mapped cell is converted. The builtins accept what a survey
-# writes (whitespace, '_', any Unicode digits), and numpy's parsers do not.
-_CONVERSIONS = {
-    "household_id": str.strip, "vehicle_id": str.strip, "travel_day": int, "start_time": int,
-    "end_time": int, "duration": float, "length_miles": float, "destination": int,
-}
 
-
-def _convert(convert, rows: list[list], cell: int) -> tuple[list, list[int]]:
-    """``convert`` over column ``cell`` of ``rows``, and the indices of the cells it
-    rejects; a rejected or missing cell (DictReader's None) reads as "0"."""
-    try:
-        return list(map(convert, map(itemgetter(cell), rows))), []
-    except (ValueError, TypeError, IndexError):
-        values, failed = [], []
-    for row in rows:
+def _column(rows: tuple[list[str], ...], cell: int, convert, missing, dtype) -> np.ndarray:
+    """Column ``cell`` of ``rows`` as a ``dtype`` array, each distinct cell
+    converted once by ``convert``; a cell it rejects, or a missing one (a short
+    row), reads as ``missing``. ``convert`` is a builtin, or built on one: they
+    accept what a survey writes (whitespace, '_', any Unicode digits), and
+    numpy's parsers do not."""
+    cells = [row[cell] if cell < len(row) else None for row in rows]
+    value = dict.fromkeys(cells, missing)
+    for text in value:
         try:
-            values.append(convert(row[cell]))
-        except (ValueError, TypeError, IndexError):
-            failed.append(len(values))
-            values.append(convert("0"))
-    return values, failed
+            value[text] = convert(text)
+        except (ValueError, TypeError):
+            pass
+    return np.fromiter(map(value.__getitem__, cells), dtype, len(cells))
 
 
 _ID_DTYPE = np.dtypes.StringDType()
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _ids(values: list[str]) -> np.ndarray:
-    """Stripped IDs as a StringDType column, which sorts as ``str`` does and
-    keeps a trailing NUL. It holds UTF-8 only, so an ID with a lone surrogate
-    reads as blank, which rejects its row."""
-    try:
-        return np.array(values, _ID_DTYPE)
-    except UnicodeEncodeError:
-        return np.array(["" if _SURROGATE.search(v) else v for v in values], _ID_DTYPE)
+def _id(cell: str) -> str:
+    """A stripped ID. A StringDType column, which sorts as ``str`` does and keeps a
+    trailing NUL, holds UTF-8 only, so an ID with a lone surrogate raises (a
+    ValueError), which rejects its row."""
+    cell = str.strip(cell)
+    cell.encode()
+    return cell
 
 
-def _minutes(hhmm: list[int]) -> np.ndarray:
-    """HHMM integers (0830 or 830) to minutes since midnight, NaN if no clock time."""
-    value = np.array([v if 0 <= v < 2400 else -1 for v in hhmm], dtype=np.int64)
-    hours, minutes = np.divmod(value, 100)
-    return np.where((value >= 0) & (minutes < 60), hours * 60.0 + minutes, np.nan)
+def _minutes(hhmm: str) -> float:
+    """An HHMM cell (0830 or 830) as minutes since midnight, NaN if no clock time."""
+    hours, minutes = divmod(int(hhmm), 100)
+    return hours * 60.0 + minutes if 0 <= hours < 24 and minutes < 60 else np.nan
 
 
 def _rank(key: np.ndarray) -> np.ndarray:
@@ -279,13 +267,19 @@ def parse_records(
     """Read and validate trip rows, CHUNK_ROWS at a time, into a TripTable.
 
     Miles become km (exact factor 1.609344) and HHMM times minutes since
-    midnight. An invalid row is counted in ``diagnostics`` with its line
-    number under the first of ``_REJECT_REASONS`` it fails (a missing cell,
-    blank ID, ID with a lone surrogate, or non-finite number or velocity is an
-    ``unparseable_field``). Each chunk writes its accepted rows into numpy
-    columns that grow in place: the IDs as strings and the travel days as
-    int64 codes, through a dict of the distinct days, since a day may exceed
-    int64. It keeps its rejects as arrays of line numbers and reason codes,
+    midnight. Each distinct cell of a chunk's mapped column is converted once,
+    with Python's builtins, straight to its column value: a stripped ID, a
+    float, minutes, a travel day's int64 code (through a dict of the distinct
+    days, since a day may exceed int64) or a site index. A cell that does not
+    convert, or is missing, reads as "" (an ID), NaN (a time or number) or -1
+    (a day or site), which the first reject condition catches, so the day of
+    a rejected row may hold a code; the vehicle-days are numbered by key
+    changes among accepted rows, so such a code changes no number. An invalid
+    row is counted in ``diagnostics`` with its line number under the first of
+    ``_REJECT_REASONS`` it fails (a missing cell, blank ID, ID with a lone
+    surrogate, or non-finite number or velocity is an ``unparseable_field``).
+    Each chunk writes its accepted rows into numpy columns that grow in
+    place. It keeps its rejects as arrays of line numbers and reason codes,
     which enter ``diagnostics`` after the last chunk, so that no Python
     object a chunk makes outlives it. Then each key becomes an int64 rank
     (one stable argsort per ID column) and one lexsort of the ranks numbers
@@ -310,6 +304,7 @@ def parse_records(
             raise ConfigurationError("mapped column(s) not present in input CSV: "
                                      + ", ".join(sorted(missing)))
         position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        cell = {name: position[src] for name, src in columns.items()}
 
         day_code: dict[int, int] = {}  # travel day -> its int64 code
         # The accepted rows' keys (IDs, day codes) and TripTable columns, each
@@ -324,17 +319,21 @@ def parse_records(
         numbered = ((row, reader.line_num) for row in reader if row)
         for chunk in iter(lambda: list(islice(numbered, CHUNK_ROWS)), []):
             rows, lines = zip(*chunk)
-            converted = [_convert(f, rows, position[columns[name]]) for name, f in _CONVERSIONS.items()]
-            household, vehicle, day, start, end, duration, miles, code = (c for c, _ in converted)
-            household, vehicle = _ids(household), _ids(vehicle)
-            failed = np.zeros(len(rows), bool)
-            failed[[i for _, bad in converted for i in bad]] = True
-            start, end, duration = _minutes(start), _minutes(end), np.array(duration)
+            household = _column(rows, cell["household_id"], _id, "", _ID_DTYPE)
+            vehicle = _column(rows, cell["vehicle_id"], _id, "", _ID_DTYPE)
+            day = _column(rows, cell["travel_day"],
+                          lambda c: day_code.setdefault(int(c), len(day_code)), -1, np.int64)
+            start = _column(rows, cell["start_time"], _minutes, np.nan, float)
+            end = _column(rows, cell["end_time"], _minutes, np.nan, float)
+            duration = _column(rows, cell["duration"], float, np.nan, float)
+            miles = _column(rows, cell["length_miles"], float, np.nan, float)
+            site = _column(rows, cell["destination"],
+                           lambda c: site_of.get(int(c), SiteClass.O.index), -1, np.int64)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                length_km = np.array(miles) * MILES_TO_KM
+                length_km = miles * MILES_TO_KM
                 velocity = length_km / (duration / 60.0)  # a subnormal duration zeroes the divisor
                 reason = np.select([
-                    failed | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
+                    (day < 0) | (site < 0) | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
                     | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
                     | (household == "") | (vehicle == ""),
                     duration <= 0,
@@ -348,22 +347,16 @@ def parse_records(
             rejected = np.flatnonzero(reason)
             rejects.append((np.take(lines, rejected), reason[rejected]))
             keep = reason == 0
-            day = list(compress(day, keep))
-            for new in dict.fromkeys(day):
-                day_code.setdefault(new, len(day_code))
-            day = np.fromiter(map(day_code.get, day), np.int64, len(day))
-            site = np.fromiter(map(site_of.get, compress(code, keep), repeat(SiteClass.O.index)),
-                               np.int64, len(day))
-            filled = accepted + len(day)
+            filled = accepted + len(rows) - len(rejected)
             if filled > len(kept[0]):
                 for column in kept:
                     column.resize(filled + filled // 4, refcheck=False)
-            for column, values in zip(kept, (household[keep], vehicle[keep], day, start[keep],
-                                             end[keep], duration[keep], length_km[keep], site)):
-                column[accepted:filled] = values
+            for column, values in zip(kept, (household, vehicle, day, start, end, duration,
+                                             length_km, site)):
+                column[accepted:filled] = values[keep]
             accepted = filled
             # Free this chunk's rows and columns before the next one is read.
-            del chunk, rows, lines, converted, household, vehicle, day, start, end, duration, miles, code
+            del chunk, rows, lines, household, vehicle, day, start, end, duration, miles, site
         diag.rows_accepted += accepted
         lines, codes = map(np.concatenate, zip(*rejects))
         names = np.take(_REJECT_REASONS, codes).tolist()

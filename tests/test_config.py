@@ -359,6 +359,16 @@ def test_maps_are_stored_read_only():
     assert replace(config, horizon_days=2).destination_map == config.destination_map
 
 
+@pytest.mark.parametrize("build", [
+    parse_config_dict, lambda maps: replace(load_config(_CASE_STUDY), **maps),
+], ids=["file", "replace"])
+def test_purpose_codes_read_alike_raise(build):
+    """Keys that int() reads as one purpose code are refused, not merged with the last one winning."""
+    maps = {"destination_map": {"3": "W", "4": "W", "03": "H", " 3": "SE"}}
+    with pytest.raises(ConfigurationError, match="keys '3', '03', ' 3' name the same purpose code"):
+        build(maps)
+
+
 @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
 def test_every_pipeline_config_field_is_checked(name):
     """A field added later cannot skip the checks: each refuses a value of no known type."""

@@ -165,10 +165,36 @@ class TestParseRecords:
         trips, _ = _parse(["A,1,1,0800,0830,30,5,42"])
         assert SITE_CLASSES[trips.site[0]] is SiteClass.O
 
-    def test_invalid_hhmm_rejected(self):
-        trips, diag = _parse(["A,1,1,0875,0900,25,5,3"])
-        assert len(trips) == 0
-        assert diag.reject_reasons["unparseable_field"] == 1
+    @pytest.mark.parametrize("chunk_rows", [1, survey.CHUNK_ROWS], ids=["chunk1", "default"])
+    @pytest.mark.parametrize("hhmm, minutes", [
+        ("2400", None), ("2360", None), ("-5", None), ("0875", None),
+        ("99999999999999999999", None),  # past int64
+        ("0", 0), ("2359", 1439), (" 830 ", 510), ("\u0660\u0668\u0663\u0660", 510),
+    ], ids=["2400", "2360", "minus5", "0875", "past_int64", "0", "2359", "spaced", "arabic_indic"])
+    def test_hhmm_cell(self, hhmm, minutes, chunk_rows):
+        """A clock time is an integer that int() reads, HHMM with HH < 24 and MM < 60."""
+        # The trip arrives at 00:01, past midnight unless it departs then.
+        duration = 30 if minutes is None else (1 - minutes) % 1440
+        with mock.patch.object(survey, "CHUNK_ROWS", chunk_rows):
+            trips, diag = _parse(["A,1,1,0800,0830,30,5,3", f"A,1,1,{hhmm},0001,{duration},5,1"])
+        if minutes is None:
+            assert diag.rejected_rows == [(3, "unparseable_field")]
+            assert trips.start.tolist() == [480.0]
+        else:
+            assert diag.rows_rejected == 0
+            assert trips.start.tolist() == [480.0, minutes]
+
+    @pytest.mark.parametrize("chunk_rows", [1, survey.CHUNK_ROWS], ids=["chunk1", "default"])
+    def test_destination_cell(self, chunk_rows):
+        """A purpose code is an integer that int() reads, and one the map lacks is O;
+        any other cell, or none, rejects its row."""
+        rows = ["A,1,1,0800,0830,30,5,3.0", "A,1,1,0800,0830,30,5,x", "A,1,1,0800,0830,30,5,",
+                "A,1,1,0800,0830,30,5", "A,1,1,0900,0930,30,5, 3 ", "A,1,1,1000,1030,30,5,42"]
+        with mock.patch.object(survey, "CHUNK_ROWS", chunk_rows):
+            trips, diag = _parse(rows)
+        assert diag.rejected_rows == [(line, "unparseable_field") for line in (2, 3, 4, 5)]
+        assert [SITE_CLASSES[s] for s in trips.site] == [SiteClass.W, SiteClass.O]
+        assert trips.site.min() >= 0
 
     @pytest.mark.parametrize("row", [
         "A,1,1,0800,0830,nan,5,3", "A,1,1,0800,0830,inf,5,3", "A,1,1,0800,0830,30,inf,3",
