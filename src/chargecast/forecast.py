@@ -1,12 +1,13 @@
 """Monte-Carlo forecast of quick-charge station load from trip-chain models.
 
-Each vehicle simulates two chained days on a 48 h axis (the first day is
-warm-up; only the final 24 h are reported). Per day it draws a chain type,
-trip-1 ending time, per-trip lengths and average velocities, and midway
-dwell durations from the fitted densities, then propagates battery state
-along the chain. Whenever the state of charge would drop below the reserve
-after the next trip, the vehicle quick-charges at the current site:
-duration is capped by the stay and by the time to reach full charge.
+Each vehicle simulates ``SIMULATED_DAYS`` chained days on one axis of
+``HORIZON_MINUTES`` (the days before the last are warm-up; only the final
+24 h are reported). Per day it draws a chain type, trip-1 ending time,
+per-trip lengths and average velocities, and midway dwell durations from the
+fitted densities, then propagates battery state along the chain. Whenever
+the state of charge would drop below the reserve after the next trip, the
+vehicle quick-charges at the current site: duration is capped by the stay
+and by the time to reach full charge.
 
 Vehicles are simulated as arrays, a batch of fixed 256-vehicle blocks at a
 time. A batch draws its chains one chain type at a time, so that it holds
@@ -48,7 +49,8 @@ from .survey import (
 )
 
 DAY_MINUTES = 1440.0
-HORIZON_MINUTES = 2880.0  # two simulated days
+SIMULATED_DAYS = 2        # the one owner of the simulated day count
+HORIZON_MINUTES = SIMULATED_DAYS * DAY_MINUTES
 _VEHICLE_BLOCK = 256      # fixed RNG-stream and reduction granularity
 _BATCH_BLOCKS = 5         # blocks simulated with one set of array operations
 _MIN_VELOCITY_KMH = 1.0   # lower end of every velocity model's support
@@ -260,8 +262,8 @@ class ModelSet:
 # Block simulation
 # ---------------------------------------------------------------------------
 
-_N_TRIPS = np.array([ct.n_trips for ct in CHAIN_TYPES])
-# Site index of each chain type's midway stops; -1 pads 2-trip types.
+# Site index of each chain type's midway stops; -1 pads 2-trip types, so
+# midway stop t of a chain exists exactly when its entry is >= 0.
 _MIDWAY_SITE = np.array(
     [[s.index for s in ct.midway] + [-1] * (2 - len(ct.midway)) for ct in CHAIN_TYPES]
 )
@@ -284,15 +286,15 @@ class _BatchSim(NamedTuple):
     soc_max: float
 
 
-def _draw_batch_chains(rngs: list, ctype: np.ndarray, models: ModelSet) -> tuple:
+def _draw_batch_chains(rngs: list, ctype: np.ndarray, block: np.ndarray,
+                       models: ModelSet) -> tuple:
     """Step 2 of ``_simulate_batch``: ``(end1, lengths, velocity, dwells)``
-    of chains of types ``ctype`` from block streams ``rngs``, one row per trip
-    or midway stop (length 0, velocity 1 and dwell 0 past a chain's last
-    trip). One chain type at a time: each of its models picks once for the
-    batch, into one row of ``(models, chains)`` arrays, and one ``invert``
-    call turns the type's picks into draws in place."""
+    of chains of types ``ctype``, chain i from block stream ``rngs[block[i]]``,
+    one row per trip or midway stop (length 0, velocity 1 and dwell 0 past a
+    chain's last trip). One chain type at a time: each of its models picks
+    once for the batch, into one row of ``(models, chains)`` arrays, and one
+    ``invert`` call turns the type's picks into draws in place."""
     n = ctype.size
-    block = np.arange(n) % (n // 3) // _VEHICLE_BLOCK
     order = np.argsort(block, kind="stable")  # the chains block by block
     rows = {FEATURE_END_TIME: np.empty((1, n)), FEATURE_LENGTH: np.zeros((3, n)),
             FEATURE_VELOCITY: np.ones((3, n)), FEATURE_DWELL: np.zeros((2, n))}
@@ -316,16 +318,16 @@ def _draw_batch_chains(rngs: list, ctype: np.ndarray, models: ModelSet) -> tuple
 
 
 def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _BatchSim:
-    """Simulate the vehicles of ``blocks`` as one set of arrays.
+    """Draw the vehicles of ``blocks`` as one set of arrays, and :func:`_propagate` them.
 
-    Each vehicle drives two days and then a lookahead chain, whose first
-    trip settles the last evening's home-charging decision. The ``b``
-    vehicles of block ``k`` draw from ``_block_rng(seed, k)`` in this order:
+    Each vehicle drives ``SIMULATED_DAYS`` days and then a lookahead chain,
+    whose first trip settles the last evening's home-charging decision. The
+    ``b`` vehicles of block ``k`` draw from ``_block_rng(seed, k)`` in this order:
 
-    1. ``b`` ownership uniforms (below ``p_own``: a private post), ``b``
-       initial-SOC uniforms ``s``, soc0 = 0.5 + 0.5 s for non-owners (drawn
-       for owners too, so that ``p_own`` does not shift later draws), then
-       ``3 b`` chain-type uniforms: day 0 of every vehicle, day 1, lookahead;
+    1. ``b`` ownership uniforms (below ``p_own``: a private post), ``b`` initial-SOC
+       uniforms ``s``, soc0 = 0.5 + 0.5 s for non-owners (drawn for owners too, so that
+       ``p_own`` does not shift later draws), then ``(SIMULATED_DAYS + 1) b`` chain-type
+       uniforms: day 0 of every vehicle, then each later day's, then the lookahead's;
     2. per chain type present, in enumeration order, per model in draw order
        (trip-1 end time, each trip's length and velocity, then each midway
        dwell; each drawn inside its model's support): a kernel-pick uniform
@@ -333,14 +335,9 @@ def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _Ba
        uniform per chain.
     """
     rngs = [_block_rng(config.seed, k) for k in blocks]
-    step1 = np.hstack([rng.random((5, min(_VEHICLE_BLOCK, config.n_ev - k * _VEHICLE_BLOCK)))
-                       for rng, k in zip(rngs, blocks)])
-    n = step1.shape[1]
-    u = config.u_kwh_per_km
-    c_ev = config.c_ev_kwh
-    p_chg = config.p_charging_kw
-    reserve = config.soc_reserve
-
+    step1 = np.hstack([
+        rng.random((3 + SIMULATED_DAYS, min(_VEHICLE_BLOCK, config.n_ev - k * _VEHICLE_BLOCK)))
+        for rng, k in zip(rngs, blocks)])
     owner = step1[0] < config.p_own
     soc = np.where(owner, 1.0, 0.5 + 0.5 * step1[1])
     # Cumulative rounding can leave the total a hair under 1; a tail draw
@@ -349,18 +346,25 @@ def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _Ba
         np.searchsorted(np.cumsum(models.proportions), step1[2:].ravel(), side="right"),
         np.flatnonzero(models.proportions > 0)[-1],
     )
+    block = np.tile(np.arange(owner.size) // _VEHICLE_BLOCK, SIMULATED_DAYS + 1)
+    return _propagate(config, owner, soc, ctype, *_draw_batch_chains(rngs, ctype, block, models))
 
+
+def _propagate(config: FleetConfig, owner, soc, ctype,
+               end1, lengths, velocity, dwells) -> _BatchSim:
+    """Drive and charge ``n = owner.size`` vehicles from ``soc``; it draws nothing. Chain
+    ``d n + v`` of ``ctype`` and of the ``_draw_batch_chains`` arrays is vehicle v's on
+    day d, and day ``SIMULATED_DAYS`` is the lookahead."""
+    n = owner.size
+    u, c_ev = config.u_kwh_per_km, config.c_ev_kwh
+    p_chg, reserve = config.p_charging_kw, config.soc_reserve
     # Trip and dwell rows are zero past a chain's last trip, so those steps
     # below move neither the clock nor the charge.
-    end1, lengths, velocity, dwells = _draw_batch_chains(rngs, ctype, models)
     drive_min = 60.0 * lengths / velocity
-
-    n_trips = _N_TRIPS[ctype]
     midway = _MIDWAY_SITE[ctype]
     vehicle = np.arange(n)
     home = np.full(n, SiteClass.H.index)
-    soc_min = soc
-    soc_max = soc
+    soc_min = soc_max = soc
     infeasible = 0
     events = []
 
@@ -372,7 +376,7 @@ def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _Ba
         soc = np.where(fire, np.minimum(1.0, soc + dur_h * p_chg / c_ev), soc)
         soc_max = np.maximum(soc_max, soc)
 
-    for day in (0, 1):
+    for day in range(SIMULATED_DAYS):
         cur = slice(day * n, (day + 1) * n)
         nxt = slice((day + 1) * n, (day + 2) * n)
         end_t = DAY_MINUTES * day + end1[cur]
@@ -384,10 +388,9 @@ def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _Ba
             soc_min = np.minimum(soc_min, soc)
             if t < 2:
                 # Midway site t: arrival at end_t, stay dwells[t].
-                trigger = (t < n_trips[cur] - 1) & needs_charge(
-                    soc, lengths[t + 1, cur], u, c_ev, reserve
-                )
-                charge(trigger, midway[cur, t], end_t, dwells[t, cur])
+                stop = midway[cur, t]  # -1 where the chain has no stop t
+                trigger = (stop >= 0) & needs_charge(soc, lengths[t + 1, cur], u, c_ev, reserve)
+                charge(trigger, stop, end_t, dwells[t, cur])
 
         # Home arrival; owners recharge overnight off-station, at their post.
         next_start = DAY_MINUTES * (day + 1) + end1[nxt] - drive_min[0, nxt]
@@ -395,10 +398,8 @@ def _simulate_batch(config: FleetConfig, models: ModelSet, blocks: range) -> _Ba
         charge(trigger, home, end_t, np.maximum(0.0, next_start - end_t))
         soc = np.where(owner, 1.0, soc)
 
-    return _BatchSim(
-        *(np.concatenate(parts) for parts in zip(*events)),
-        infeasible, float(soc_min.min()), float(soc_max.max()),
-    )
+    return _BatchSim(*(np.concatenate(parts) for parts in zip(*events)),
+                     infeasible, float(soc_min.min()), float(soc_max.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def _accumulate_site_power(
     config: FleetConfig,
     n_rows: int = len(SITE_CLASSES),
 ) -> np.ndarray:
-    """Average power per (row, slot) of the 48 h axis, from charge events
+    """Average power per (row, slot) of the simulated axis, from charge events
     given as arrays, each in row ``site`` (``5 k + site`` in a batch's block k).
 
     Events are truncated at the axis ends and prorated within partially
@@ -456,6 +457,11 @@ def _bundle_from_site_power(site_power: np.ndarray, config: FleetConfig) -> Site
 
 @dataclass
 class ForecastResult:
+    """A run's counters and reported bundle. Of the :meth:`summary` keys, ``n_events``,
+    ``infeasible_trips``, ``event_energy_kwh``, ``site_energy_full_horizon_kwh``, ``soc_min``
+    and ``soc_max`` count every simulated day; ``reported_window`` and ``station_energy_kwh``
+    cover the reported (last) day only."""
+
     bundle: SiteLoadBundle
     n_vehicles: int
     n_events: int
@@ -492,7 +498,7 @@ def run_forecast(
     models: ModelSet,
     threads: int = 1,
 ) -> ForecastResult:
-    """Simulate the fleet over 48 h and report the final 24 h load bundle.
+    """Simulate the fleet over ``SIMULATED_DAYS`` days and report the last day's load bundle.
     Neither ``config`` nor ``models`` is checked again: each checked itself when built.
 
     The vehicles run in batches of ``_BATCH_BLOCKS`` blocks. A larger batch
@@ -505,14 +511,10 @@ def run_forecast(
     thread, because a thread pool over blocks measured no gain.
     """
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK
-    n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
-    total_power = np.zeros((len(SITE_CLASSES), n_slots))
-    n_events = 0
-    infeasible = 0
-    soc_min = math.inf
-    soc_max = -math.inf
-    event_energy = 0.0
     n_sites = len(SITE_CLASSES)
+    total_power = np.zeros((n_sites, int(round(HORIZON_MINUTES / config.slot_minutes))))
+    n_events = infeasible = 0
+    soc_min, soc_max, event_energy = math.inf, -math.inf, 0.0
     for first in range(0, n_blocks, _BATCH_BLOCKS):
         blocks = range(first, min(first + _BATCH_BLOCKS, n_blocks))
         sim = _simulate_batch(config, models, blocks)
@@ -531,7 +533,6 @@ def run_forecast(
         soc_max = max(soc_max, sim.soc_max)
 
     dt_h = config.slot_minutes / 60.0
-    site_energy_full = tuple(float(total_power[i].sum() * dt_h) for i in range(len(SITE_CLASSES)))
     return ForecastResult(
         bundle=_bundle_from_site_power(total_power, config),
         n_vehicles=config.n_ev,
@@ -540,5 +541,5 @@ def run_forecast(
         soc_min=None if math.isinf(soc_min) else soc_min,
         soc_max=None if math.isinf(soc_max) else soc_max,
         event_energy_kwh=float(event_energy),
-        site_energy_full_kwh=site_energy_full,
+        site_energy_full_kwh=tuple(float(row.sum() * dt_h) for row in total_power),
     )

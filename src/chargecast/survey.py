@@ -478,9 +478,9 @@ class ChainFeatureDataset:
     ``samples`` is keyed by (chain type, feature name, 1-based index), over
     :func:`feature_keys` of each counted type: the trip-1 ending time (later
     ending times follow from it), the length and average velocity of each
-    trip, and the dwell at each midway site. Trips with zero length or
-    duration are excluded from velocity arrays so that velocity samples stay
-    strictly positive.
+    trip, and the dwell at each midway site. Every trip's duration is positive,
+    and a velocity array holds one value per positive length, in chain order,
+    so that velocity samples stay strictly positive.
     """
 
     counts: dict[ChainType, int] = field(default_factory=dict)
@@ -496,7 +496,8 @@ def extract_features(chains: ChainTable) -> ChainFeatureDataset:
 
     Types enter ``counts`` in CHAIN_TYPES order, as ``load_dataset`` returns
     them. Every type present gets exactly the keys its density model fits;
-    a velocity array may be shorter than the type's count.
+    a velocity array may be shorter than the type's count. A chain trip whose
+    duration is not positive is a ``DataError``.
     """
     trips = chains.trips
     counts: dict[ChainType, int] = {}
@@ -510,7 +511,9 @@ def extract_features(chains: ChainTable) -> ChainFeatureDataset:
         for k in range(ctype.n_trips):
             rows = chains.trip[of_type, k]
             length, duration = trips.length_km[rows], trips.duration[rows]
-            moving = (duration > 0) & (length > 0)
+            if not (duration > 0).all():
+                raise DataError(f"{ctype.label} chain trip {k + 1}: duration is not positive")
+            moving = length > 0
             samples[ctype, FEATURE_LENGTH, k + 1] = length
             samples[ctype, FEATURE_VELOCITY, k + 1] = length[moving] / (duration[moving] / 60.0)
         for m in range(ctype.n_trips - 1):

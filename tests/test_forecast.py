@@ -3,27 +3,28 @@
 import math
 import tracemalloc
 from pathlib import Path
-from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chargecast.forecast
 from chargecast.errors import ConfigurationError, DataError
 from chargecast.forecast import (
     _BATCH_BLOCKS,
-    _MIDWAY_SITE,
-    _N_TRIPS,
     _VEHICLE_BLOCK,
     DAY_MINUTES,
     HORIZON_MINUTES,
+    SIMULATED_DAYS,
     FleetConfig,
     ModelSet,
     _accumulate_site_power,
     _block_rng,
     _bundle_from_site_power,
     _draw_batch_chains,
+    _propagate,
     _simulate_batch,
     charge_duration_hours,
     needs_charge,
@@ -65,19 +66,11 @@ def per_type_models(models):
 
 
 # ---------------------------------------------------------------------------
-# Per-block oracle: the simulation one 256-vehicle block at a time, which
-# the batched ``run_forecast`` must equal bit for bit.
+# Per-block oracle: the draws and reductions one 256-vehicle block at a time,
+# which the batched ``run_forecast`` must equal bit for bit. It drives and
+# charges with ``_propagate``, whose physics the hand-walked vehicles, the
+# acceptance criteria and the fleet properties check on their own.
 # ---------------------------------------------------------------------------
-
-class _BlockSim(NamedTuple):
-    vehicle: np.ndarray
-    site: np.ndarray
-    start_min: np.ndarray
-    duration_min: np.ndarray
-    infeasible: int
-    soc_min: float
-    soc_max: float
-
 
 def _draw_chains(rng, ctype, type_models):
     """``(end1, lengths, velocity, dwells)`` of one block's chains: per chain
@@ -108,65 +101,17 @@ def _simulate_block(config, proportions, type_models, block):
     from ``_block_rng(seed, block)``."""
     first = block * _VEHICLE_BLOCK
     b = min(first + _VEHICLE_BLOCK, config.n_ev) - first
-    u, c_ev, p_chg = config.u_kwh_per_km, config.c_ev_kwh, config.p_charging_kw
-    reserve = config.soc_reserve
     rng = _block_rng(config.seed, block)
-
     owner = rng.random(b) < config.p_own
     soc = np.where(owner, 1.0, 0.5 + 0.5 * rng.random(b))
-    ctype = np.minimum(
-        np.searchsorted(np.cumsum(proportions), rng.random(3 * b), side="right"),
-        max(type_models),
-    )
-    end1, lengths, velocity, dwells = _draw_chains(rng, ctype, type_models)
-    drive_min = 60.0 * lengths / velocity
-
-    n_trips = _N_TRIPS[ctype]
-    midway = _MIDWAY_SITE[ctype]
-    vehicle = np.arange(b)
-    home = np.full(b, SiteClass.H.index)
-    soc_min = soc
-    soc_max = soc
-    infeasible = 0
-    events = []
-
-    def charge(trigger, site, start, stay_min):
-        nonlocal soc, soc_max
-        dur_h = charge_duration_hours(soc, stay_min / 60.0, c_ev, p_chg)
-        fire = trigger & (dur_h > 0)
-        events.append((vehicle[fire], site[fire], start[fire], dur_h[fire] * 60.0))
-        soc = np.where(fire, np.minimum(1.0, soc + dur_h * p_chg / c_ev), soc)
-        soc_max = np.maximum(soc_max, soc)
-
-    for day in (0, 1):
-        cur = slice(day * b, (day + 1) * b)
-        nxt = slice((day + 1) * b, (day + 2) * b)
-        end_t = DAY_MINUTES * day + end1[cur]
-        for t in range(3):
-            if t > 0:
-                end_t = end_t + dwells[t - 1, cur] + drive_min[t, cur]
-            soc, flag = soc_after_trip(soc, lengths[t, cur], u, c_ev)
-            infeasible += int(np.count_nonzero(flag))
-            soc_min = np.minimum(soc_min, soc)
-            if t < 2:
-                trigger = (t < n_trips[cur] - 1) & needs_charge(
-                    soc, lengths[t + 1, cur], u, c_ev, reserve
-                )
-                charge(trigger, midway[cur, t], end_t, dwells[t, cur])
-        next_start = DAY_MINUTES * (day + 1) + end1[nxt] - drive_min[0, nxt]
-        trigger = ~owner & needs_charge(soc, lengths[0, nxt], u, c_ev, reserve)
-        charge(trigger, home, end_t, np.maximum(0.0, next_start - end_t))
-        soc = np.where(owner, 1.0, soc)
-        soc_max = np.where(owner, 1.0, soc_max)
-
-    return _BlockSim(
-        *(np.concatenate(parts) for parts in zip(*events)),
-        infeasible, float(soc_min.min()), float(soc_max.max()),
-    )
+    uniforms = rng.random((SIMULATED_DAYS + 1) * b)  # a chain type per day and the lookahead
+    ctype = np.minimum(np.searchsorted(np.cumsum(proportions), uniforms, side="right"),
+                       max(type_models))
+    return _propagate(config, owner, soc, ctype, *_draw_chains(rng, ctype, type_models))
 
 
 def oracle_forecast(config, models):
-    """``(site power on the 48 h axis, n_events, event_energy_kwh,
+    """``(site power on the simulated axis, n_events, event_energy_kwh,
     infeasible_trips, soc_min, soc_max)``, reduced block by block."""
     type_models = per_type_models(models)
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
@@ -490,7 +435,7 @@ class TestRunForecast:
         else:
             ctype = rng.choice(types, 3 * n)
         rngs = [np.random.default_rng(b) for b in (2, 3, 4)]
-        got = _draw_batch_chains(rngs, ctype, fixture_models)
+        got = _draw_batch_chains(rngs, ctype, block, fixture_models)
 
         end1 = np.empty(ctype.size)
         lengths, velocity = np.zeros((3, ctype.size)), np.ones((3, ctype.size))
@@ -552,7 +497,8 @@ class TestRunForecast:
         }
         # 30 vehicles in one block: 90 chains, 15 of every type in use.
         ctype = np.random.default_rng(3).permutation(np.repeat(sorted(type_models), 15))
-        got = _draw_batch_chains([np.random.default_rng(9)], ctype, fixture_models)
+        got = _draw_batch_chains([np.random.default_rng(9)], ctype, np.zeros_like(ctype),
+                                 fixture_models)
         want = _draw_chains(np.random.default_rng(9), ctype, type_models)
         for forecast, artifacts in zip(got, want):
             assert np.array_equal(forecast, artifacts)
@@ -616,15 +562,17 @@ class TestFleetProperties:
         )})),
         p_own=st.sampled_from([0.0, 0.5, 1.0]),
         seed=st.integers(0, 2**63 - 1),
+        batch=st.sampled_from([1, 2, 3, _BATCH_BLOCKS]),
     )
-    def test_batched_run_equals_per_block_oracle(self, fixture_models, n_ev, p_own, seed):
-        """Batching changes no bit of any result: the curves and counters of
-        ``run_forecast`` equal the per-block oracle's."""
+    def test_batched_run_equals_per_block_oracle(self, fixture_models, n_ev, p_own, seed, batch):
+        """Batching, at any batch size, changes no bit of any result: the
+        curves and counters of ``run_forecast`` equal the per-block oracle's."""
         config = FleetConfig(n_ev=n_ev, p_own=p_own, q_pro=Q_DEFAULT, seed=seed)
         power, n_events, event_energy, infeasible, soc_min, soc_max = oracle_forecast(
             config, fixture_models
         )
-        result = run_forecast(config, fixture_models)
+        with mock.patch.object(chargecast.forecast, "_BATCH_BLOCKS", batch):
+            result = run_forecast(config, fixture_models)
         expected = _bundle_from_site_power(power, config)
         assert np.array_equal(result.bundle.site_power_kw, expected.site_power_kw)
         assert np.array_equal(result.bundle.station.power_kw, expected.station.power_kw)

@@ -432,6 +432,17 @@ class TestExtractFeatures:
         assert ds.samples[ctype, FEATURE_END_TIME, 1].tolist() == [540.0]
         assert ds.samples[ctype, FEATURE_DWELL, 1].tolist() == [510.0]
 
+    @pytest.mark.parametrize("dur", [0.0, -30.0, math.nan])
+    def test_trip_without_duration_is_data_error(self, dur):
+        """A chain trip whose duration is not positive has no velocity, so its
+        positive length would leave a manifest that ``load_dataset`` rejects."""
+        trips = table(
+            trip(start=480, end=510, dur=dur, km=10.0, dest=SiteClass.W),
+            trip(start=1020, end=1050, km=10.0, dest=SiteClass.H),
+        )
+        with pytest.raises(DataError, match="H-W-H chain trip 1: duration is not positive"):
+            extract_features(build_chains(trips))
+
     def test_empty_chain_list(self):
         ds = extract_features(build_chains(table()))
         assert ds.total_chains == 0
