@@ -138,12 +138,11 @@ def cmd_ingest(config: PipelineConfig) -> ChainFeatureDataset:
     return dataset
 
 
-def cmd_forecast(config: PipelineConfig, dataset: ChainFeatureDataset | None = None) -> None:
-    """Fit and simulate from ``dataset``, or else from the manifest under
-    ``paths.dataset_dir`` (by default the ingest output directory)."""
-    if dataset is None:
-        dataset = load_dataset(config.dataset_dir or (config.out_dir / "ingest"))
-    models = ModelSet.from_dataset(dataset)
+def cmd_forecast(config: PipelineConfig, models: ModelSet | None = None) -> None:
+    """Simulate with ``models``, or else with models fitted to the manifest
+    under ``paths.dataset_dir`` (by default the ingest output directory)."""
+    if models is None:
+        models = ModelSet.from_dataset(load_dataset(config.dataset_dir or config.out_dir / "ingest"))
     result = run_forecast(config.fleet, models, threads=config.threads)
 
     out = _stage_dir(config, "forecast")
@@ -187,13 +186,13 @@ def cmd_schedule(config: PipelineConfig) -> None:
 def cmd_pipeline(config: PipelineConfig) -> None:
     """Each stage consumes what the previous one just produced, never the
     standalone-stage inputs ``paths.dataset_dir`` / ``paths.load_curve``, so
-    the stages run and echo a config without them. Forecast takes ingest's
-    dataset in memory, as ``load_dataset`` would read it back."""
+    the stages run and echo a config without them. Forecast takes the models
+    fitted to ingest's dataset in memory, as ``load_dataset`` would read it back."""
     # Too many slots or a tariff boundary inside a forecast slot fails here, before any writes.
     check_horizon(config.horizon_days, config.fleet.slot_minutes)
     config.tariff.slot_prices(config.fleet.slot_minutes, 1440 // config.fleet.slot_minutes)
     config = replace(config, dataset_dir=None, load_curve=None)
-    cmd_forecast(config, dataset=cmd_ingest(config))
+    cmd_forecast(config, ModelSet.from_dataset(cmd_ingest(config)))  # frees the dataset once fitted
     cmd_schedule(config)
 
 

@@ -35,18 +35,18 @@ from .errors import ConfigurationError, DataError
 from .kde import KdeModel, fit_kde, invert, overflow_as_data_error
 from .survey import (
     CHAIN_TYPES,
+    FEATURE_DURATION,
     FEATURE_DWELL,
     FEATURE_END_TIME,
     FEATURE_LENGTH,
-    FEATURE_VELOCITY,
     SITE_CLASSES,
     ChainFeatureDataset,
     ChainType,
     SiteClass,
     chain_type_proportions,
-    feature_keys,
     sample_key,
 )
+from .survey import feature_keys as column_keys
 
 DAY_MINUTES = 1440.0
 SIMULATED_DAYS = 2        # the one owner of the simulated day count
@@ -54,6 +54,7 @@ HORIZON_MINUTES = SIMULATED_DAYS * DAY_MINUTES
 _VEHICLE_BLOCK = 256      # fixed RNG-stream and reduction granularity
 _BATCH_BLOCKS = 5         # blocks simulated with one set of array operations
 _MIN_VELOCITY_KMH = 1.0   # lower end of every velocity model's support
+FEATURE_VELOCITY = "velocity_kmh"  # derived from the manifest, in ModelSet.from_dataset alone
 _MAX_N_EV = 1_000_000     # about 4 s of simulation at the case study's 0.04 s per 10,000 EVs
 
 
@@ -192,6 +193,13 @@ def charge_duration_hours(soc, t_stay_hours, c_ev_kwh: float, p_charging_kw: flo
 # Fitted model bundle
 # ---------------------------------------------------------------------------
 
+def feature_keys(chain_type: ChainType) -> list[tuple[str, int]]:
+    """(feature, 1-based index) of each model of a chain type, in draw order: its
+    manifest columns, with each trip's average velocity in place of its duration."""
+    return [(FEATURE_VELOCITY if feature == FEATURE_DURATION else feature, index)
+            for feature, index in column_keys(chain_type)]
+
+
 def _feature_support(feature: str, index: int, max_value: float) -> tuple[float, float]:
     if feature == FEATURE_END_TIME and index == 1:
         # Trip 1 ends within its day; widen in whole days only if the data
@@ -220,20 +228,24 @@ class ModelSet:
                 self.get(CHAIN_TYPES[k], *key)
 
     @classmethod
+    @np.errstate(divide="ignore", over="ignore")  # fit_kde rejects a tiny duration's inf velocity
     def from_dataset(cls, dataset: ChainFeatureDataset) -> "ModelSet":
-        proportions = chain_type_proportions(dataset)
+        """Fit each counted type's models; this alone derives velocity, trip k's
+        as ``length / (duration / 60.0)`` over the chains whose trip k has length > 0."""
         models: dict[tuple[ChainType, str, int], KdeModel] = {}
-        for ctype, count in dataset.counts.items():
-            if count <= 0:
-                continue
-            for feature, index in feature_keys(ctype):
-                samples = dataset.samples.get((ctype, feature, index), ())
+        for ctype in dataset.counts:
+            for feature, index in column_keys(ctype):
+                samples = dataset.samples[ctype, feature, index]
+                if feature == FEATURE_DURATION:  # the trip's velocity model takes its place
+                    length = dataset.samples[ctype, FEATURE_LENGTH, index]
+                    moving = length > 0
+                    feature, samples = FEATURE_VELOCITY, length[moving] / (samples[moving] / 60.0)
                 try:  # an empty array reaches fit_kde, which rejects it
                     support = _feature_support(feature, index, np.max(samples, initial=0.0))
                     models[(ctype, feature, index)] = fit_kde(samples, support)
                 except DataError as exc:
                     raise DataError(f"{ctype.label} {feature} #{index}: {exc}") from None
-        return cls(proportions, models)
+        return cls(chain_type_proportions(dataset), models)
 
     def get(self, ctype: ChainType, feature: str, index: int) -> KdeModel:
         try:
@@ -244,13 +256,14 @@ class ModelSet:
             ) from None
 
     def save(self, path: str | Path) -> None:
-        """Write the bandwidth and support (``null`` for an infinite end) of
-        each model under its :func:`sample_key`; the support is the interval
-        every draw lies in. The samples and proportions are the dataset
-        manifest's: a reader rebuilds a model as ``KdeModel(samples[key],
-        bandwidth, support)``, which draws as the forecast does. The file is
-        valid only with the manifest this run read: the ``paths.dataset_dir``
-        that ``forecast/summary.json`` echoes, else ``<out>/ingest``."""
+        """Write the bandwidth and support (``null`` for an infinite end) of each
+        model under its :func:`sample_key`; the support is the interval every draw
+        lies in. The samples and proportions are the dataset manifest's: a reader
+        rebuilds a model as ``KdeModel(samples[key], bandwidth, support)``, which
+        draws as the forecast does, a velocity model's samples being its trip's
+        ``length_km / (duration_min / 60.0)`` over the positive lengths, in column
+        order. The file is valid only with the manifest this run read: the
+        ``paths.dataset_dir`` that ``forecast/summary.json`` echoes, else ``<out>/ingest``."""
         models = {}
         for key, model in self.models.items():
             support = [float(v) if math.isfinite(v) else None for v in model.support]

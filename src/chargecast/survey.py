@@ -4,12 +4,12 @@ Every stage works on numpy columns. ``parse_records`` reads a trip CSV
 (NHTS-style column layout) in chunks into a :class:`TripTable` of validated
 trips; ``build_chains`` orders each vehicle-day, unwraps midnight and cuts
 home-closed chains of 2..3 trips into a :class:`ChainTable`; and
-``extract_features`` gathers the per-chain-type sample arrays the density
-models fit: trip-1 ending time, per-trip length and average velocity, and
-per-midway dwell duration. ``save_dataset`` and ``load_dataset`` keep the
-counts, the proportions and those arrays in one JSON manifest, keyed by
-:func:`sample_key`. It is their one artifact: ``forecast/models.json`` adds
-only each fitted model's bandwidth and support under the same keys.
+``extract_features`` gathers each chain type's columns, one observed value per
+chain: trip-1 ending time, per-trip length and duration, and per-midway dwell.
+``save_dataset`` and ``load_dataset`` keep the counts, the proportions and
+those columns in one JSON manifest, keyed by :func:`sample_key`. It is their
+one artifact: ``forecast/models.json`` adds each fitted model's bandwidth and
+support under the same keys, a trip's velocity model in place of its duration.
 
 Rejected rows and dropped trip sequences are never silently discarded; they
 are counted in an :class:`IngestDiagnostics` summary.
@@ -457,30 +457,29 @@ def build_chains(
 
 FEATURE_END_TIME = "end_time_min"
 FEATURE_LENGTH = "length_km"
-FEATURE_VELOCITY = "velocity_kmh"
+FEATURE_DURATION = "duration_min"
 FEATURE_DWELL = "dwell_min"
 
 
 def feature_keys(chain_type: ChainType) -> list[tuple[str, int]]:
-    """(feature, 1-based index) of every sample array a chain type has, in
-    the order the forecast draws them: the trip-1 ending time, each trip's
-    length and velocity, then each midway dwell."""
+    """(feature, 1-based index) of every manifest column a chain type has:
+    the trip-1 ending time, each trip's length and duration, then each
+    midway dwell."""
     keys = [(FEATURE_END_TIME, 1)]
     for t in range(1, chain_type.n_trips + 1):
-        keys += [(FEATURE_LENGTH, t), (FEATURE_VELOCITY, t)]
+        keys += [(FEATURE_LENGTH, t), (FEATURE_DURATION, t)]
     return keys + [(FEATURE_DWELL, m) for m in range(1, chain_type.n_trips)]
 
 
 @dataclass
 class ChainFeatureDataset:
-    """Per-chain-type sample arrays for density fitting.
+    """A chain table: per chain type, one column of observed values per feature.
 
     ``samples`` is keyed by (chain type, feature name, 1-based index), over
     :func:`feature_keys` of each counted type: the trip-1 ending time (later
-    ending times follow from it), the length and average velocity of each
-    trip, and the dwell at each midway site. Every trip's duration is positive,
-    and a velocity array holds one value per positive length, in chain order,
-    so that velocity samples stay strictly positive.
+    ending times follow from it), the length and duration of each trip, and
+    the dwell at each midway site. Each column holds the type's ``counts``
+    values, entry i from its chain i, and every duration is positive.
     """
 
     counts: dict[ChainType, int] = field(default_factory=dict)
@@ -492,14 +491,13 @@ class ChainFeatureDataset:
 
 
 def extract_features(chains: ChainTable) -> ChainFeatureDataset:
-    """Per-(type, feature, index) sample arrays, in chain order within each.
+    """Per-(type, feature, index) columns, in chain order within each.
 
     Types enter ``counts`` in CHAIN_TYPES order, as ``load_dataset`` returns
-    them. Every type present gets exactly the keys its density model fits;
-    a velocity array may be shorter than the type's count. A chain trip whose
-    duration is not positive is a ``DataError``.
+    them. Every type present gets exactly its :func:`feature_keys`, each
+    column one value per chain. A chain trip whose duration is not positive
+    is a ``DataError``.
     """
-    trips = chains.trips
     counts: dict[ChainType, int] = {}
     samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
     for i, ctype in enumerate(CHAIN_TYPES):
@@ -510,12 +508,10 @@ def extract_features(chains: ChainTable) -> ChainFeatureDataset:
         samples[ctype, FEATURE_END_TIME, 1] = chains.end_time[of_type, 0]
         for k in range(ctype.n_trips):
             rows = chains.trip[of_type, k]
-            length, duration = trips.length_km[rows], trips.duration[rows]
+            samples[ctype, FEATURE_LENGTH, k + 1] = chains.trips.length_km[rows]
+            samples[ctype, FEATURE_DURATION, k + 1] = duration = chains.trips.duration[rows]
             if not (duration > 0).all():
                 raise DataError(f"{ctype.label} chain trip {k + 1}: duration is not positive")
-            moving = length > 0
-            samples[ctype, FEATURE_LENGTH, k + 1] = length
-            samples[ctype, FEATURE_VELOCITY, k + 1] = length[moving] / (duration[moving] / 60.0)
         for m in range(ctype.n_trips - 1):
             samples[ctype, FEATURE_DWELL, m + 1] = chains.dwell[of_type, m]
     return ChainFeatureDataset(counts, samples)
@@ -537,6 +533,7 @@ def chain_type_proportions(dataset: ChainFeatureDataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MANIFEST_NAME = "manifest.json"
+_SCHEMA = "chain-feature-dataset/v2"
 
 # Sample values written per step: a step's floats and their reprs are the only
 # Python objects the manifest's arrays make.
@@ -546,12 +543,6 @@ _WRITE_VALUES = 1024
 def sample_key(chain_type: ChainType, feature: str, index: int) -> str:
     """Name of one sample array, in the ingest manifest and in ``models.json``."""
     return f"{chain_type.label}__{feature}__{index}"
-
-
-# Every name a manifest may hold: one of a chain type's feature keys.
-_SAMPLE_KEYS: dict[str, tuple[ChainType, str, int]] = {
-    sample_key(t, *key): (t, *key) for t in CHAIN_TYPES for key in feature_keys(t)
-}
 
 
 def save_dataset(
@@ -566,7 +557,7 @@ def save_dataset(
     total = dataset.total_chains
     proportions = chain_type_proportions(dataset) if total > 0 else np.zeros(len(CHAIN_TYPES))
     manifest = {
-        "schema": "chain-feature-dataset/v1",
+        "schema": _SCHEMA,
         "chain_type_order": [t.label for t in CHAIN_TYPES],
         "counts": {t.label: dataset.counts.get(t, 0) for t in CHAIN_TYPES},
         "total_chains": total,
@@ -598,11 +589,11 @@ def save_dataset(
 def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
     """Load a dataset written by :func:`save_dataset`.
 
-    A manifest that is not JSON, lacks ``counts`` or ``samples``, names an
-    unknown chain type, holds an array that is not one of a counted type's
-    :func:`feature_keys` or not a flat list of finite numbers, or lacks one
-    of them or one number per counted chain (``velocity_kmh #k``: one per
-    positive ``length_km #k``) is a DataError naming the file and array.
+    A manifest that is not JSON of schema ``chain-feature-dataset/v2`` with
+    ``counts`` and ``samples``, names an unknown chain type, lacks one of a
+    counted type's :func:`feature_keys` columns or holds any other array, or
+    has a column that is not ``count`` finite numbers or a duration that is
+    not positive, is a DataError naming the file and the schema or array.
     """
     path = Path(in_dir) / _MANIFEST_NAME
     if not path.is_file():
@@ -613,30 +604,27 @@ def load_dataset(in_dir: str | Path) -> ChainFeatureDataset:
         if not (isinstance(manifest, dict)
                 and all(isinstance(manifest.get(k), dict) for k in ("counts", "samples"))):
             raise ValueError("expected an object with 'counts' and 'samples' objects")
+        if manifest.get("schema") != _SCHEMA:
+            raise ValueError(f"schema {manifest.get('schema')!r} is not {_SCHEMA!r}")
         counts = {chain_type_from_label(label): n for label, n in manifest["counts"].items()}
         if not all(type(n) is int and n >= 0 for n in counts.values()):
             raise ValueError("a chain-type count is not a non-negative integer")
         counts = {ctype: n for ctype, n in counts.items() if n}
+        columns = manifest["samples"]
         samples: dict[tuple[ChainType, str, int], np.ndarray] = {}
-        for name, values in manifest["samples"].items():
-            key = _SAMPLE_KEYS.get(name)
-            if key is None or key[0] not in counts:
-                raise ValueError(f"sample array {name!r} is not an array of a counted chain type")
-            if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
-                raise ValueError(f"sample array {name} is not a flat list of numbers")
-            array = np.array(values, dtype=float)
-            if not np.isfinite(array).all():
-                raise ValueError(f"sample array {name} has a non-finite value")
-            samples[key] = array
         for ctype, count in counts.items():
             for feature, index in feature_keys(ctype):
-                key = (ctype, feature, index)
-                if key not in samples:
-                    raise ValueError(f"no sample array {sample_key(*key)}")
-                size = (count if feature != FEATURE_VELOCITY  # one velocity per trip that moved
-                        else np.count_nonzero(samples[ctype, FEATURE_LENGTH, index] > 0))
-                if len(samples[key]) != size:
-                    raise ValueError(f"sample array {sample_key(*key)} does not hold {size} numbers")
+                name = sample_key(ctype, feature, index)
+                values = columns.pop(name, None)
+                if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+                    raise ValueError(f"sample array {name} is missing or not a flat list of numbers")
+                array = samples[ctype, feature, index] = np.array(values, dtype=float)
+                if len(array) != count or not np.isfinite(array).all():
+                    raise ValueError(f"sample array {name} does not hold {count} finite numbers")
+                if feature == FEATURE_DURATION and not (array > 0).all():
+                    raise ValueError(f"sample array {name} holds a duration that is not positive")
+        if columns:
+            raise ValueError(f"sample array {next(iter(columns))!r} is not of a counted chain type")
     except (ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed dataset manifest {path}: {exc}") from None
     return ChainFeatureDataset(counts=counts, samples=samples)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from chargecast.forecast import ModelSet
+from chargecast.forecast import FEATURE_VELOCITY, ModelSet
 from chargecast.kde import KdeModel
 from chargecast.survey import (
     CHAIN_TYPE_INDEX,
+    FEATURE_DURATION,
+    FEATURE_LENGTH,
     IngestDiagnostics,
     build_chains,
     extract_features,
@@ -66,9 +68,17 @@ def fixture_models(fixture_ingest) -> ModelSet:
 
 def rebuilt_models(dataset_dir, models_json) -> tuple[dict, dict[str, KdeModel]]:
     """The ``models.json`` document and each model in it, rebuilt as a reader
-    does: the samples from the manifest under ``dataset_dir``, the bandwidth
-    and support from the model's entry (``null`` for an infinite end)."""
-    samples = {sample_key(*key): values for key, values in load_dataset(dataset_dir).samples.items()}
+    does: the samples from the manifest under ``dataset_dir`` (a velocity
+    model's as its trip's length over duration / 60, where the length is
+    positive), the bandwidth and support from the model's entry (``null`` for
+    an infinite end)."""
+    columns = load_dataset(dataset_dir).samples
+    samples = {sample_key(*key): values for key, values in columns.items()}
+    for (ctype, feature, index), length in columns.items():
+        if feature == FEATURE_LENGTH:
+            duration = columns[ctype, FEATURE_DURATION, index]
+            velocity = length[length > 0] / (duration[length > 0] / 60.0)
+            samples[sample_key(ctype, FEATURE_VELOCITY, index)] = velocity
     doc = json.loads(Path(models_json).read_text())
     models = {}
     for key, entry in doc["models"].items():
@@ -85,13 +95,7 @@ def point_model(value: float, support=(0.0, math.inf)) -> KdeModel:
 
 def point_model_set(chain_type, end1, lengths, velocities, dwells) -> ModelSet:
     """ModelSet whose every draw reproduces one fixed chain realization."""
-    from chargecast.survey import (
-        CHAIN_TYPES,
-        FEATURE_DWELL,
-        FEATURE_END_TIME,
-        FEATURE_LENGTH,
-        FEATURE_VELOCITY,
-    )
+    from chargecast.survey import CHAIN_TYPES, FEATURE_DWELL, FEATURE_END_TIME
 
     proportions = np.zeros(len(CHAIN_TYPES))
     proportions[CHAIN_TYPE_INDEX[chain_type]] = 1.0

@@ -30,7 +30,7 @@ from conftest import FIXTURE_CHAIN_COUNTS, rebuilt_models
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
 REPO_ROOT = Path(__file__).resolve().parents[1]
 _ARRAY = "H-W-H__length_km__1"
-_VELOCITY_2 = "H-W-H__velocity_kmh__2"
+_DURATION_2 = "H-W-H__duration_min__2"
 
 
 def _edit(change):
@@ -442,14 +442,16 @@ class TestForecastCommand:
         _edit(lambda m: m["samples"].update({"H-W-H__dwell_min__2": [1.0]})),
         _edit(lambda m: m["samples"].update({"H-W-W-H__length_km__1": [1.0]})),
         _edit(lambda m: m["samples"].update({_ARRAY: m["samples"][_ARRAY][:3]})),
-        _edit(lambda m: m["samples"].update({_VELOCITY_2: m["samples"][_VELOCITY_2] * 3})),
-        _edit(lambda m: m["samples"][_ARRAY].__setitem__(0, 0.0)),
+        _edit(lambda m: m["samples"].update({_DURATION_2: m["samples"][_DURATION_2][1:]})),
+        _edit(lambda m: m["samples"][_DURATION_2].__setitem__(0, 0.0)),
+        # Positive, but zero once divided by 60: the derived velocity is inf.
+        _edit(lambda m: m["samples"][_DURATION_2].__setitem__(0, 5e-324)),
     ], ids=[
         "missing_array", "non_numeric_value", "null_value", "not_json", "no_counts",
         "no_samples", "unknown_label", "non_finite_value", "huge_integer", "string_count",
         "not_an_object", "end_time_2", "dwell_past_last_midway", "uncounted_type",
-        "fewer_samples_than_chains", "more_velocities_than_chains",
-        "velocity_of_a_zero_length_trip",
+        "fewer_samples_than_chains", "fewer_durations_than_chains", "nonpositive_duration",
+        "tiny_duration",
     ])
     def test_malformed_manifest_is_data_error(self, tmp_path, fixture_csv_path, capsys, corrupt):
         config = write_config(tmp_path, fixture_csv_path)

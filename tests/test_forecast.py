@@ -16,6 +16,7 @@ from chargecast.forecast import (
     _BATCH_BLOCKS,
     _VEHICLE_BLOCK,
     DAY_MINUTES,
+    FEATURE_VELOCITY,
     HORIZON_MINUTES,
     SIMULATED_DAYS,
     FleetConfig,
@@ -27,6 +28,7 @@ from chargecast.forecast import (
     _propagate,
     _simulate_batch,
     charge_duration_hours,
+    feature_keys,
     needs_charge,
     run_forecast,
     soc_after_trip,
@@ -35,13 +37,13 @@ from chargecast.forecast import (
 from chargecast.kde import invert
 from chargecast.survey import (
     CHAIN_TYPES,
+    FEATURE_DURATION,
     FEATURE_DWELL,
     FEATURE_END_TIME,
     FEATURE_LENGTH,
-    FEATURE_VELOCITY,
+    ChainFeatureDataset,
     SiteClass,
     chain_type_from_label,
-    feature_keys,
     sample_key,
 )
 from conftest import point_model_set, rebuilt_models
@@ -519,6 +521,18 @@ class TestRunForecast:
         # A trip's energy overflows, where numpy would only warn.
         with pytest.raises(DataError, match="too large"):
             run_forecast(FleetConfig(n_ev=300, u_kwh_per_km=1e308), fixture_models)
+
+    @pytest.mark.parametrize("duration", [5e-324, 1e-310], ids=["zero_divisor", "overflow"])
+    def test_tiny_duration_is_data_error_naming_its_model(self, fixture_ingest, duration):
+        """A positive duration that dividing by 60 zeroes, or that a length
+        divided by overflows, gives an inf velocity, which the fit refuses."""
+        _, _, dataset, _ = fixture_ingest
+        key = (chain_type_from_label("H-W-H"), FEATURE_DURATION, 2)
+        column = dataset.samples[key].copy()
+        column[0] = duration
+        tiny = ChainFeatureDataset(dataset.counts, {**dataset.samples, key: column})
+        with pytest.raises(DataError, match="^H-W-H velocity_kmh #2: "):
+            ModelSet.from_dataset(tiny)
 
 
 class TestFleetProperties:

@@ -14,7 +14,7 @@ from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
 from chargecast.errors import DataError
-from chargecast.forecast import ModelSet
+from chargecast.forecast import FEATURE_VELOCITY, ModelSet, feature_keys
 from chargecast.kde import (
     _AS241_CENTRAL,
     _AS241_FAR,
@@ -27,13 +27,12 @@ from chargecast.kde import (
 from chargecast.survey import (
     CHAIN_TYPES,
     FEATURE_END_TIME,
-    FEATURE_VELOCITY,
     ChainFeatureDataset,
     chain_type_proportions,
-    feature_keys,
     sample_key,
     save_dataset,
 )
+from chargecast.survey import feature_keys as column_keys
 from conftest import rebuilt_models
 
 
@@ -419,10 +418,10 @@ class TestValidationAndSerialization:
     def test_round_trip_preserves_unbounded_support(self, tmp_path):
         ctype = CHAIN_TYPES[0]
         dataset = ChainFeatureDataset(
-            {ctype: 2}, {(ctype, *key): np.array([1.0, 2.0]) for key in feature_keys(ctype)}
+            {ctype: 2}, {(ctype, *key): np.array([1.0, 2.0]) for key in column_keys(ctype)}
         )
         models = ModelSet(chain_type_proportions(dataset),
-                          {key: fit_kde(values) for key, values in dataset.samples.items()})
+                          {(ctype, *key): fit_kde([1.0, 2.0]) for key in feature_keys(ctype)})
         doc, loaded = self._save_and_rebuild(tmp_path, dataset, models)
         for key, model in models.models.items():
             assert doc["models"][sample_key(*key)]["support"] == [None, None]

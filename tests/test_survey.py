@@ -20,17 +20,18 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from chargecast import survey
+from chargecast import forecast, survey
 from chargecast.errors import ConfigurationError, DataError
+from chargecast.forecast import FEATURE_VELOCITY, ModelSet
 from chargecast.survey import (
     CHAIN_TYPE_INDEX,
     CHAIN_TYPES,
     DEFAULT_COLUMN_MAP,
     DEFAULT_DESTINATION_MAP,
+    FEATURE_DURATION,
     FEATURE_DWELL,
     FEATURE_END_TIME,
     FEATURE_LENGTH,
-    FEATURE_VELOCITY,
     MILES_TO_KM,
     SITE_CLASSES,
     ChainFeatureDataset,
@@ -422,13 +423,15 @@ class TestBuildChains:
 
 class TestExtractFeatures:
     def test_velocity_sample(self):
+        """The dataset holds the trip's duration; the fit derives its velocity."""
         trips = table(
             trip(start=510, end=540, dur=30, km=30.0, dest=SiteClass.W),
             trip(start=1050, end=1080, dest=SiteClass.H),
         )
         ds = extract_features(build_chains(trips))
         ctype = chain_type_from_label("H-W-H")
-        assert ds.samples[ctype, FEATURE_VELOCITY, 1].tolist() == [60.0]
+        assert ds.samples[ctype, FEATURE_DURATION, 1].tolist() == [30.0]
+        assert ModelSet.from_dataset(ds).get(ctype, FEATURE_VELOCITY, 1).samples.tolist() == [60.0]
         assert ds.samples[ctype, FEATURE_END_TIME, 1].tolist() == [540.0]
         assert ds.samples[ctype, FEATURE_DWELL, 1].tolist() == [510.0]
 
@@ -596,19 +599,48 @@ class TestDatasetSerialization:
 
     @pytest.mark.parametrize("name, edit", [
         ("H-W-H__length_km__1", lambda values: values[:3]),
-        ("H-W-H__velocity_kmh__2", lambda values: values * 3),
-        ("H-W-H__velocity_kmh__1", lambda values: values[1:]),
-    ], ids=["short_length", "long_velocity", "short_velocity"])
+        ("H-W-H__duration_min__2", lambda values: values * 3),
+        ("H-W-H__duration_min__1", lambda values: values[1:]),
+    ], ids=["short_length", "long_duration", "short_duration"])
     def test_arrays_must_line_up_with_the_counts(self, fixture_ingest, tmp_path, name, edit):
-        """Each array holds one number per counted chain, and ``velocity_kmh #k``
-        one per positive ``length_km #k``; a manifest that breaks this names
-        its file and the array."""
+        """Each array holds one number per counted chain; a manifest that
+        breaks this names its file and the array."""
         _, _, dataset, _ = fixture_ingest
         path = save_dataset(dataset, tmp_path)
         manifest = json.loads(path.read_text())
         manifest["samples"][name] = edit(manifest["samples"][name])
         path.write_text(json.dumps(manifest))
         message = re.escape(f"{path}: sample array {name} does not hold")
+        with pytest.raises(DataError, match=message) as info:
+            load_dataset(tmp_path)
+        assert info.value.exit_code == 3
+
+    @pytest.mark.parametrize("duration", [0.0, -30.0])
+    def test_durations_must_be_positive(self, fixture_ingest, tmp_path, duration):
+        _, _, dataset, _ = fixture_ingest
+        path = save_dataset(dataset, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["samples"]["H-SE-H__duration_min__2"][3] = duration
+        path.write_text(json.dumps(manifest))
+        message = re.escape(f"{path}: sample array H-SE-H__duration_min__2 holds a duration")
+        with pytest.raises(DataError, match=message) as info:
+            load_dataset(tmp_path)
+        assert info.value.exit_code == 3
+
+    def test_v1_manifest_is_data_error(self, fixture_ingest, tmp_path):
+        """A v1 manifest held each trip's velocities, one per positive length,
+        and no durations; it names its file and schema."""
+        _, _, dataset, _ = fixture_ingest
+        path = save_dataset(dataset, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = "chain-feature-dataset/v1"
+        for name in [name for name in manifest["samples"] if "__duration_min__" in name]:
+            length = np.array(manifest["samples"][name.replace("duration_min", "length_km")])
+            duration = np.array(manifest["samples"].pop(name))
+            velocity = length[length > 0] / (duration[length > 0] / 60.0)
+            manifest["samples"][name.replace("duration_min", "velocity_kmh")] = velocity.tolist()
+        path.write_text(json.dumps(manifest))
+        message = re.escape(f"{path}: schema 'chain-feature-dataset/v1' is not")
         with pytest.raises(DataError, match=message) as info:
             load_dataset(tmp_path)
         assert info.value.exit_code == 3
@@ -840,22 +872,25 @@ def _reference_chains(records, diag):
     return chains
 
 
-def _reference_features(chains) -> ChainFeatureDataset:
+def _reference_features(chains) -> tuple[ChainFeatureDataset, dict]:
+    """The chain table, and the velocity samples of each (type, trip) as ingest
+    derived them before the manifest held durations."""
     by_type = {}
     for chain in chains:
         by_type.setdefault(chain[0], []).append(chain)
-    samples = {}
+    samples, velocities = {}, {}
     for ctype, group in by_type.items():
         samples[ctype, FEATURE_END_TIME, 1] = np.array([ends[0] for _, _, ends, _ in group])
         for k in range(ctype.n_trips):
             trips = [c[1][k] for c in group]
             samples[ctype, FEATURE_LENGTH, k + 1] = np.array([t.length_km for t in trips])
-            samples[ctype, FEATURE_VELOCITY, k + 1] = np.array([
+            samples[ctype, FEATURE_DURATION, k + 1] = np.array([t.duration for t in trips])
+            velocities[ctype, FEATURE_VELOCITY, k + 1] = np.array([
                 t.length_km / (t.duration / 60.0) for t in trips if t.duration > 0 and t.length_km > 0
             ])
         for m in range(ctype.n_trips - 1):
             samples[ctype, FEATURE_DWELL, m + 1] = np.array([c[3][m] for c in group])
-    return ChainFeatureDataset({t: len(g) for t, g in by_type.items()}, samples)
+    return ChainFeatureDataset({t: len(g) for t, g in by_type.items()}, samples), velocities
 
 
 def _reference_manifest(dataset, diagnostics=None, provenance=None) -> str:
@@ -864,7 +899,7 @@ def _reference_manifest(dataset, diagnostics=None, provenance=None) -> str:
                    else np.zeros(len(CHAIN_TYPES)))
     order = sorted(dataset.samples, key=lambda k: (CHAIN_TYPE_INDEX[k[0]], k[1], k[2]))
     manifest = {
-        "schema": "chain-feature-dataset/v1",
+        "schema": "chain-feature-dataset/v2",
         "chain_type_order": [t.label for t in CHAIN_TYPES],
         "counts": {t.label: dataset.counts.get(t, 0) for t in CHAIN_TYPES},
         "total_chains": dataset.total_chains,
@@ -882,7 +917,8 @@ def _reference_manifest(dataset, diagnostics=None, provenance=None) -> str:
 
 def _reference_ingest(text: str) -> tuple[str, IngestDiagnostics]:
     diag = IngestDiagnostics()
-    dataset = _reference_features(_reference_chains(_reference_parse(io.StringIO(text), diag), diag))
+    chains = _reference_chains(_reference_parse(io.StringIO(text), diag), diag)
+    dataset, _ = _reference_features(chains)
     return _reference_manifest(dataset, diagnostics=diag), diag
 
 
@@ -947,8 +983,9 @@ def _hhmm(minute: int) -> str:
 @settings(max_examples=100, deadline=None)
 @given(vehicle_days=_VEHICLE_DAYS)
 def test_parse_chains_features_property(vehicle_days):
+    text = _survey_csv(vehicle_days)
     diag = IngestDiagnostics()
-    trips = parse_records(io.StringIO(_survey_csv(vehicle_days)), diagnostics=diag)
+    trips = parse_records(io.StringIO(text), diagnostics=diag)
     assert diag.rows_total == sum(len(trips) for _, trips in vehicle_days)
     assert diag.rows_total == diag.rows_accepted + diag.rows_rejected == len(trips) + diag.rows_rejected
 
@@ -961,12 +998,8 @@ def test_parse_chains_features_property(vehicle_days):
     assert set(dataset.samples) == {
         (ctype, *key) for ctype in dataset.counts for key in feature_keys(ctype)
     }
-    for (ctype, feature, _), values in dataset.samples.items():
-        if feature == FEATURE_VELOCITY:
-            assert len(values) <= dataset.counts[ctype]
-            assert np.all(values > 0)
-        else:
-            assert len(values) == dataset.counts[ctype]
+    for (ctype, _, _), values in dataset.samples.items():
+        assert len(values) == dataset.counts[ctype]
 
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(dataset, tmp, diagnostics=diag)
@@ -975,6 +1008,16 @@ def test_parse_chains_features_property(vehicle_days):
     assert loaded.samples.keys() == dataset.samples.keys()
     for key, values in dataset.samples.items():
         assert np.array_equal(loaded.samples[key], values), key
+
+    # The velocities the fit derives from the manifest are those ingest used to write.
+    _, velocities = _reference_features(_reference_chains(
+        _reference_parse(io.StringIO(text), IngestDiagnostics()), IngestDiagnostics()))
+    if loaded.counts:
+        with mock.patch.object(forecast, "fit_kde", lambda samples, support: samples):
+            derived = ModelSet.from_dataset(loaded).models
+        assert {key for key in derived if key[1] == FEATURE_VELOCITY} == velocities.keys()
+        for key, values in velocities.items():
+            assert np.array_equal(derived[key], values), key
 
 
 # Vehicle-day keys whose string and tuple orders differ, so that a key may
