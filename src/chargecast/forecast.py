@@ -295,6 +295,7 @@ class _BatchSim(NamedTuple):
     start_min: np.ndarray     # absolute minute on the simulation axis
     duration_min: np.ndarray
     infeasible: int
+    clamped_home_stays: int   # vehicle-days whose next day departs before they arrive home
     soc_min: float
     soc_max: float
 
@@ -378,7 +379,7 @@ def _propagate(config: FleetConfig, owner, soc, ctype,
     vehicle = np.arange(n)
     home = np.full(n, SiteClass.H.index)
     soc_min = soc_max = soc
-    infeasible = 0
+    infeasible = clamped = 0
     events = []
 
     def charge(trigger, site, start, stay_min):
@@ -407,12 +408,13 @@ def _propagate(config: FleetConfig, owner, soc, ctype,
 
         # Home arrival; owners recharge overnight off-station, at their post.
         next_start = DAY_MINUTES * (day + 1) + end1[nxt] - drive_min[0, nxt]
+        clamped += int(np.count_nonzero(next_start < end_t))
         trigger = ~owner & needs_charge(soc, lengths[0, nxt], u, c_ev, reserve)
         charge(trigger, home, end_t, np.maximum(0.0, next_start - end_t))
         soc = np.where(owner, 1.0, soc)
 
     return _BatchSim(*(np.concatenate(parts) for parts in zip(*events)),
-                     infeasible, float(soc_min.min()), float(soc_max.max()))
+                     infeasible, clamped, float(soc_min.min()), float(soc_max.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +473,15 @@ def _bundle_from_site_power(site_power: np.ndarray, config: FleetConfig) -> Site
 @dataclass
 class ForecastResult:
     """A run's counters and reported bundle. Of the :meth:`summary` keys, ``n_events``,
-    ``infeasible_trips``, ``event_energy_kwh``, ``site_energy_full_horizon_kwh``, ``soc_min``
-    and ``soc_max`` count every simulated day; ``reported_window`` and ``station_energy_kwh``
-    cover the reported (last) day only."""
+    ``infeasible_trips``, ``clamped_home_stays``, ``event_energy_kwh``,
+    ``site_energy_full_horizon_kwh``, ``soc_min`` and ``soc_max`` count every simulated
+    day; ``reported_window`` and ``station_energy_kwh`` cover the reported (last) day only."""
 
     bundle: SiteLoadBundle
     n_vehicles: int
     n_events: int
     infeasible_trips: int
+    clamped_home_stays: int
     soc_min: float | None
     soc_max: float | None
     event_energy_kwh: float
@@ -494,6 +497,7 @@ class ForecastResult:
             "n_vehicles": self.n_vehicles,
             "n_events": self.n_events,
             "infeasible_trips": self.infeasible_trips,
+            "clamped_home_stays": self.clamped_home_stays,
             "soc_min": self.soc_min,
             "soc_max": self.soc_max,
             "event_energy_kwh": self.event_energy_kwh,
@@ -526,7 +530,7 @@ def run_forecast(
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK
     n_sites = len(SITE_CLASSES)
     total_power = np.zeros((n_sites, int(round(HORIZON_MINUTES / config.slot_minutes))))
-    n_events = infeasible = 0
+    n_events = infeasible = clamped = 0
     soc_min, soc_max, event_energy = math.inf, -math.inf, 0.0
     for first in range(0, n_blocks, _BATCH_BLOCKS):
         blocks = range(first, min(first + _BATCH_BLOCKS, n_blocks))
@@ -542,6 +546,7 @@ def run_forecast(
             event_energy += config.p_charging_kw * float(in_block.sum()) / 60.0
         n_events += sim.site.size
         infeasible += sim.infeasible
+        clamped += sim.clamped_home_stays
         soc_min = min(soc_min, sim.soc_min)
         soc_max = max(soc_max, sim.soc_max)
 
@@ -551,6 +556,7 @@ def run_forecast(
         n_vehicles=config.n_ev,
         n_events=n_events,
         infeasible_trips=infeasible,
+        clamped_home_stays=clamped,
         soc_min=None if math.isinf(soc_min) else soc_min,
         soc_max=None if math.isinf(soc_max) else soc_max,
         event_energy_kwh=float(event_energy),

@@ -215,12 +215,12 @@ _REJECT_REASONS = ("", "unparseable_field", "nonpositive_duration", "negative_le
                    "zero_clock_duration", "end_before_start")
 
 
-def _column(rows: tuple[list[str], ...], cell: int, convert, missing, dtype) -> np.ndarray:
-    """Column ``cell`` of ``rows`` as a ``dtype`` array, each distinct cell
-    converted once by ``convert``; a cell it rejects, or a missing one (a short
-    row), reads as ``missing``. ``convert`` is a builtin, or built on one: they
-    accept what a survey writes (whitespace, '_', any Unicode digits), and
-    numpy's parsers do not."""
+def _encode(rows: tuple[list[str], ...], cell: int, convert, missing, dtype):
+    """Column ``cell`` of ``rows`` as ``(values, codes)``: a ``dtype`` array of its
+    distinct cells, each converted once by ``convert``, and each row's intp index into
+    it. A cell ``convert`` rejects, or a missing one (a short row), reads as ``missing``.
+    ``convert`` is a builtin, or built on one: they accept what a survey writes
+    (whitespace, '_', any Unicode digits), and numpy's parsers do not."""
     cells = [row[cell] if cell < len(row) else None for row in rows]
     value = dict.fromkeys(cells, missing)
     for text in value:
@@ -228,7 +228,14 @@ def _column(rows: tuple[list[str], ...], cell: int, convert, missing, dtype) -> 
             value[text] = convert(text)
         except (ValueError, TypeError):
             pass
-    return np.fromiter(map(value.__getitem__, cells), dtype, len(cells))
+    code = dict(zip(value, range(len(value))))
+    return (np.fromiter(value.values(), dtype, len(value)),
+            np.fromiter(map(code.__getitem__, cells), np.intp, len(cells)))
+
+
+def _column(*args) -> np.ndarray:
+    """:func:`_encode`'s column, one value per row."""
+    return np.take(*_encode(*args))
 
 
 _ID_DTYPE = np.dtypes.StringDType()
@@ -279,13 +286,14 @@ def parse_records(
     ``_REJECT_REASONS`` it fails (a missing cell, blank ID, ID with a lone
     surrogate, or non-finite number or velocity is an ``unparseable_field``).
     Each chunk writes its accepted rows into numpy columns that grow in
-    place. It keeps its rejects as arrays of line numbers and reason codes,
-    which enter ``diagnostics`` after the last chunk, so that no Python
-    object a chunk makes outlives it. Then each key becomes an int64 rank
-    (one stable argsort per ID column) and one lexsort of the ranks numbers
-    the vehicle-days in key order. The cyclic garbage collector is paused
-    meanwhile, since the rows form no cycles and reference counting frees
-    them; the caller's collector state is restored on return.
+    place, an ID as its code into the chunk's distinct IDs (a StringDType
+    array it keeps), and its rejects as arrays of line numbers and reason
+    codes, which enter ``diagnostics`` after the last chunk, so that no Python
+    object a chunk makes outlives it. Then each key becomes an int64 rank (an
+    ID's from one stable argsort of its column's distinct IDs) and one lexsort
+    of the ranks numbers the vehicle-days in key order. The cyclic garbage
+    collector is paused meanwhile, since the rows form no cycles and reference
+    counting frees them; the caller's collector state is restored on return.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -307,11 +315,13 @@ def parse_records(
         cell = {name: position[src] for name, src in columns.items()}
 
         day_code: dict[int, int] = {}  # travel day -> its int64 code
-        # The accepted rows' keys (IDs, day codes) and TripTable columns, each
-        # grown in place by a quarter when full; and per chunk, the rejected
-        # rows' line numbers and reason codes.
-        kept = [np.empty(0, _ID_DTYPE), np.empty(0, _ID_DTYPE), np.empty(0, np.int64),
-                *(np.empty(0) for _ in range(4)), np.empty(0, np.int64)]
+        # Per ID column, each chunk's distinct IDs, and how many came before.
+        ids, n_ids = ([np.empty(0, _ID_DTYPE)], [np.empty(0, _ID_DTYPE)]), [0, 0]
+        # The accepted rows' keys (codes into ``ids``, day codes) and TripTable
+        # columns, each grown in place by a quarter when full; and per chunk,
+        # the rejected rows' line numbers and reason codes.
+        kept = [*(np.empty(0, np.int64) for _ in range(3)), *(np.empty(0) for _ in range(4)),
+                np.empty(0, np.int64)]
         rejects = [(np.empty(0, np.int64), np.empty(0, np.int64))]
         accepted = 0
         # Non-blank rows numbered as csv.DictReader numbers them: by the
@@ -319,8 +329,8 @@ def parse_records(
         numbered = ((row, reader.line_num) for row in reader if row)
         for chunk in iter(lambda: list(islice(numbered, CHUNK_ROWS)), []):
             rows, lines = zip(*chunk)
-            household = _column(rows, cell["household_id"], _id, "", _ID_DTYPE)
-            vehicle = _column(rows, cell["vehicle_id"], _id, "", _ID_DTYPE)
+            households, household = _encode(rows, cell["household_id"], _id, "", _ID_DTYPE)
+            vehicles, vehicle = _encode(rows, cell["vehicle_id"], _id, "", _ID_DTYPE)
             day = _column(rows, cell["travel_day"],
                           lambda c: day_code.setdefault(int(c), len(day_code)), -1, np.int64)
             start = _column(rows, cell["start_time"], _minutes, np.nan, float)
@@ -335,7 +345,7 @@ def parse_records(
                 reason = np.select([
                     (day < 0) | (site < 0) | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
                     | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
-                    | (household == "") | (vehicle == ""),
+                    | (households == "")[household] | (vehicles == "")[vehicle],
                     duration <= 0,
                     length_km < 0,
                     # Equal clock times put a positive duration nowhere on the day.
@@ -347,6 +357,10 @@ def parse_records(
             rejected = np.flatnonzero(reason)
             rejects.append((np.take(lines, rejected), reason[rejected]))
             keep = reason == 0
+            for i, (code, distinct) in enumerate(((household, households), (vehicle, vehicles))):
+                code += n_ids[i]  # now a code into the ID column's distinct IDs of every chunk
+                n_ids[i] += len(distinct)
+                ids[i].append(distinct)
             filled = accepted + len(rows) - len(rejected)
             if filled > len(kept[0]):
                 for column in kept:
@@ -356,7 +370,7 @@ def parse_records(
                 column[accepted:filled] = values[keep]
             accepted = filled
             # Free this chunk's rows and columns before the next one is read.
-            del chunk, rows, lines, household, vehicle, day, start, end, duration, miles, site
+            del chunk, rows, lines, household, vehicle, code, day, start, end, duration, miles, site
         diag.rows_accepted += accepted
         lines, codes = map(np.concatenate, zip(*rejects))
         names = np.take(_REJECT_REASONS, codes).tolist()
@@ -369,7 +383,7 @@ def parse_records(
         # keys' ranks, and a count of key changes. Each key is dropped once ranked.
         rank = np.empty(len(day_code), np.int64)
         rank[[day_code[d] for d in sorted(day_code)]] = np.arange(len(day_code))
-        keys = [rank[kept.pop(2)], _rank(kept.pop(1)), _rank(kept.pop(0))]
+        keys = [rank[kept.pop(2)], *(_rank(np.concatenate(ids[i]))[kept.pop(i)] for i in (1, 0))]
         order = np.lexsort(keys)
         changed = np.zeros(accepted, bool)
         while keys:

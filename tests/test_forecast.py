@@ -114,11 +114,11 @@ def _simulate_block(config, proportions, type_models, block):
 
 def oracle_forecast(config, models):
     """``(site power on the simulated axis, n_events, event_energy_kwh,
-    infeasible_trips, soc_min, soc_max)``, reduced block by block."""
+    infeasible_trips, clamped_home_stays, soc_min, soc_max)``, reduced block by block."""
     type_models = per_type_models(models)
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
     total_power = np.zeros((5, n_slots))
-    n_events = infeasible = 0
+    n_events = infeasible = clamped = 0
     soc_min, soc_max, event_energy = math.inf, -math.inf, 0.0
     for block in range((config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK):
         sim = _simulate_block(config, models.proportions, type_models, block)
@@ -128,9 +128,10 @@ def oracle_forecast(config, models):
         event_energy += config.p_charging_kw * float(inside[inside > 0].sum()) / 60.0
         n_events += sim.site.size
         infeasible += sim.infeasible
+        clamped += sim.clamped_home_stays
         soc_min = min(soc_min, sim.soc_min)
         soc_max = max(soc_max, sim.soc_max)
-    return total_power, n_events, event_energy, infeasible, soc_min, soc_max
+    return total_power, n_events, event_energy, infeasible, clamped, soc_min, soc_max
 
 
 def vehicle_events(sim, vehicle):
@@ -259,10 +260,12 @@ class TestSimulateVehicle:
             p_own=0.0, n_ev=1, p_charging_kw=60.0, c_ev_kwh=40.0,
             u_kwh_per_km=0.2, q_pro=Q_DEFAULT, seed=7,
         )
-        events = vehicle_events(simulate(config, models), 0)
-        # Both days trigger at the work site; home dwell is clamped to zero.
+        sim = simulate(config, models)
+        events = vehicle_events(sim, 0)
+        # Both days trigger at the work site; home dwell is clamped to zero, and counted.
         assert [site for site, _, _ in events] == [SiteClass.W.index] * 2
         assert all(duration > 0 for _, _, duration in events)
+        assert sim.clamped_home_stays == 2
 
     def test_owner_with_zero_legs_never_charges(self):
         models = point_model_set(
@@ -582,7 +585,7 @@ class TestFleetProperties:
         """Batching, at any batch size, changes no bit of any result: the
         curves and counters of ``run_forecast`` equal the per-block oracle's."""
         config = FleetConfig(n_ev=n_ev, p_own=p_own, q_pro=Q_DEFAULT, seed=seed)
-        power, n_events, event_energy, infeasible, soc_min, soc_max = oracle_forecast(
+        power, n_events, event_energy, infeasible, clamped, soc_min, soc_max = oracle_forecast(
             config, fixture_models
         )
         with mock.patch.object(chargecast.forecast, "_BATCH_BLOCKS", batch):
@@ -595,4 +598,5 @@ class TestFleetProperties:
         assert result.n_events == n_events
         assert result.event_energy_kwh == event_energy
         assert result.infeasible_trips == infeasible
+        assert result.clamped_home_stays == clamped
         assert (result.soc_min, result.soc_max) == (soc_min, soc_max)
