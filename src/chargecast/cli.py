@@ -29,6 +29,7 @@ from .survey import (
     extract_features,
     load_dataset,
     parse_records,
+    sample_key,
     save_dataset,
 )
 
@@ -149,7 +150,8 @@ def cmd_forecast(config: PipelineConfig, models: ModelSet | None = None) -> None
     models.save(out / "models.json")
     curve_path = out / "load_curve.csv"
     write_load_curve_csv(curve_path, result.bundle)
-    _write_summary(out / "summary.json", config, result.summary())
+    pooled = [sample_key(*key) for key in models.pooled]
+    _write_summary(out / "summary.json", config, {**result.summary(), "pooled_models": pooled})
     print(
         f"forecast: {result.n_events} charge events, "
         f"station energy {result.bundle.station.energy_kwh():.1f} kWh -> {curve_path}"

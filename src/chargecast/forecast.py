@@ -214,11 +214,14 @@ def _feature_support(feature: str, index: int, max_value: float) -> tuple[float,
 class ModelSet:
     """Fitted densities for every (chain type, feature, index) in use. Some
     chain type has positive probability, and each such type has all of its
-    :func:`feature_keys` models, or else ``ConfigurationError``."""
+    :func:`feature_keys` models, or else ``ConfigurationError``. ``pooled``
+    lists the keys of the velocity models fitted on pooled samples."""
 
-    def __init__(self, proportions: np.ndarray, models: dict[tuple[ChainType, str, int], KdeModel]):
+    def __init__(self, proportions: np.ndarray, models: dict[tuple[ChainType, str, int], KdeModel],
+                 pooled: Sequence[tuple[ChainType, str, int]] = ()):
         self.proportions = np.asarray(proportions, dtype=float)
         self.models = models
+        self.pooled = tuple(pooled)
         if self.proportions.shape != (len(CHAIN_TYPES),):
             raise ConfigurationError("proportions must cover the full chain-type enumeration")
         if not np.any(self.proportions > 0):
@@ -231,21 +234,43 @@ class ModelSet:
     @np.errstate(divide="ignore", over="ignore")  # fit_kde rejects a tiny duration's inf velocity
     def from_dataset(cls, dataset: ChainFeatureDataset) -> "ModelSet":
         """Fit each counted type's models; this alone derives velocity, trip k's
-        as ``length / (duration / 60.0)`` over the chains whose trip k has length > 0."""
+        as ``length / (duration / 60.0)`` over the chains whose trip k has length > 0.
+
+        A type's velocity model #k that does not fit on its own samples (there
+        are none, because every trip-k length is 0, or they have no mass at or
+        above the 1 km/h support) is fitted on the velocities of trip k pooled
+        over every counted type, in CHAIN_TYPES order, and listed in ``pooled``.
+        Such a trip drives little or not at all: a zero length drives at most
+        about a minute whatever velocity it draws. A model that does not fit
+        on the pool either is a ``DataError`` naming the type's model."""
+        def samples(ctype: ChainType, feature: str, index: int) -> np.ndarray:
+            if feature != FEATURE_VELOCITY:
+                return dataset.samples[ctype, feature, index]
+            length = dataset.samples[ctype, FEATURE_LENGTH, index]
+            moving = length > 0
+            return length[moving] / (dataset.samples[ctype, FEATURE_DURATION, index][moving] / 60.0)
+
+        def fit(feature: str, index: int, values: np.ndarray) -> KdeModel:
+            return fit_kde(values, _feature_support(feature, index, np.max(values, initial=0.0)))
+
         models: dict[tuple[ChainType, str, int], KdeModel] = {}
+        pooled = []
         for ctype in dataset.counts:
-            for feature, index in column_keys(ctype):
-                samples = dataset.samples[ctype, feature, index]
-                if feature == FEATURE_DURATION:  # the trip's velocity model takes its place
-                    length = dataset.samples[ctype, FEATURE_LENGTH, index]
-                    moving = length > 0
-                    feature, samples = FEATURE_VELOCITY, length[moving] / (samples[moving] / 60.0)
-                try:  # an empty array reaches fit_kde, which rejects it
-                    support = _feature_support(feature, index, np.max(samples, initial=0.0))
-                    models[(ctype, feature, index)] = fit_kde(samples, support)
+            for feature, index in feature_keys(ctype):
+                key = (ctype, feature, index)
+                try:
+                    try:  # an empty array reaches fit_kde, which rejects it
+                        models[key] = fit(feature, index, samples(*key))
+                    except DataError:
+                        if feature != FEATURE_VELOCITY:
+                            raise
+                        models[key] = fit(feature, index, np.concatenate(
+                            [samples(t, feature, index) for t in CHAIN_TYPES
+                             if t in dataset.counts and index <= t.n_trips]))
+                        pooled.append(key)
                 except DataError as exc:
                     raise DataError(f"{ctype.label} {feature} #{index}: {exc}") from None
-        return cls(chain_type_proportions(dataset), models)
+        return cls(chain_type_proportions(dataset), models, pooled)
 
     def get(self, ctype: ChainType, feature: str, index: int) -> KdeModel:
         try:
@@ -262,12 +287,16 @@ class ModelSet:
         rebuilds a model as ``KdeModel(samples[key], bandwidth, support)``, which
         draws as the forecast does, a velocity model's samples being its trip's
         ``length_km / (duration_min / 60.0)`` over the positive lengths, in column
-        order. The file is valid only with the manifest this run read: the
+        order. A model in ``pooled`` is marked ``"pooled": true``, and its samples
+        are those velocities of its trip index over every counted type, in
+        CHAIN_TYPES order. The file is valid only with the manifest this run read: the
         ``paths.dataset_dir`` that ``forecast/summary.json`` echoes, else ``<out>/ingest``."""
         models = {}
         for key, model in self.models.items():
             support = [float(v) if math.isfinite(v) else None for v in model.support]
             models[sample_key(*key)] = {"bandwidth": float(model.bandwidth), "support": support}
+        for key in self.pooled:
+            models[sample_key(*key)]["pooled"] = True
         Path(path).write_text(json.dumps({"schema": "fitted-models/v2", "models": models}))
 
 

@@ -276,24 +276,24 @@ def parse_records(
     Miles become km (exact factor 1.609344) and HHMM times minutes since
     midnight. Each distinct cell of a chunk's mapped column is converted once,
     with Python's builtins, straight to its column value: a stripped ID, a
-    float, minutes, a travel day's int64 code (through a dict of the distinct
-    days, since a day may exceed int64) or a site index. A cell that does not
-    convert, or is missing, reads as "" (an ID), NaN (a time or number) or -1
-    (a day or site), which the first reject condition catches, so the day of
-    a rejected row may hold a code; the vehicle-days are numbered by key
-    changes among accepted rows, so such a code changes no number. An invalid
-    row is counted in ``diagnostics`` with its line number under the first of
-    ``_REJECT_REASONS`` it fails (a missing cell, blank ID, ID with a lone
-    surrogate, or non-finite number or velocity is an ``unparseable_field``).
-    Each chunk writes its accepted rows into numpy columns that grow in
-    place, an ID as its code into the chunk's distinct IDs (a StringDType
-    array it keeps), and its rejects as arrays of line numbers and reason
-    codes, which enter ``diagnostics`` after the last chunk, so that no Python
-    object a chunk makes outlives it. Then each key becomes an int64 rank (an
-    ID's from one stable argsort of its column's distinct IDs) and one lexsort
-    of the ranks numbers the vehicle-days in key order. The cyclic garbage
-    collector is paused meanwhile, since the rows form no cycles and reference
-    counting frees them; the caller's collector state is restored on return.
+    travel day (a Python int, so a day past int64 stays exact), a float,
+    minutes or a site index. A cell that does not convert, or is missing,
+    reads as "" (an ID), -inf (a day: no int equals it), NaN (a time or
+    number) or -1 (a site), which the first reject condition catches. An
+    invalid row is counted in ``diagnostics`` with its line number under the
+    first of ``_REJECT_REASONS`` it fails (a missing cell, blank ID, ID with
+    a lone surrogate, or non-finite number or velocity is an
+    ``unparseable_field``). Each chunk writes its accepted rows into numpy
+    columns that grow in place, each key (household, vehicle, travel day) as
+    its code into the chunk's distinct keys (an array it keeps: StringDType
+    for an ID, object for a day), and its rejects as arrays of line numbers
+    and reason codes, which enter ``diagnostics`` after the last chunk, so
+    that no Python object a chunk makes outlives it. Then one stable argsort
+    of each key column's distinct keys ranks them, each row takes its key's
+    int64 rank by code, and one lexsort of the ranks numbers the vehicle-days
+    in key order. The cyclic garbage collector is paused meanwhile, since the
+    rows form no cycles and reference counting frees them; the caller's
+    collector state is restored on return.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -314,12 +314,12 @@ def parse_records(
         position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
         cell = {name: position[src] for name, src in columns.items()}
 
-        day_code: dict[int, int] = {}  # travel day -> its int64 code
-        # Per ID column, each chunk's distinct IDs, and how many came before.
-        ids, n_ids = ([np.empty(0, _ID_DTYPE)], [np.empty(0, _ID_DTYPE)]), [0, 0]
-        # The accepted rows' keys (codes into ``ids``, day codes) and TripTable
-        # columns, each grown in place by a quarter when full; and per chunk,
-        # the rejected rows' line numbers and reason codes.
+        # Per key column (household, vehicle, travel day), each chunk's distinct
+        # keys, and how many came before.
+        seen, n_seen = [[np.empty(0, dtype)] for dtype in (_ID_DTYPE, _ID_DTYPE, object)], [0] * 3
+        # The accepted rows' keys (codes into ``seen``) and TripTable columns,
+        # each grown in place by a quarter when full; and per chunk, the
+        # rejected rows' line numbers and reason codes.
         kept = [*(np.empty(0, np.int64) for _ in range(3)), *(np.empty(0) for _ in range(4)),
                 np.empty(0, np.int64)]
         rejects = [(np.empty(0, np.int64), np.empty(0, np.int64))]
@@ -331,8 +331,7 @@ def parse_records(
             rows, lines = zip(*chunk)
             households, household = _encode(rows, cell["household_id"], _id, "", _ID_DTYPE)
             vehicles, vehicle = _encode(rows, cell["vehicle_id"], _id, "", _ID_DTYPE)
-            day = _column(rows, cell["travel_day"],
-                          lambda c: day_code.setdefault(int(c), len(day_code)), -1, np.int64)
+            days, day = _encode(rows, cell["travel_day"], int, -np.inf, object)
             start = _column(rows, cell["start_time"], _minutes, np.nan, float)
             end = _column(rows, cell["end_time"], _minutes, np.nan, float)
             duration = _column(rows, cell["duration"], float, np.nan, float)
@@ -343,9 +342,10 @@ def parse_records(
                 length_km = miles * MILES_TO_KM
                 velocity = length_km / (duration / 60.0)  # a subnormal duration zeroes the divisor
                 reason = np.select([
-                    (day < 0) | (site < 0) | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
+                    (site < 0) | np.isnan(start) | np.isnan(end) | ~np.isfinite(duration)
                     | ~np.isfinite(length_km) | ((duration > 0) & ~np.isfinite(velocity))
-                    | (households == "")[household] | (vehicles == "")[vehicle],
+                    | (households == "")[household] | (vehicles == "")[vehicle]
+                    | (days == -np.inf)[day],
                     duration <= 0,
                     length_km < 0,
                     # Equal clock times put a positive duration nowhere on the day.
@@ -357,10 +357,11 @@ def parse_records(
             rejected = np.flatnonzero(reason)
             rejects.append((np.take(lines, rejected), reason[rejected]))
             keep = reason == 0
-            for i, (code, distinct) in enumerate(((household, households), (vehicle, vehicles))):
-                code += n_ids[i]  # now a code into the ID column's distinct IDs of every chunk
-                n_ids[i] += len(distinct)
-                ids[i].append(distinct)
+            for i, (code, distinct) in enumerate(((household, households), (vehicle, vehicles),
+                                                  (day, days))):
+                code += n_seen[i]  # now a code into the key column's distinct keys of every chunk
+                n_seen[i] += len(distinct)
+                seen[i].append(distinct)
             filled = accepted + len(rows) - len(rejected)
             if filled > len(kept[0]):
                 for column in kept:
@@ -381,9 +382,7 @@ def parse_records(
             column.resize(accepted, refcheck=False)
         # Number the vehicle-days in key order: one integer lexsort of the
         # keys' ranks, and a count of key changes. Each key is dropped once ranked.
-        rank = np.empty(len(day_code), np.int64)
-        rank[[day_code[d] for d in sorted(day_code)]] = np.arange(len(day_code))
-        keys = [rank[kept.pop(2)], *(_rank(np.concatenate(ids[i]))[kept.pop(i)] for i in (1, 0))]
+        keys = [_rank(np.concatenate(seen[i]))[kept.pop(i)] for i in (2, 1, 0)]
         order = np.lexsort(keys)
         changed = np.zeros(accepted, bool)
         while keys:

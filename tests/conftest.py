@@ -40,6 +40,14 @@ FIXTURE_CHAIN_COUNTS = {
 FIXTURE_TOTAL_CHAINS = sum(FIXTURE_CHAIN_COUNTS.values())
 FIXTURE_ROWS = 200
 
+# Vehicle-days that close the fixture's only H-O-W-H chain with a first trip that
+# fits no velocity model of its own: its length is 0, or it averages 0.016 km/h,
+# below the 1 km/h support. Appended to the fixture survey, each is still forecast.
+SLOW_FIRST_TRIP_DAYS = tuple(
+    first + "H9999,1,1,1000,1030,30,5,3\nH9999,1,1,1700,1730,30,5,1\n"
+    for first in ("H9999,1,1,0900,0910,10,0,20\n", "H9999,1,1,0900,1000,60,0.01,20\n")
+)
+
 
 @pytest.fixture(scope="session")
 def fixture_csv_path() -> Path:
@@ -70,21 +78,27 @@ def rebuilt_models(dataset_dir, models_json) -> tuple[dict, dict[str, KdeModel]]
     """The ``models.json`` document and each model in it, rebuilt as a reader
     does: the samples from the manifest under ``dataset_dir`` (a velocity
     model's as its trip's length over duration / 60, where the length is
-    positive), the bandwidth and support from the model's entry (``null`` for
-    an infinite end)."""
+    positive, and a pooled one's as the velocities of its trip index over
+    every counted type, in CHAIN_TYPES order), the bandwidth and support from
+    the model's entry (``null`` for an infinite end)."""
     columns = load_dataset(dataset_dir).samples
     samples = {sample_key(*key): values for key, values in columns.items()}
-    for (ctype, feature, index), length in columns.items():
+    pools = {}  # trip index -> each counted type's velocities, in CHAIN_TYPES order
+    for (ctype, feature, index), length in sorted(columns.items(),
+                                                  key=lambda item: CHAIN_TYPE_INDEX[item[0][0]]):
         if feature == FEATURE_LENGTH:
             duration = columns[ctype, FEATURE_DURATION, index]
             velocity = length[length > 0] / (duration[length > 0] / 60.0)
             samples[sample_key(ctype, FEATURE_VELOCITY, index)] = velocity
+            pools.setdefault(index, []).append(velocity)
     doc = json.loads(Path(models_json).read_text())
     models = {}
     for key, entry in doc["models"].items():
         lo, hi = entry["support"]
         support = (-math.inf if lo is None else lo, math.inf if hi is None else hi)
-        models[key] = KdeModel(samples[key], entry["bandwidth"], support)
+        pooled = entry.get("pooled", False)
+        values = np.concatenate(pools[int(key.rsplit("__", 1)[1])]) if pooled else samples[key]
+        models[key] = KdeModel(values, entry["bandwidth"], support)
     return doc, models
 
 

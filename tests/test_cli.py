@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chargecast import __main__ as entry
@@ -25,7 +25,7 @@ from chargecast.config import load_config
 from chargecast.forecast import station_composite
 from chargecast.scheduler import DEFAULT_TARIFF, EssParams, SchedulePlan, solve_schedule_slots
 from chargecast.survey import sample_key
-from conftest import FIXTURE_CHAIN_COUNTS, rebuilt_models
+from conftest import FIXTURE_CHAIN_COUNTS, SLOW_FIRST_TRIP_DAYS, rebuilt_models
 
 Q_DEFAULT = [0.04, 0.1, 0.2, 0.1, 0.1]
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -241,6 +241,53 @@ def test_mutated_survey_ingest_exits_0_2_or_3(survey):
         path.write_bytes(survey)
         config = write_config(tmp, path)
         _assert_exits_0_2_or_3(["ingest", "--config", str(config)], tmp / "out/ingest", "manifest.json")
+
+
+# WHYTO codes of a midway stop: work, shopping & errands, social & recreation, other.
+_MIDWAY_PURPOSES = (3, 11, 15, 20)
+
+
+def _hhmm(minute: int) -> str:
+    return f"{minute // 60 % 24:02d}{minute % 60:02d}"
+
+
+@st.composite
+def home_closed_days(draw, household: str) -> list[str]:
+    """Rows of one vehicle-day of 2 or 3 trips that ends at home: lengths may be
+    zero or slow, and one trip, or the dwell before one, may cross midnight."""
+    n = draw(st.integers(2, 3))
+    miles = st.sampled_from([0.0, 0.001, 0.01]) | st.floats(0.0, 40.0)
+    start = draw(st.integers(240, 1439))  # on a day from 04:00, the NHTS day boundary
+    rows, crossed = [], False
+    for k in range(n):
+        if k:
+            start = end + draw(st.integers(0, 300))
+        end = start + draw(st.integers(1, 120))
+        crossed |= start < 1440 <= end
+        purpose = 1 if k == n - 1 else draw(st.sampled_from(_MIDWAY_PURPOSES))
+        rows.append(f"{household},1,1,{_hhmm(start)},{_hhmm(end)},{end - start},"
+                    f"{draw(miles)!r},{purpose}")
+    # A day that runs past midnight does so within a trip, and its small hours end by 04:00.
+    assume(end < 1440 or crossed and end < 1440 + 240)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(days=st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*(home_closed_days(f"Q{i}") for i in range(n)))))
+def test_every_valid_survey_is_forecast(days):
+    """The fixture with 1 to 5 more home-closed vehicle-days, each one chain,
+    goes through the whole pipeline, whatever the new chains' trip lengths."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "survey.csv"
+        path.write_bytes(_SURVEY + "".join(row + "\n" for rows in days for row in rows).encode())
+        config = write_config(tmp, path, fleet={"n_ev": 300})
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            assert main(["pipeline", "--config", str(config)]) == 0, err.getvalue()
+        manifest = json.loads((tmp / "out/ingest/manifest.json").read_text())
+        assert manifest["total_chains"] == sum(FIXTURE_CHAIN_COUNTS.values()) + len(days)
 
 
 _CASE_STUDY = REPO_ROOT / "out/case_study"
@@ -633,17 +680,23 @@ class TestPipelineCommand:
             draws = rebuilt[sample_key(*key)].sample_many(np.random.default_rng(5), 200)
             assert np.array_equal(draws, model.sample_many(np.random.default_rng(5), 200)), key
 
-    def test_fit_error_names_its_model(self, tmp_path, fixture_csv_path, capsys):
-        """The only H-O-W-H chain's first trip averages 0.016 km/h, so its
-        velocity density has no mass above the 1 km/h support."""
-        survey = tmp_path / "survey.csv"
-        survey.write_text(fixture_csv_path.read_text() + "H9999,1,1,0900,1000,60,0.01,20\n"
-                          "H9999,1,1,1000,1030,30,5,3\nH9999,1,1,1700,1730,30,5,1\n")
-        config = write_config(tmp_path, survey, fleet={"n_ev": 300})
-        assert main(["pipeline", "--config", str(config)]) == 3
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "DataError"
-        assert error["message"].startswith("H-O-W-H velocity_kmh #1: ")
+    def test_fit_error_names_its_model(self, tmp_path, fixture_csv_path):
+        """The only H-O-W-H chain's first trip has zero length, so its own
+        velocity samples are empty, or averages 0.016 km/h, so its density has
+        no mass above the 1 km/h support. Either way the model is fitted on
+        the pooled trip-1 velocities, and the run says so."""
+        for vehicle_day in SLOW_FIRST_TRIP_DAYS:
+            survey = tmp_path / "survey.csv"
+            survey.write_text(fixture_csv_path.read_text() + vehicle_day)
+            config = write_config(tmp_path, survey, fleet={"n_ev": 300})
+            assert main(["pipeline", "--config", str(config)]) == 0
+            out = tmp_path / "out/forecast"
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["pooled_models"] == ["H-O-W-H__velocity_kmh__1"]
+            models = json.loads((out / "models.json").read_text())["models"]
+            assert [key for key, entry in models.items() if entry.pop("pooled", False)] == \
+                ["H-O-W-H__velocity_kmh__1"]
+            assert all(set(entry) == {"bandwidth", "support"} for entry in models.values())
 
     def test_rerun_byte_identical_artifacts(self, tmp_path, fixture_csv_path):
         config = write_config(tmp_path, fixture_csv_path)

@@ -172,6 +172,22 @@ _WRONG_TYPE = {
     "str": [None, 5, b"\xa5"],
 }
 
+# Values of the right type that are out of range, each with its message.
+_OUT_OF_RANGE = {
+    "p_own": [(1.5, "p_own must be in [0, 1]"), (-0.5, "p_own must be in [0, 1]")],
+    "n_ev": [(-1, "n_ev must be in [0, 1000000]"), (10**6 + 1, "n_ev must be in [0, 1000000]")],
+    "p_charging_kw": [(0.0, "p_charging_kw must be > 0")],
+    "c_ev_kwh": [(0, "c_ev_kwh must be > 0")],
+    "u_kwh_per_km": [(-1, "u_kwh_per_km must be > 0")],
+    "soc_reserve": [(1.0, "soc_reserve must be in [0, 1)"), (-0.1, "soc_reserve must be in [0, 1)")],
+    "slot_minutes": [(7, "slot_minutes must divide 1440"), (0, "slot_minutes must divide 1440")],
+    "seed": [(-1, "seed must be >= 0")],
+    "c_ess_kwh": [(-1, "c_ess_kwh must be >= 0")],
+    "p_charge_max_kw": [(-1, "ESS power limits must be >= 0")],
+    "p_discharge_max_kw": [(-1, "ESS power limits must be >= 0")],
+    "soc_init": [(1.5, "soc_init must be in [0, 1]")],
+}
+
 
 _FIELDS = [(cls, f) for cls in (FleetConfig, EssParams) for f in fields(cls)]
 
@@ -183,16 +199,23 @@ def test_parameters_check_themselves_when_built(cls, field, data, bad):
     """In-range finite values build, with Python or numpy integers; a
     non-finite number in every field (or ``q_pro`` entry), a float or bool in
     an integer field, a non-bool in a bool field, a string, None or bool in a
-    float field and a string ``q_pro`` or entry fail when built; a built
-    object takes no assignment."""
+    float field and a string ``q_pro`` or entry fail when built, and so does
+    each value of the right type out of its field's range, with its own
+    message; a built object takes no assignment."""
     params = cls(**data.draw(st.fixed_dictionaries(_IN_RANGE[cls]), label="values"))
     name = field.name
     values = [bad, *_WRONG_TYPE[field.type]]
+    out_of_range = _OUT_OF_RANGE.get(name, [])
     if name == "q_pro":
         i = data.draw(st.integers(0, 4), label="entry")
         values += [[*params.q_pro[:i], wrong, *params.q_pro[i + 1:]] for wrong in (bad, "0.1")]
+        out_of_range = [([*params.q_pro[:i], 1.5, *params.q_pro[i + 1:]],
+                         "q_pro entries must be in [0, 1]")]
     for value in values:
         with pytest.raises(ConfigurationError):
+            replace(params, **{name: value})
+    for value, message in out_of_range:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             replace(params, **{name: value})
     with pytest.raises(FrozenInstanceError):
         setattr(params, name, getattr(params, name))

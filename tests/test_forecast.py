@@ -1,5 +1,6 @@
 """Fleet simulation: battery primitives, vehicle flow, load accumulation."""
 
+import io
 import math
 import tracemalloc
 from pathlib import Path
@@ -43,10 +44,14 @@ from chargecast.survey import (
     FEATURE_LENGTH,
     ChainFeatureDataset,
     SiteClass,
+    build_chains,
     chain_type_from_label,
+    extract_features,
+    parse_records,
     sample_key,
+    save_dataset,
 )
-from conftest import point_model_set, rebuilt_models
+from conftest import SLOW_FIRST_TRIP_DAYS, point_model_set, rebuilt_models
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 Q_DEFAULT = (0.04, 0.1, 0.2, 0.1, 0.1)
@@ -147,6 +152,28 @@ def accumulate(events, config):
     site, start, duration = (np.array(column) for column in zip(*events))
     power = _accumulate_site_power(site, start, duration, config)
     return _bundle_from_site_power(power, config)
+
+
+def assert_rebuilt_models_draw_as_fitted(dataset_dir, models_json, models):
+    """Every model that ``rebuilt_models`` makes of the manifest under
+    ``dataset_dir`` and ``models_json`` picks and inverts, for the same
+    uniforms, the draws the forecast makes from ``models``, bit for bit."""
+    _, rebuilt = rebuilt_models(dataset_dir, models_json)
+    assert list(rebuilt) == [sample_key(*key) for key in models.models]
+    for key in models.models:
+        if key[1] == FEATURE_VELOCITY:
+            assert rebuilt[sample_key(*key)].support[0] == 1.0
+    type_models = {
+        k: {key: rebuilt[sample_key(CHAIN_TYPES[k], *key)] for key in fitted}
+        for k, fitted in per_type_models(models).items()
+    }
+    # 15 chains of every type in use, in one block.
+    ctype = np.random.default_rng(3).permutation(np.repeat(sorted(type_models), 15))
+    got = _draw_batch_chains([np.random.default_rng(9)], ctype, np.zeros_like(ctype), models)
+    want = _draw_chains(np.random.default_rng(9), ctype, type_models)
+    for forecast, artifacts in zip(got, want):
+        assert np.array_equal(forecast, artifacts)
+    assert got[2][0].min() >= 1.0
 
 
 class TestSocPrimitives:
@@ -491,23 +518,21 @@ class TestRunForecast:
         same uniforms, the draws the forecast makes from the fitted models,
         bit for bit. Each velocity model's support starts at 1 km/h."""
         case = REPO_ROOT / "out" / "case_study"
-        _, rebuilt = rebuilt_models(case / "ingest", case / "forecast" / "models.json")
-        assert list(rebuilt) == [sample_key(*key) for key in fixture_models.models]
-        for key in fixture_models.models:
-            if key[1] == FEATURE_VELOCITY:
-                assert rebuilt[sample_key(*key)].support[0] == 1.0
-        type_models = {
-            k: {key: rebuilt[sample_key(CHAIN_TYPES[k], *key)] for key in fitted}
-            for k, fitted in per_type_models(fixture_models).items()
-        }
-        # 30 vehicles in one block: 90 chains, 15 of every type in use.
-        ctype = np.random.default_rng(3).permutation(np.repeat(sorted(type_models), 15))
-        got = _draw_batch_chains([np.random.default_rng(9)], ctype, np.zeros_like(ctype),
-                                 fixture_models)
-        want = _draw_chains(np.random.default_rng(9), ctype, type_models)
-        for forecast, artifacts in zip(got, want):
-            assert np.array_equal(forecast, artifacts)
-        assert got[2][0].min() >= 1.0
+        assert_rebuilt_models_draw_as_fitted(case / "ingest", case / "forecast" / "models.json",
+                                             fixture_models)
+
+    def test_pooled_models_rebuild_the_forecast_draws(self, tmp_path, fixture_csv_path):
+        """A survey whose H-O-W-H trip 1 has no velocity of its own fits that
+        model on the pooled trip-1 velocities, marks it pooled in
+        ``models.json``, and the artifacts still rebuild every draw."""
+        for vehicle_day in SLOW_FIRST_TRIP_DAYS:
+            text = fixture_csv_path.read_text() + vehicle_day
+            dataset = extract_features(build_chains(parse_records(io.StringIO(text))))
+            models = ModelSet.from_dataset(dataset)
+            assert models.pooled == ((chain_type_from_label("H-O-W-H"), FEATURE_VELOCITY, 1),)
+            save_dataset(dataset, tmp_path)
+            models.save(tmp_path / "models.json")
+            assert_rebuilt_models_draw_as_fitted(tmp_path, tmp_path / "models.json", models)
 
     def test_invalid_config_rejected(self, fixture_models):
         with pytest.raises(ConfigurationError):
@@ -524,6 +549,15 @@ class TestRunForecast:
         # A trip's energy overflows, where numpy would only warn.
         with pytest.raises(DataError, match="too large"):
             run_forecast(FleetConfig(n_ev=300, u_kwh_per_km=1e308), fixture_models)
+
+    def test_velocity_unfittable_in_every_type_is_data_error(self, fixture_ingest):
+        """With every trip-2 length 0, no type has a trip-2 velocity, nor has
+        the pool, so the first type's model is named."""
+        _, _, dataset, _ = fixture_ingest
+        zero = {key: np.zeros_like(column) for key, column in dataset.samples.items()
+                if key[1:] == (FEATURE_LENGTH, 2)}
+        with pytest.raises(DataError, match="^H-W-H velocity_kmh #2: cannot fit"):
+            ModelSet.from_dataset(ChainFeatureDataset(dataset.counts, {**dataset.samples, **zero}))
 
     @pytest.mark.parametrize("duration", [5e-324, 1e-310], ids=["zero_divisor", "overflow"])
     def test_tiny_duration_is_data_error_naming_its_model(self, fixture_ingest, duration):

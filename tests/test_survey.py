@@ -235,20 +235,27 @@ class TestParseRecords:
         assert diag.rejected_rows == [(2, "unparseable_field"), (4, "unparseable_field")]
 
     def test_id_recurring_in_chunks_far_apart_is_one_key(self):
-        # Each chunk codes an ID column into that chunk's distinct IDs, so a
-        # stripped ID seen again chunks later must take the same rank; "h1\x00"
-        # stays its own ID, and table() numbers the keys in tuple order.
-        houses = ["h1", "h10", "é", "h2", " h1 ", "h1\x00", "h10", "", "h2", "h1"]
-        rows = [f"{house},{2 - i % 2},1,{8 + i:02d}00,{8 + i:02d}30,30,5,3"
-                for i, house in enumerate(houses)]
-        with mock.patch.object(survey, "CHUNK_ROWS", 2):
-            trips, diag = _parse(rows)
-        expected = table(*(trip(house.strip(), str(2 - i % 2), 1, 480 + 60 * i, 510 + 60 * i,
-                                km=5 * MILES_TO_KM)
-                           for i, house in enumerate(houses) if house))
-        for name in ("vehicle_day", "start", "end", "duration", "length_km", "site"):
-            assert np.array_equal(getattr(trips, name), getattr(expected, name)), name
-        assert diag.rejected_rows == [(9, "unparseable_field")]
+        # Each chunk codes a key column into that chunk's distinct keys, so a
+        # key seen again chunks later must take the same rank; "h1\x00" stays
+        # its own ID, a day past int64 stays exact, and table() numbers the
+        # keys in tuple order. A blank ID, or a day that is not an integer, is
+        # rejected at its line.
+        inputs = [
+            (["h1", "h10", "é", "h2", " h1 ", "h1\x00", "h10", "", "h2", "h1"], ["1"] * 10, 9),
+            (["h1"] * 10, ["1", str(2**64), "-3", "x", " 1 ", "2", str(2**64), "١", "-3", "1"], 5),
+        ]
+        for houses, days, rejected_line in inputs:
+            rows = [f"{house},{2 - i % 2},{day},{8 + i:02d}00,{8 + i:02d}30,30,5,3"
+                    for i, (house, day) in enumerate(zip(houses, days))]
+            with mock.patch.object(survey, "CHUNK_ROWS", 2):
+                trips, diag = _parse(rows)
+            expected = table(*(trip(house.strip(), str(2 - i % 2), int(day), 480 + 60 * i,
+                                    510 + 60 * i, km=5 * MILES_TO_KM)
+                               for i, (house, day) in enumerate(zip(houses, days))
+                               if house and day != "x"))
+            for name in ("vehicle_day", "start", "end", "duration", "length_km", "site"):
+                assert np.array_equal(getattr(trips, name), getattr(expected, name)), name
+            assert diag.rejected_rows == [(rejected_line, "unparseable_field")]
 
     def test_custom_column_map(self):
         text = "hh,vid,day,dep,arr,mins,mi,why\nA,1,1,0800,0820,20,2,3"
