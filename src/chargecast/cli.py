@@ -29,7 +29,6 @@ from .survey import (
     extract_features,
     load_dataset,
     parse_records,
-    sample_key,
     save_dataset,
 )
 
@@ -150,8 +149,7 @@ def cmd_forecast(config: PipelineConfig, models: ModelSet | None = None) -> None
     models.save(out / "models.json")
     curve_path = out / "load_curve.csv"
     write_load_curve_csv(curve_path, result.bundle)
-    pooled = [sample_key(*key) for key in models.pooled]
-    _write_summary(out / "summary.json", config, {**result.summary(), "pooled_models": pooled})
+    _write_summary(out / "summary.json", config, result.summary())
     print(
         f"forecast: {result.n_events} charge events, "
         f"station energy {result.bundle.station.energy_kwh():.1f} kWh -> {curve_path}"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -501,10 +502,14 @@ def _bundle_from_site_power(site_power: np.ndarray, config: FleetConfig) -> Site
 
 @dataclass
 class ForecastResult:
-    """A run's counters and reported bundle. Of the :meth:`summary` keys, ``n_events``,
-    ``infeasible_trips``, ``clamped_home_stays``, ``event_energy_kwh``,
-    ``site_energy_full_horizon_kwh``, ``soc_min`` and ``soc_max`` count every simulated
-    day; ``reported_window`` and ``station_energy_kwh`` cover the reported (last) day only."""
+    """A run's counters and reported bundle. :meth:`summary` writes each field but ``bundle``
+    under its own name, in field order; ``site_energy_full_kwh`` is written by site as
+    ``site_energy_full_horizon_kwh``, followed by ``reported_window`` and ``station_energy_kwh``,
+    which cover the reported (last) day only. ``n_events``, ``infeasible_trips``,
+    ``clamped_home_stays``, ``event_energy_kwh``, ``site_energy_full_kwh``, ``soc_min``,
+    ``soc_max``, ``events_by_site`` and ``vehicles_by_charge_count`` count every simulated day,
+    and ``station_energy_by_day_kwh`` and ``station_peak_by_day_kw`` hold one station figure
+    per simulated day: the days before the last are warm-up, so these state the warm-up residual."""
 
     bundle: SiteLoadBundle
     n_vehicles: int
@@ -515,27 +520,27 @@ class ForecastResult:
     soc_max: float | None
     event_energy_kwh: float
     site_energy_full_kwh: tuple[float, ...]
+    pooled_models: list[str]  # the sample_key of each model in ModelSet.pooled
+    station_energy_by_day_kwh: list[float]
+    station_peak_by_day_kw: list[float]
+    events_by_site: dict[str, int]
+    vehicles_by_charge_count: list[int]  # entry k: the vehicles that charged k times
 
     def summary(self) -> dict:
-        slot = self.bundle.station.slot_minutes
-        reported = {  # in LoadProfile.energy_kwh's operation order, to the last bit
-            f"site_energy_{site.value}_kwh": float(row.sum() * slot / 60.0)
-            for site, row in zip(SITE_CLASSES, self.bundle.site_power_kw)
-        }
-        return {
-            "n_vehicles": self.n_vehicles,
-            "n_events": self.n_events,
-            "infeasible_trips": self.infeasible_trips,
-            "clamped_home_stays": self.clamped_home_stays,
-            "soc_min": self.soc_min,
-            "soc_max": self.soc_max,
-            "event_energy_kwh": self.event_energy_kwh,
-            "site_energy_full_horizon_kwh": {
-                site.value: e for site, e in zip(SITE_CLASSES, self.site_energy_full_kwh)
-            },
-            "reported_window": reported,
-            "station_energy_kwh": self.bundle.station.energy_kwh(),
-        }
+        summary = {}
+        for f in fields(self)[1:]:  # every field but bundle
+            if f.name != "site_energy_full_kwh":
+                summary[f.name] = getattr(self, f.name)
+                continue
+            slot = self.bundle.station.slot_minutes
+            summary.update(
+                site_energy_full_horizon_kwh={
+                    site.value: e for site, e in zip(SITE_CLASSES, self.site_energy_full_kwh)},
+                reported_window={  # in LoadProfile.energy_kwh's operation order, to the last bit
+                    f"site_energy_{site.value}_kwh": float(row.sum() * slot / 60.0)
+                    for site, row in zip(SITE_CLASSES, self.bundle.site_power_kw)},
+                station_energy_kwh=self.bundle.station.energy_kwh())
+        return summary
 
 
 @overflow_as_data_error("a sample or fleet value is too large for the forecast")
@@ -559,7 +564,9 @@ def run_forecast(
     n_blocks = (config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK
     n_sites = len(SITE_CLASSES)
     total_power = np.zeros((n_sites, int(round(HORIZON_MINUTES / config.slot_minutes))))
-    n_events = infeasible = clamped = 0
+    events_by_site = np.zeros(n_sites, dtype=int)
+    charge_counts = Counter()  # vehicles by charge count, so the heap does not grow with n_ev
+    infeasible = clamped = 0
     soc_min, soc_max, event_energy = math.inf, -math.inf, 0.0
     for first in range(0, n_blocks, _BATCH_BLOCKS):
         blocks = range(first, min(first + _BATCH_BLOCKS, n_blocks))
@@ -573,21 +580,32 @@ def run_forecast(
             total_power += power[k * n_sites:(k + 1) * n_sites]
             in_block = inside[(block == k) & (inside > 0)]
             event_energy += config.p_charging_kw * float(in_block.sum()) / 60.0
-        n_events += sim.site.size
+        events_by_site += np.bincount(sim.site, minlength=n_sites)
+        n_batch = min(blocks.stop * _VEHICLE_BLOCK, config.n_ev) - first * _VEHICLE_BLOCK
+        charge_counts.update(np.bincount(sim.vehicle, minlength=n_batch).tolist())
         infeasible += sim.infeasible
         clamped += sim.clamped_home_stays
         soc_min = min(soc_min, sim.soc_min)
         soc_max = max(soc_max, sim.soc_max)
 
     dt_h = config.slot_minutes / 60.0
+    station_by_day = [station_composite(config.q_pro, day)
+                      for day in np.split(total_power, SIMULATED_DAYS, axis=1)]
     return ForecastResult(
         bundle=_bundle_from_site_power(total_power, config),
         n_vehicles=config.n_ev,
-        n_events=n_events,
+        n_events=int(events_by_site.sum()),
         infeasible_trips=infeasible,
         clamped_home_stays=clamped,
         soc_min=None if math.isinf(soc_min) else soc_min,
         soc_max=None if math.isinf(soc_max) else soc_max,
         event_energy_kwh=float(event_energy),
         site_energy_full_kwh=tuple(float(row.sum() * dt_h) for row in total_power),
+        pooled_models=[sample_key(*key) for key in models.pooled],
+        # in LoadProfile.energy_kwh's operation order, so the last entry is station_energy_kwh
+        station_energy_by_day_kwh=[float(day.sum() * config.slot_minutes / 60.0)
+                                   for day in station_by_day],
+        station_peak_by_day_kw=[float(day.max()) for day in station_by_day],
+        events_by_site={site.value: int(n) for site, n in zip(SITE_CLASSES, events_by_site)},
+        vehicles_by_charge_count=[charge_counts[k] for k in range(max(charge_counts, default=-1) + 1)],
     )

@@ -131,8 +131,8 @@ class SchedulePlan:
     cost_with_ess: float = field(init=False)
     cost_baseline: float = field(init=False)
     saving_fraction: float = field(init=False)
-    day_costs_with_ess: list[float] = field(default_factory=list)
-    day_costs_baseline: list[float] = field(default_factory=list)
+    day_costs_with_ess: list[float] = field(init=False, default_factory=list)
+    day_costs_baseline: list[float] = field(init=False, default_factory=list)
 
     @overflow_as_data_error("the bill overflows a float")
     def __post_init__(self):

@@ -976,6 +976,19 @@ class TestGoldenCaseStudy:
         assert main(["pipeline", "--config", "configs/case_study.json", "--out", str(out)]) == 0
         self.assert_golden(out)
 
+    def test_committed_forecast_counters_add_up(self):
+        """The case study's events by site and vehicles by charge count account for its
+        10,685 events and 10,000 vehicles, and its last simulated day is the reported one."""
+        summary = json.loads((_CASE_STUDY / "forecast/summary.json").read_text(encoding="utf-8"))
+        vehicles = summary["vehicles_by_charge_count"]
+        assert sum(summary["events_by_site"].values()) == summary["n_events"] == 10685
+        assert sum(vehicles) == summary["n_vehicles"] == 10000
+        assert sum(k * n for k, n in enumerate(vehicles)) == summary["n_events"]
+        assert summary["station_energy_by_day_kwh"][-1] == summary["station_energy_kwh"]
+        curve = (_CASE_STUDY / "forecast/load_curve.csv").read_text().splitlines()[1:]
+        peak = max(float(row.split(",")[-1]) for row in curve)
+        assert summary["station_peak_by_day_kw"][-1] == peak
+
     def test_committed_schedule_rebuilds_its_own_bill(self):
         """A plan built from the committed schedule's powers gives back its draw,
         SOC and bill, bit for bit, with the per-day split summed as

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +22,7 @@ from chargecast.forecast import (
     HORIZON_MINUTES,
     SIMULATED_DAYS,
     FleetConfig,
+    ForecastResult,
     ModelSet,
     _accumulate_site_power,
     _block_rng,
@@ -119,14 +121,19 @@ def _simulate_block(config, proportions, type_models, block):
 
 def oracle_forecast(config, models):
     """``(site power on the simulated axis, n_events, event_energy_kwh,
-    infeasible_trips, clamped_home_stays, soc_min, soc_max)``, reduced block by block."""
+    infeasible_trips, clamped_home_stays, soc_min, soc_max, events per site,
+    charge events per vehicle)``, reduced block by block."""
     type_models = per_type_models(models)
     n_slots = int(round(HORIZON_MINUTES / config.slot_minutes))
     total_power = np.zeros((5, n_slots))
     n_events = infeasible = clamped = 0
     soc_min, soc_max, event_energy = math.inf, -math.inf, 0.0
+    events_by_site, charges = np.zeros(5, dtype=int), []
     for block in range((config.n_ev + _VEHICLE_BLOCK - 1) // _VEHICLE_BLOCK):
         sim = _simulate_block(config, models.proportions, type_models, block)
+        events_by_site += np.bincount(sim.site, minlength=5)
+        b = min(_VEHICLE_BLOCK, config.n_ev - block * _VEHICLE_BLOCK)
+        charges.extend(np.bincount(sim.vehicle, minlength=b).tolist())
         total_power += _accumulate_site_power(sim.site, sim.start_min, sim.duration_min, config)
         end = np.minimum(sim.start_min + sim.duration_min, HORIZON_MINUTES)
         inside = end - np.maximum(0.0, sim.start_min)
@@ -136,7 +143,17 @@ def oracle_forecast(config, models):
         clamped += sim.clamped_home_stays
         soc_min = min(soc_min, sim.soc_min)
         soc_max = max(soc_max, sim.soc_max)
-    return total_power, n_events, event_energy, infeasible, clamped, soc_min, soc_max
+    return (total_power, n_events, event_energy, infeasible, clamped, soc_min, soc_max,
+            events_by_site, charges)
+
+
+def assert_charge_counters_add_up(result):
+    """Events by site and vehicles by charge count each account for every event and vehicle."""
+    vehicles = result.vehicles_by_charge_count
+    assert list(result.events_by_site) == [site.value for site in SiteClass]
+    assert sum(result.events_by_site.values()) == result.n_events
+    assert sum(vehicles) == result.n_vehicles
+    assert sum(k * n for k, n in enumerate(vehicles)) == result.n_events
 
 
 def vehicle_events(sim, vehicle):
@@ -409,6 +426,34 @@ class TestRunForecast:
         assert result.n_events == 0
         assert not result.bundle.station.power_kw.any()
         assert result.soc_min is None
+        assert result.vehicles_by_charge_count == []
+        assert result.station_peak_by_day_kw == [0.0] * SIMULATED_DAYS
+        assert_charge_counters_add_up(result)
+
+    def test_station_by_day_ends_on_the_reported_day(self, fixture_models):
+        """One entry per simulated day; the last is the reported day's figure, bit for bit."""
+        result = run_forecast(FleetConfig(n_ev=900, q_pro=Q_DEFAULT, seed=13), fixture_models)
+        assert len(result.station_energy_by_day_kwh) == SIMULATED_DAYS
+        assert len(result.station_peak_by_day_kw) == SIMULATED_DAYS
+        assert result.station_energy_by_day_kwh[-1] == result.summary()["station_energy_kwh"]
+        assert result.station_peak_by_day_kw[-1] == result.bundle.station.power_kw.max()
+
+    def test_summary_writes_each_field_under_its_name(self, fixture_models):
+        """Every field but the bundle, in field order; only the full-horizon site energies
+        are renamed, and only the reported day's two figures are derived. A field added
+        to the result reaches the summary as it is."""
+        result = run_forecast(FleetConfig(n_ev=300, q_pro=Q_DEFAULT, seed=2), fixture_models)
+        names = [f.name for f in fields(result)][1:]
+        full = names.index("site_energy_full_kwh")
+        summary = result.summary()
+        assert list(summary) == [*names[:full], "site_energy_full_horizon_kwh", "reported_window",
+                                 "station_energy_kwh", *names[full + 1:]]
+        for name in names[:full] + names[full + 1:]:
+            assert summary[name] == getattr(result, name)
+        assert list(summary["site_energy_full_horizon_kwh"].values()) == list(
+            result.site_energy_full_kwh)
+        extended = make_dataclass("Extended", [("extra", int)], bases=(ForecastResult,))
+        assert list(extended(**vars(result), extra=7).summary().items())[-1] == ("extra", 7)
 
     def test_energy_conservation(self, fixture_models):
         config = FleetConfig(n_ev=1500, q_pro=Q_DEFAULT, seed=21)
@@ -591,6 +636,7 @@ class TestFleetProperties:
         assert 0.0 <= result.soc_min <= result.soc_max <= 1.0
         residual = abs(sum(result.site_energy_full_kwh) - result.event_energy_kwh)
         assert residual <= 1e-9 * result.event_energy_kwh
+        assert_charge_counters_add_up(result)
 
     @settings(max_examples=15, deadline=None)
     @given(n_ev=st.integers(257, 1100), seed=st.integers(0, 2**32 - 1))
@@ -619,9 +665,8 @@ class TestFleetProperties:
         """Batching, at any batch size, changes no bit of any result: the
         curves and counters of ``run_forecast`` equal the per-block oracle's."""
         config = FleetConfig(n_ev=n_ev, p_own=p_own, q_pro=Q_DEFAULT, seed=seed)
-        power, n_events, event_energy, infeasible, clamped, soc_min, soc_max = oracle_forecast(
-            config, fixture_models
-        )
+        (power, n_events, event_energy, infeasible, clamped, soc_min, soc_max,
+         events_by_site, charges) = oracle_forecast(config, fixture_models)
         with mock.patch.object(chargecast.forecast, "_BATCH_BLOCKS", batch):
             result = run_forecast(config, fixture_models)
         expected = _bundle_from_site_power(power, config)
@@ -634,3 +679,13 @@ class TestFleetProperties:
         assert result.infeasible_trips == infeasible
         assert result.clamped_home_stays == clamped
         assert (result.soc_min, result.soc_max) == (soc_min, soc_max)
+        day_slots = power.shape[1] // SIMULATED_DAYS
+        days = [station_composite(config.q_pro, power[:, d * day_slots:(d + 1) * day_slots])
+                for d in range(SIMULATED_DAYS)]
+        assert result.station_energy_by_day_kwh == [
+            float(day.sum() * config.slot_minutes / 60.0) for day in days]
+        assert result.station_peak_by_day_kw == [float(day.max()) for day in days]
+        assert list(result.events_by_site.values()) == events_by_site.tolist()
+        assert len(charges) == n_ev
+        assert result.vehicles_by_charge_count == np.bincount(charges).tolist()
+        assert_charge_counters_add_up(result)

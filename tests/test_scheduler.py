@@ -514,6 +514,15 @@ class TestSchedulePlan:
         for name in ["cost_with_ess", "cost_baseline", "saving_fraction"]:
             assert getattr(listed, name) == getattr(arrays, name), name
 
+    def test_day_bills_cannot_be_passed_in(self):
+        """Only ``multi_day_schedule`` fills the per-day bills; no builder hands them in."""
+        built = ([0.5, 1.0], [10.0, 10.0], [0.0, 0.0], 1.0, EssParams())
+        for bill in ["day_costs_with_ess", "day_costs_baseline"]:
+            with pytest.raises(TypeError, match=bill):
+                SchedulePlan(*built, **{bill: [123.0]})
+        with pytest.raises(TypeError):
+            SchedulePlan(*built, [123.0], [456.0])
+
     @pytest.mark.parametrize("price, p_ev, p_ess, dt_hours, message", [
         ([], [], [], 1.0, "no slots"),
         ([0.5], [10.0, 10.0], [0.0, 0.0], 1.0, "lengths differ"),
