@@ -23,7 +23,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, product
+from itertools import islice, product, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -215,22 +216,26 @@ _REJECT_REASONS = ("", "unparseable_field", "nonpositive_duration", "negative_le
                    "zero_clock_duration", "end_before_start")
 
 
-def _encode(rows: tuple[list[str], ...], cell: int, convert, missing, dtype):
-    """Column ``cell`` of ``rows`` as ``(values, codes)``: a ``dtype`` array of its
-    distinct cells, each converted once by ``convert``, and each row's intp index into
-    it. A cell ``convert`` rejects, or a missing one (a short row), reads as ``missing``.
-    ``convert`` is a builtin, or built on one: they accept what a survey writes
-    (whitespace, '_', any Unicode digits), and numpy's parsers do not."""
-    cells = [row[cell] if cell < len(row) else None for row in rows]
-    value = dict.fromkeys(cells, missing)
-    for text in value:
+def _encode(cells: tuple, convert, missing, dtype):
+    """A column's ``cells`` as ``(values, codes)``: a ``dtype`` array of its distinct
+    cells in first-occurrence order, each converted once by ``convert``, and each
+    cell's intp index into it. One dict lookup per cell notes the position where
+    its value first occurs, and one scatter and gather make those positions dense
+    codes. A cell ``convert`` rejects, or ``None`` (a short row's missing cell),
+    reads as ``missing``. ``convert`` is a builtin, or built on one: they accept
+    what a survey writes (whitespace, '_', any Unicode digits), and numpy's
+    parsers do not."""
+    n = len(cells)
+    first: dict = {}
+    at = np.fromiter(map(first.setdefault, cells, range(n)), np.intp, n)
+    code = np.empty(n, np.intp)
+    code[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+    for text in first:
         try:
-            value[text] = convert(text)
+            first[text] = convert(text)
         except (ValueError, TypeError):
-            pass
-    code = dict(zip(value, range(len(value))))
-    return (np.fromiter(value.values(), dtype, len(value)),
-            np.fromiter(map(code.__getitem__, cells), np.intp, len(cells)))
+            first[text] = missing
+    return np.fromiter(first.values(), dtype, len(first)), code[at]
 
 
 def _column(*args) -> np.ndarray:
@@ -274,10 +279,13 @@ def parse_records(
     """Read and validate trip rows, CHUNK_ROWS at a time, into a TripTable.
 
     Miles become km (exact factor 1.609344) and HHMM times minutes since
-    midnight. Each distinct cell of a chunk's mapped column is converted once,
-    with Python's builtins, straight to its column value: a stripped ID, a
-    travel day (a Python int, so a day past int64 stays exact), a float,
-    minutes or a site index. A cell that does not convert, or is missing,
+    midnight. Each mapped column of a chunk is picked out of its rows in one
+    pass of an ``itemgetter`` (a chunk that holds a row too short for the
+    last mapped cell first pads its rows with None), and :func:`_encode`
+    hashes each of its cells once and converts each distinct cell once, with
+    Python's builtins, straight to its column value: a stripped ID, a travel
+    day (a Python int, so a day past int64 stays exact), a float, minutes
+    or a site index. A cell that does not convert, or is missing (None),
     reads as "" (an ID), -inf (a day: no int equals it), NaN (a time or
     number) or -1 (a site), which the first reject condition catches. An
     invalid row is counted in ``diagnostics`` with its line number under the
@@ -312,7 +320,8 @@ def parse_records(
             raise ConfigurationError("mapped column(s) not present in input CSV: "
                                      + ", ".join(sorted(missing)))
         position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        cell = {name: position[src] for name, src in columns.items()}
+        pick = {name: itemgetter(position[src]) for name, src in columns.items()}
+        width = 1 + max(position[src] for src in columns.values())
 
         # Per key column (household, vehicle, travel day), each chunk's distinct
         # keys, and how many came before.
@@ -326,17 +335,21 @@ def parse_records(
         accepted = 0
         # Non-blank rows numbered as csv.DictReader numbers them: by the
         # reader's line after the row, which its fieldnames property re-reads.
-        numbered = ((row, reader.line_num) for row in reader if row)
+        # zip pulls each row before it reads the line number.
+        numbered = filter(itemgetter(0), zip(reader, map(attrgetter("line_num"), repeat(reader))))
         for chunk in iter(lambda: list(islice(numbered, CHUNK_ROWS)), []):
             rows, lines = zip(*chunk)
-            households, household = _encode(rows, cell["household_id"], _id, "", _ID_DTYPE)
-            vehicles, vehicle = _encode(rows, cell["vehicle_id"], _id, "", _ID_DTYPE)
-            days, day = _encode(rows, cell["travel_day"], int, -np.inf, object)
-            start = _column(rows, cell["start_time"], _minutes, np.nan, float)
-            end = _column(rows, cell["end_time"], _minutes, np.nan, float)
-            duration = _column(rows, cell["duration"], float, np.nan, float)
-            miles = _column(rows, cell["length_miles"], float, np.nan, float)
-            site = _column(rows, cell["destination"],
+            if min(map(len, rows)) < width:  # a short row's missing cells read as None
+                rows = [row + [None] * (width - len(row)) for row in rows]
+            households, household = _encode(tuple(map(pick["household_id"], rows)), _id, "",
+                                            _ID_DTYPE)
+            vehicles, vehicle = _encode(tuple(map(pick["vehicle_id"], rows)), _id, "", _ID_DTYPE)
+            days, day = _encode(tuple(map(pick["travel_day"], rows)), int, -np.inf, object)
+            start = _column(tuple(map(pick["start_time"], rows)), _minutes, np.nan, float)
+            end = _column(tuple(map(pick["end_time"], rows)), _minutes, np.nan, float)
+            duration = _column(tuple(map(pick["duration"], rows)), float, np.nan, float)
+            miles = _column(tuple(map(pick["length_miles"], rows)), float, np.nan, float)
+            site = _column(tuple(map(pick["destination"], rows)),
                            lambda c: site_of.get(int(c), SiteClass.O.index), -1, np.int64)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 length_km = miles * MILES_TO_KM
@@ -410,29 +423,48 @@ def build_chains(
     """Cut home-closed chains of 2..3 trips out of per-vehicle-day trips.
 
     One stable lexsort orders the trips by vehicle-day and start time (a tie
-    keeps file order). On a day that holds a trip across midnight, the trips
-    that start before 04:00 (the NHTS travel-day boundary) sort after the
-    rest, as the small hours that follow that night; every other day keeps
-    its clock order. The day's first trip is taken to depart from home (the
-    survey schema carries destinations only). Each arrival at H closes a
-    segment; segments of 1 trip, of 4+ trips, with overlapping trips, or
-    that never return home are dropped and counted. Each trip-length
-    temporary is dropped, or overwritten in place, once it is used.
+    keeps file order). The trips that start before 04:00 (the NHTS travel-day
+    boundary) lead a day in clock order. They sort after the rest, as the
+    small hours that follow that night, on a day that holds a trip across
+    midnight, and on a day whose small hours end at home while the rest of it
+    does not: a dwell across midnight, whose small-hours trips are unwrapped
+    by 24 h. Every other day keeps its clock order. The day's first trip is
+    taken to depart from home (the survey schema carries destinations
+    only). Each arrival at H closes a segment; segments of 1 trip, of 4+
+    trips, with overlapping trips, or that never return home are dropped
+    and counted. Each trip-length temporary is dropped, or overwritten in
+    place, once it is used.
     """
     diag = diagnostics if diagnostics is not None else IngestDiagnostics()
     n = len(trips)
-    night = np.isin(trips.vehicle_day, trips.vehicle_day[trips.end < trips.start])
-    order = np.lexsort((trips.start, night & (trips.start < 240), trips.vehicle_day))
+    day, small = trips.vehicle_day, trips.start < 240
+    # The trips of each day that holds small-hours trips, in clock order: its
+    # small hours at [head, split), the rest of it at [split, tail].
+    clock = np.flatnonzero(np.isin(day, day[small]))
+    clock = clock[np.lexsort((trips.start[clock], day[clock]))]
+    head = np.flatnonzero(np.diff(day[clock], prepend=-1))
+    split = head + np.add.reduceat(small[clock], head)
+    tail = np.append(head, len(clock))[1:] - 1
+    home = trips.site[clock] == SiteClass.H.index
+    night = np.logical_or.reduceat((trips.end < trips.start)[clock], head)
+    overnight = ~night & (split <= tail) & home[split - 1] & ~home[tail]  # a dwell across midnight
+    late = small & np.isin(day, day[clock[head[night | overnight]]])
+    jump = small & np.isin(day, day[clock[head[overnight]]])
+    del small, clock, head, split, tail, home, night, overnight
+    order = np.lexsort((trips.start, late, day))
     site, start, end = trips.site[order], trips.start[order], trips.end[order]
-    new_day = np.diff(trips.vehicle_day[order], prepend=-1) != 0
+    new_day = np.diff(day[order], prepend=-1) != 0
+    del late
     # Clock times are unwrapped onto a monotone axis: a trip crossing
-    # midnight pushes every later time of the same day forward by 24 h.
+    # midnight pushes every later time of the same day forward by 24 h, as
+    # does a dwell crossing it.
     crossing = end < start
     crossed = np.cumsum(crossing)
     crossed -= crossing
     crossed -= crossed[new_day][np.cumsum(new_day) - 1]
+    crossed += jump[order]
     offset = 1440.0 * crossed
-    del crossed
+    del crossed, jump
     start += offset
     end += offset
     end += 1440.0 * crossing

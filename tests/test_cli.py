@@ -258,17 +258,16 @@ def home_closed_days(draw, household: str) -> list[str]:
     n = draw(st.integers(2, 3))
     miles = st.sampled_from([0.0, 0.001, 0.01]) | st.floats(0.0, 40.0)
     start = draw(st.integers(240, 1439))  # on a day from 04:00, the NHTS day boundary
-    rows, crossed = [], False
+    rows = []
     for k in range(n):
         if k:
             start = end + draw(st.integers(0, 300))
         end = start + draw(st.integers(1, 120))
-        crossed |= start < 1440 <= end
         purpose = 1 if k == n - 1 else draw(st.sampled_from(_MIDWAY_PURPOSES))
         rows.append(f"{household},1,1,{_hhmm(start)},{_hhmm(end)},{end - start},"
                     f"{draw(miles)!r},{purpose}")
-    # A day that runs past midnight does so within a trip, and its small hours end by 04:00.
-    assume(end < 1440 or crossed and end < 1440 + 240)
+    # A day that runs past midnight, within a trip or a dwell, ends its small hours by 04:00.
+    assume(end < 1440 + 240)
     return rows
 
 

@@ -5,7 +5,9 @@ import gc
 import io
 import json
 import math
+import random
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -55,9 +57,9 @@ HEADER = "HOUSEID,VEHID,TRAVDAY,STRTTIME,ENDTIME,TRVLCMIN,TRPMILES,WHYTO"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _parse(rows, **kwargs):
+def _parse(rows, header=HEADER, **kwargs):
     diag = IngestDiagnostics()
-    text = "\n".join([HEADER, *rows])
+    text = "\n".join([header, *rows])
     trips = parse_records(io.StringIO(text), diagnostics=diag, **kwargs)
     return trips, diag
 
@@ -288,6 +290,50 @@ class TestParseRecords:
         assert [reader.line_num for _ in reader] == [2, 5, 7, 8]
         assert _manifest(text) == _reference_ingest(text)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_short_row_among_long_rows(self, chunk_rows):
+        # Line 3 lacks its WHYTO cell, and line 6 all but two cells; line 5
+        # lacks only the unmapped NOTE. A chunk holding a short row pads its
+        # rows, and only the rows short of a mapped cell are unparseable.
+        rows = ["A,1,1,0800,0830,30,5,3,n", "A,1,1,0900,0930,30,5", "A,1,1,1000,1030,-1,5,1,n",
+                "A,1,1,1100,1130,30,5,1", "A,1", "A,1,1,1200,1230,30,5,1,n"]
+        with mock.patch.object(survey, "CHUNK_ROWS", chunk_rows):
+            trips, diag = _parse(rows, header=HEADER + ",NOTE")
+        assert diag.rows_total == 6
+        assert diag.rejected_rows == [(3, "unparseable_field"), (4, "nonpositive_duration"),
+                                      (6, "unparseable_field")]
+        assert trips.start.tolist() == [480.0, 660.0, 720.0]
+        assert [SITE_CLASSES[s] for s in trips.site] == [SiteClass.W, SiteClass.H, SiteClass.H]
+
+    def test_wide_survey_parses_like_narrow(self, fixture_csv_path):
+        # 100 unmapped columns before, between and after the mapped ones, in
+        # a shuffled header order.
+        with open(fixture_csv_path, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        names = header + [f"X{i}" for i in range(100)]
+        random.Random(3).shuffle(names)
+        mapped = sorted(names.index(name) for name in header)
+        assert 0 < mapped[0] and mapped[-1] < len(names) - 1
+        assert mapped[-1] - mapped[0] > len(header)
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(names)
+        for k, row in enumerate(body):
+            cells = dict(zip(header, row))
+            writer.writerow([cells.get(name, f"{name}-{k}") for name in names])
+
+        def parse(stream):
+            diag = IngestDiagnostics()
+            return parse_records(stream, diagnostics=diag), diag.as_dict()
+
+        with open(fixture_csv_path, newline="") as fh:
+            narrow, narrow_diag = parse(fh)
+        wide, wide_diag = parse(io.StringIO(out.getvalue()))
+        for name in ("vehicle_day", "start", "end", "duration", "length_km", "site"):
+            a, b = getattr(narrow, name), getattr(wide, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert wide_diag == narrow_diag
+
 
 # ---------------------------------------------------------------------------
 # build_chains
@@ -397,6 +443,28 @@ class TestBuildChains:
             assert dict(diag.drop_reasons) == {"never_returned_home": 1}
         assert end_times_min(chains, 0) == (450.0, 1050.0)
         validate_chain(chains)
+
+    def test_dwell_across_midnight_keeps_its_chain(self):
+        # 23:00-23:50 to W, 00:10-00:40 home: clock order would put the trip
+        # home first, and the work dwell runs 23:50-00:10.
+        diag = IngestDiagnostics()
+        chains = build_chains(table(trip(start=1380, end=1430, dest=SiteClass.W),
+                                    trip(start=10, end=40, dest=SiteClass.H)), diag)
+        assert labels(chains) == ["H-W-H"]
+        assert dwell_minutes(chains, 0) == (20.0,)
+        assert end_times_min(chains, 0) == (1430.0, 1480.0)
+        assert not diag.drop_reasons
+        validate_chain(chains)
+
+    def test_small_hours_that_leave_home_start_the_day(self, fixture_csv_path):
+        # The fixture's H0010: 03:41-06:08 to work, 13:46-16:00 home.
+        rows = [line for line in fixture_csv_path.read_text().splitlines()
+                if line.startswith("H0010,")]
+        trips, diag = _parse(rows)
+        chains = build_chains(trips, diag)
+        assert labels(chains) == ["H-W-H"]
+        assert end_times_min(chains, 0) == (368.0, 960.0)
+        assert not diag.drop_reasons
 
     def test_two_chains_same_day(self):
         trips = table(
@@ -566,6 +634,34 @@ class TestFixtureInvariants:
         subprocess.run([sys.executable, str(script)], check=True, capture_output=True)
         regenerated = tmp_path / "src" / "chargecast" / "data" / "survey_fixture.csv"
         assert regenerated.read_bytes() == fixture_csv_path.read_bytes()
+
+    def test_dwell_across_midnight_adds_one_chain(self, fixture_ingest, fixture_csv_path):
+        # Q1's work dwell runs 23:50-00:10: its day is one more H-W-H chain,
+        # and every other count stays the fixture's.
+        _, _, _, fixture_diag = fixture_ingest
+        text = fixture_csv_path.read_text() + "Q1,1,1,2300,2350,50,5,3\nQ1,1,1,0010,0040,30,5,1\n"
+        diag = IngestDiagnostics()
+        chains = build_chains(parse_records(io.StringIO(text), diagnostics=diag), diag)
+        assert len(chains) == FIXTURE_TOTAL_CHAINS + 1
+        assert labels(chains)[-1] == "H-W-H"  # Q1 sorts after every H household
+        assert dwell_minutes(chains, len(chains) - 1) == (20.0,)
+        assert diag.rows_total == FIXTURE_ROWS + 2
+        assert diag.reject_reasons == fixture_diag.reject_reasons
+        assert diag.drop_reasons == fixture_diag.drop_reasons
+
+    def test_benchmark_survey_counts(self, tmp_path, fixture_csv_path):
+        # The survey_100k benchmark checks these counts exactly, per copy of
+        # the fixture that perfbench/survey_gen.py writes.
+        generator = runpy.run_path(str(REPO_ROOT / "perfbench" / "survey_gen.py"))
+        path = tmp_path / "survey.csv"
+        generator["write_survey"](fixture_csv_path, path, 3, 1)
+        diag = IngestDiagnostics()
+        with open(path, newline="") as fh:
+            build_chains(parse_records(fh, diagnostics=diag), diag)
+        counts = {"rows": diag.rows_total, "chains": diag.chains_emitted,
+                  "rejects": diag.rows_rejected, "dropped": diag.sequences_dropped}
+        assert counts == generator["expected_counts"](3)
+        assert counts == {"rows": 600, "chains": 273, "rejects": 6, "dropped": 9}
 
     def test_pipeline_is_deterministic(self, fixture_csv_path):
         def run():
@@ -859,18 +955,28 @@ def _reference_hhmm(raw: str) -> float:
 
 
 def _reference_chains(records, diag):
-    """(type, trips, end times, dwells) per chain, walking each sorted vehicle-day;
-    on a day with a trip across midnight, trips before 04:00 come last."""
+    """(type, trips, end times, dwells) per chain, walking each sorted vehicle-day.
+    Trips before 04:00 come last on a day with a trip across midnight, and on a
+    day whose trips before 04:00 end at home while its later ones do not: there
+    a dwell crosses midnight, and the trips before 04:00 are 24 h later."""
     groups = {}
     for rec in records:
         groups.setdefault((rec.household_id, rec.vehicle_id, rec.travel_day), []).append(rec)
     chains = []
     for key in sorted(groups):
-        night = any(t.end_time < t.start_time for t in groups[key])
-        day = sorted(groups[key], key=lambda r: (night and r.start_time < 240, r.start_time))
+        day = sorted(groups[key], key=lambda r: r.start_time)
+        small = [t for t in day if t.start_time < 240]
+        rest = [t for t in day if t.start_time >= 240]
+        night = any(t.end_time < t.start_time for t in day)
+        dwell = (not night and small and rest and small[-1].destination is SiteClass.H
+                 and rest[-1].destination is not SiteClass.H)
+        if night or dwell:
+            day = rest + small
         offset = 0.0
         segment, ends, dwells = [], [], []
         for t in day:
+            if dwell and t is small[0]:
+                offset += 1440.0
             start, end = t.start_time + offset, t.end_time + offset
             if t.end_time < t.start_time:
                 end += 1440.0
